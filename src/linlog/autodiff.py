@@ -99,16 +99,6 @@ class _Tree:
         return Var(self.y) if not self.theta else TopVal()
 
 
-def _cons_arg(head: Term | None, tail: Term | None, ctx: _Tree) -> Term:
-    if head is None and tail is None:
-        return ctx.unit_arg()
-    if head is None:
-        return tail
-    if tail is None:
-        return head
-    return WithPair(head, tail)
-
-
 def _ptype(p: Term, tys: dict[str, LType]) -> LType:
     """The inner type E of a primal-sort term of type !E."""
     match p:

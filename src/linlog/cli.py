@@ -187,6 +187,10 @@ def cmd_jvp(args, report: Report):
     report.put("flops", flops.count)
 
 
+def _row(gradient: list[NumTuple], show) -> str:
+    return "(" + ", ".join(show(g) for g in gradient) + ")"
+
+
 def cmd_grad(args, report: Report):
     sf = _load(args.file, report)
     supply = NameSupply()
@@ -194,12 +198,17 @@ def cmd_grad(args, report: Report):
     point = parse_point(args.point, shapes)
     res = run_grad(term, theta, point, args.pipeline,
                    simplify_output=args.simplify, supply=supply)
-    grad_str = "(" + ", ".join(_nt_str(g) for g in res.gradient) + ")"
     report.say(f"primal = {_nt_str(res.primal)}")
-    report.say(f"grad   = {grad_str}")
-    report.say(f"flops  = {res.flops} (workload bound {res.workload_bound})")
     report.put("primal", _nt_exact(res.primal))
-    report.put("grad", "(" + ", ".join(_nt_exact(g) for g in res.gradient) + ")")
+    if res.jacobian_t is None:
+        report.say(f"grad   = {_row(res.gradient, _nt_str)}")
+        report.put("grad", _row(res.gradient, _nt_exact))
+    else:
+        # a tuple output: row i is the gradient of output component i
+        for i, row in enumerate(res.jacobian_t):
+            report.say(f"grad[{i}] = {_row(row, _nt_str)}")
+            report.put(f"grad.{i:02d}", _row(row, _nt_exact))
+    report.say(f"flops  = {res.flops} (workload bound {res.workload_bound})")
     report.put("flops", res.flops)
     report.put("workload_bound", res.workload_bound)
     if res.flops > res.workload_bound:
@@ -274,7 +283,7 @@ def cmd_compare(args, report: Report):
     point = parse_point(args.point, shapes)
     r1 = run_grad(term, theta, point, "tuf", supply=supply.clone())
     r2 = run_grad(term, theta, point, "tf", supply=supply.clone())
-    fd = finite_diff_grad(term, theta, point)
+    fd = finite_diff_grad(term, theta, point, EquivConfig(fd_step=args.fd_step))
     g1 = [x for g in r1.gradient for x in flatten(g)]
     g2 = [x for g in r2.gradient for x in flatten(g)]
     report.say(f"primal          = {_nt_str(r1.primal)}")
@@ -373,7 +382,6 @@ def main(argv=None) -> int:
                         default=int(os.environ.get("LINLOG_SEED", "0")))
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--fd-step", type=float, default=1e-6)
-    common.add_argument("--budget", type=int, default=100_000)
 
     ap = argparse.ArgumentParser(
         prog="linlog",

@@ -494,8 +494,3 @@ def _gen_arith(rng, depth: int) -> Term:
                    Zero()),
                WithPair(_gen_arith(rng, depth - 1), _gen_arith(rng, depth - 1)))
 
-
-def _subst_penv_numerals(term: Term, penv, rng) -> Term:
-    for x in sorted(penv):
-        term = _subst_bang_numeral(term, x, rng)
-    return term

@@ -55,12 +55,6 @@ def shape_matches(v: NumTuple, t: JaxType) -> bool:
     return False
 
 
-def check_shape(v: NumTuple, t: JaxType) -> NumTuple:
-    if not shape_matches(v, t):
-        raise ShapeMismatch(f"{v!r} does not fit {t!r}")
-    return v
-
-
 def zero_of(t: JaxType) -> NumTuple:
     match t:
         case x if x is JReal:

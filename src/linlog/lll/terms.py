@@ -8,7 +8,7 @@ this grammar models) is notation for ``WithPair(UnitVal, M)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from linlog.lll.prims import PrimId
 from linlog.lll.types import (
@@ -25,30 +25,30 @@ class Pattern:
         return pattern_str(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PVar(Pattern):
     name: str
     ty: LType
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PBang(Pattern):
     name: str
     ty: LType  # the inner type A; the pattern itself has type !A
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PUnit(Pattern):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PTensor(Pattern):
     left: Pattern
     right: Pattern
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PWith(Pattern):
     left: Pattern
     right: Pattern
@@ -99,10 +99,6 @@ def pattern_var_types(p: Pattern) -> dict[str, LType]:
     return out
 
 
-def is_exponential(p: Pattern) -> bool:
-    return isinstance(p, PBang)
-
-
 def is_with_pattern(p: Pattern) -> bool:
     match p:
         case PVar(_, ty):
@@ -146,74 +142,84 @@ class Term:
         return term_str(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Numeral(Term):
     value: float
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PrimFn(Term):
     fn: PrimId
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class PlusDot(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class TimesDot(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Zero(Term):
     # behaves as the numeral 0.0 but is typeable under any context
     pass
 
 
-@dataclass(frozen=True, repr=False)
+# The composite nodes below keep their free variables in `_fv`, filled by
+# `free_vars` on first request; it takes no part in equality, hashing,
+# matching or printing.
+
+
+@dataclass(frozen=True, repr=False, slots=True)
 class Abs(Term):
     pat: Pattern
     body: Term
+    _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class App(Term):
     fn: Term
     arg: Term
+    _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class UnitVal(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class TensorPair(Term):
     left: Term
     right: Term
+    _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class BangVal(Term):
     inner: Term
+    _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class TopVal(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class WithPair(Term):
     left: Term
     right: Term
+    _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
 # ------------------------------------------------------------ conveniences
@@ -255,18 +261,59 @@ def prim_arg_type(arity: int) -> LType:
     return out
 
 
+_NO_VARS: frozenset[str] = frozenset()
+_COMPOSITE = (Abs, App, TensorPair, WithPair, BangVal)
+
+
 def free_vars(m: Term) -> frozenset[str]:
+    """The free variables of `m`.  A composite node keeps them in its
+    `_fv` slot from the first request on, so later requests on it or on
+    any of its subterms cost O(1)."""
+    if not isinstance(m, _COMPOSITE):
+        return frozenset((m.name,)) if isinstance(m, Var) else _NO_VARS
+    if m._fv is None:
+        # Fill the uncached nodes below `m`, children before parents, from
+        # an explicit stack: a let-spine nests as deep as the program is
+        # long.
+        todo = [m]
+        while todo:
+            t = todo[-1]
+            missing = [c for c in _children(t)
+                       if isinstance(c, _COMPOSITE) and c._fv is None]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            if t._fv is None:
+                object.__setattr__(t, "_fv", _compute_free_vars(t))
+    return m._fv
+
+
+def _children(m: Term) -> tuple[Term, ...]:
     match m:
-        case Var(name):
-            return frozenset((name,))
-        case Abs(p, body):
-            return free_vars(body) - frozenset(pattern_vars(p))
+        case Abs(_, body) | BangVal(body):
+            return (body,)
         case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-            return free_vars(f) | free_vars(a)
+            return (f, a)
+    return ()
+
+
+def _compute_free_vars(m: Term) -> frozenset[str]:
+    """The free variables of a composite node whose children are cached,
+    reusing a child's set where it is already the answer."""
+    match m:
+        case Abs(p, body):
+            fv = free_vars(body)
+            bound = fv.intersection(pattern_vars(p))
+            return fv - bound if bound else fv
+        case App(f, a) | TensorPair(f, a) | WithPair(f, a):
+            left, right = free_vars(f), free_vars(a)
+            if len(left) < len(right):
+                left, right = right, left
+            return left if right <= left else left | right
         case BangVal(i):
             return free_vars(i)
-        case _:
-            return frozenset()
+    raise AssertionError(m)
 
 
 def all_names(m: Term) -> set[str]:

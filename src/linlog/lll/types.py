@@ -67,10 +67,6 @@ def affine(a: LType) -> LType:
     return With(One, a)
 
 
-def is_affine(a: LType) -> bool:
-    return isinstance(a, With) and a.left is One
-
-
 def is_tensor_seq(a: LType) -> bool:
     match a:
         case _Real() | _One():

@@ -15,18 +15,39 @@ from linlog.lll.types import LType, is_ground, workload_type
 
 
 def workload_term(m: Term) -> int:
+    return _workload_fv(m)[0]
+
+
+def _workload_fv(m: Term) -> tuple[int, set[str]]:
+    """Workload and free variables of `m` in one bottom-up pass.  The set
+    is new and owned by the caller; a pair merges its smaller set into its
+    larger one.  It leaves the `free_vars` cache alone: this pass visits
+    every node of a large term once, and caching a set on each would cost
+    more memory than it saves."""
     match m:
         case PrimFn(_) | PlusDot() | TimesDot():
-            return 1
-        case Var(_) | BangVal(_) | UnitVal() | TopVal() | Numeral(_) | Zero():
-            return 0
+            return 1, set()
+        case Var(name):
+            return 0, {name}
+        case UnitVal() | TopVal() | Numeral(_) | Zero():
+            return 0, set()
+        case BangVal(i):
+            return 0, _workload_fv(i)[1]
         case Abs(p, body):
-            fv = free_vars(body)
-            erased = sum(workload_type(ty)
-                         for x, ty in pattern_var_types(p).items() if x not in fv)
-            return workload_term(body) + erased
+            w, fv = _workload_fv(body)
+            for x, ty in pattern_var_types(p).items():
+                if x in fv:
+                    fv.remove(x)
+                else:
+                    w += workload_type(ty)
+            return w, fv
         case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-            return workload_term(f) + workload_term(a)
+            wf, left = _workload_fv(f)
+            wa, right = _workload_fv(a)
+            if len(left) < len(right):
+                left, right = right, left
+            left |= right
+            return wf + wa, left
     raise AssertionError(m)
 
 

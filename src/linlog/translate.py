@@ -443,15 +443,6 @@ def delta_b_primal(penv: dict[str, JaxType], ep: Expr, supply: NameSupply) -> Te
     return _delta_bp(ep, dict(penv), supply)
 
 
-def delta_b_tangent(penv: dict[str, JaxType], theta: Enumeration, et: Expr,
-                    supply: NameSupply) -> Term:
-    """Bare linear map carried by a purely tangent expression."""
-    if set(theta.names()) != set(fv_tangent(et)):
-        raise EnumerationMismatch(
-            f"enumeration {theta.names()} vs free tangents {sorted(fv_tangent(et))}")
-    return _delta_bt(et, dict(penv), theta, supply)
-
-
 def delta_b(penv: dict[str, JaxType], theta: Enumeration, d: Expr,
             supply: NameSupply) -> Term:
     """Translation of a Linear B expression; the primal and tangent

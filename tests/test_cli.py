@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -103,6 +104,30 @@ def test_eval_and_jvp_on_lll_file():
     assert code == 0
     # directional derivative along x: (cos 0.5, y) = (0.8775.., 2)
     assert "0.877583" in out and "2" in out
+
+
+def test_grad_prints_every_jacobian_row_of_a_tuple_output():
+    # (sin x, x*y) at (0.5, 2): rows (cos 0.5, 0) and (y, x) = (2, 0.5)
+    code, out = run_cli("grad", "programs/pair_out.lll", "--point", "0.5 2.0")
+    assert code == 0
+    assert "grad[0] = (0.877583, 0)" in out and "grad[1] = (2, 0.5)" in out
+    _, out = run_cli("grad", "programs/pair_out.lll", "--point", "0.5 2.0",
+                     "--format", "machine")
+    rows = {k: v for k, v in (l.split("=", 1) for l in out.splitlines())
+            if k.startswith("grad")}
+    assert rows.keys() == {"grad.00", "grad.01"}
+    assert eval(rows["grad.00"]) == pytest.approx((math.cos(0.5), 0.0), abs=1e-12)
+    assert eval(rows["grad.01"]) == pytest.approx((2.0, 0.5), abs=1e-12)
+
+
+def test_compare_uses_fd_step():
+    _, fine = run_cli("compare", G, "--point", "0.5 2.0", "--format", "machine")
+    _, coarse = run_cli("compare", G, "--point", "0.5 2.0", "--fd-step", "0.1",
+                        "--format", "machine")
+    fd = [l for l in fine.splitlines() if l.startswith("grad.fd=")]
+    fd_coarse = [l for l in coarse.splitlines() if l.startswith("grad.fd=")]
+    assert fd != fd_coarse
+    assert "status=fail" in coarse
 
 
 def test_check_random_machine_deterministic():
