@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from linlog.errors import EnumerationMismatch, LinlogError, SortViolation
 from linlog.fresh import NameSupply
 from linlog.lll.reduce import uniquify
 from linlog.lll.terms import (
@@ -30,19 +31,11 @@ from linlog.lll.types import (
 from linlog.translate import add_app, mk_zero
 
 
-class SortViolation(Exception):
+class CaptureDetected(LinlogError):
     pass
 
 
-class EnumerationMismatch(Exception):
-    pass
-
-
-class CaptureDetected(Exception):
-    pass
-
-
-class CodomainOverlap(Exception):
+class CodomainOverlap(LinlogError):
     pass
 
 
@@ -395,33 +388,28 @@ def unzip(s: Term, supply: NameSupply | None = None) -> Term:
 
 # ---------------------------------------------------------------- renamings
 
-@dataclass(frozen=True)
 class Renaming:
-    pairs: tuple[tuple[str, str], ...] = ()
+    """A finite map from pattern names to new names."""
+
+    __slots__ = ("map",)
+
+    def __init__(self, pairs=()):
+        self.map: dict[str, str] = dict(pairs)
 
     @staticmethod
     def identity(names) -> "Renaming":
-        return Renaming(tuple((n, n) for n in names))
+        return Renaming({n: n for n in names})
 
     @staticmethod
     def fresh_for(names, supply: NameSupply) -> "Renaming":
-        return Renaming(tuple((n, supply.fresh(n.lstrip("%").split("#")[0] or "u"))
-                              for n in names))
+        return Renaming({n: supply.fresh(n.lstrip("%").split("#")[0] or "u")
+                         for n in names})
 
-    def dom(self) -> set[str]:
-        return {a for a, _ in self.pairs}
+    def dom(self):
+        return self.map.keys()
 
     def cod(self) -> set[str]:
-        return {b for _, b in self.pairs}
-
-    def get(self, name: str) -> str:
-        for a, b in self.pairs:
-            if a == name:
-                return b
-        raise KeyError(name)
-
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
+        return set(self.map.values())
 
 
 EMPTY_RENAMING = Renaming()
@@ -429,7 +417,7 @@ EMPTY_RENAMING = Renaming()
 
 def rename_apply(alpha: Renaming, m: Term) -> Term:
     """alpha[M]: replace free occurrences of the domain."""
-    ren = {a: b for a, b in alpha.pairs if a != b}
+    ren = {a: b for a, b in alpha.map.items() if a != b}
     if not ren:
         return m
     clash = set(ren.values()) & all_names(m)
@@ -441,9 +429,26 @@ def rename_apply(alpha: Renaming, m: Term) -> Term:
 
 def rename_pattern(alpha: Renaming, p: Pattern) -> Pattern:
     """alpha[p]: rename matching leaves, keeping the shape."""
-    ren = alpha.mapping()
     from linlog.lll.reduce import _rename_pattern
-    return _rename_pattern(p, ren)
+    return _rename_pattern(p, alpha.map)
+
+
+def _project(p: Pattern, ren: dict[str, str]) -> Pattern | None:
+    """The sub-pattern of the leaves of `p` in the domain of `ren`, renamed
+    by it; None when there is no such leaf."""
+    match p:
+        case PVar(n, ty):
+            return PVar(ren[n], ty) if n in ren else None
+        case PWith(l, r):
+            gl, gr = _project(l, ren), _project(r, ren)
+            if gl is not None and gr is not None:
+                return PWith(gl, gr)
+            return gl if gl is not None else gr
+    raise SortViolation(f"not a with-sequence pattern: {p!r}")
+
+
+def _fresh_top(supply: NameSupply | None) -> Pattern:
+    return PVar((supply or NameSupply()).fresh("t"), Top)
 
 
 def rename_project(alpha: Renaming, p: Pattern,
@@ -451,45 +456,37 @@ def rename_project(alpha: Renaming, p: Pattern,
     """alpha<p>: the sub-pattern of renamed components; sub-patterns
     disjoint from the domain vanish, and a fresh T variable stands in
     when nothing at all is renamed."""
-    dom = alpha.dom()
-
-    def go(q):
-        match q:
-            case PVar(n, ty):
-                return PVar(alpha.get(n), ty) if n in dom else None
-            case PWith(l, r):
-                gl, gr = go(l), go(r)
-                if gl is not None and gr is not None:
-                    return PWith(gl, gr)
-                return gl if gl is not None else gr
-        raise SortViolation(f"not a with-sequence pattern: {q!r}")
-
-    out = go(p)
-    if out is None:
-        supply = supply or NameSupply()
-        return PVar(supply.fresh("t"), Top)
-    return out
+    out = _project(p, alpha.map)
+    return _fresh_top(supply) if out is None else out
 
 
 def nu(p: Pattern, a1: Renaming, a2: Renaming) -> Term:
     """Zero-parsimonious sum of two renamings of a pattern."""
-    if a1.cod() & a2.cod():
-        raise CodomainOverlap(str(a1.cod() & a2.cod()))
-    d1, d2 = a1.dom(), a2.dom()
+    m1, m2 = a1.map, a2.map
+    overlap = a1.cod() & a2.cod()
+    if overlap:
+        raise CodomainOverlap(str(overlap))
 
     def go(q):
-        if not (set(pattern_vars(q)) & (d1 | d2)):
-            return mk_zero(pattern_type(q))
+        # the sum over q, or None where q has no leaf in either domain
         match q:
             case PVar(n, ty):
-                if n in d1 and n in d2:
-                    return add_app(ty, Var(a1.get(n)), Var(a2.get(n)))
-                return Var(a1.get(n)) if n in d1 else Var(a2.get(n))
+                if n in m1:
+                    return (add_app(ty, Var(m1[n]), Var(m2[n])) if n in m2
+                            else Var(m1[n]))
+                return Var(m2[n]) if n in m2 else None
             case PWith(l, r):
-                return WithPair(go(l), go(r))
-        raise SortViolation(f"not a with-sequence pattern: {q!r}")
+                gl, gr = go(l), go(r)
+                if gl is None and gr is None:
+                    return None
+                return WithPair(mk_zero(pattern_type(l)) if gl is None else gl,
+                                mk_zero(pattern_type(r)) if gr is None else gr)
+        if any(n in m1 or n in m2 for n in pattern_vars(q)):
+            raise SortViolation(f"not a with-sequence pattern: {q!r}")
+        return None
 
-    return go(p)
+    out = go(p)
+    return mk_zero(pattern_type(p)) if out is None else out
 
 
 # ---------------------------------------------------------------- transpose
@@ -543,15 +540,18 @@ def _t_type(u: Term, phi: SectionEnv, ptys) -> LType:
 
 
 def transpose_t(phi: SectionEnv, p: Pattern, u: Term, supply: NameSupply,
-                ptys: dict[str, LType]):
-    """Returns (cotangent pattern q, body, used p-variables)."""
-    pvars = set(pattern_vars(p))
-    ptypes = pattern_var_types(p)
+                ptys: dict[str, LType], pvt: dict[str, LType] | None = None):
+    """Returns (cotangent pattern q, body, used p-variables).  `pvt` maps
+    the variables of `p` that may occur free in `u` to their types, in
+    pattern order (by default all of them); below a with-pair, `p` is
+    projected to the variables its component uses."""
+    if pvt is None:
+        pvt = pattern_var_types(p)
 
     match u:
-        case Var(name) if name in pvars:
+        case Var(name) if name in pvt:
             q = supply.fresh("z")
-            return PVar(q, ptypes[name]), Var(q), {name}
+            return PVar(q, pvt[name]), Var(q), {name}
 
         case Zero():
             return PVar(supply.fresh("z"), Real), TopVal(), set()
@@ -559,30 +559,36 @@ def transpose_t(phi: SectionEnv, p: Pattern, u: Term, supply: NameSupply,
             return PVar(supply.fresh("z"), Top), TopVal(), set()
 
         case WithPair(u1, u2):
-            a1 = Renaming.fresh_for([n for n in pattern_vars(p)
-                                     if n in free_vars(u1)], supply)
-            a2 = Renaming.fresh_for([n for n in pattern_vars(p)
-                                     if n in free_vars(u2)], supply)
-            p1, t1 = rename_pattern(a1, p), rename_apply(a1, u1)
-            p2, t2 = rename_pattern(a2, p), rename_apply(a2, u2)
-            q1, b1, used1 = transpose_t(phi, p1, t1, supply, ptys)
-            q2, b2, used2 = transpose_t(phi, p2, t2, supply, ptys)
+            fv1, fv2 = free_vars(u1), free_vars(u2)
+            a1 = Renaming.fresh_for([n for n in pvt if n in fv1], supply)
+            a2 = Renaming.fresh_for([n for n in pvt if n in fv2], supply)
+            # Each component is transposed against p projected to the
+            # variables it uses, renamed apart.  A component that uses none
+            # keeps p (no variable of p occurs in it); the fresh T variable
+            # standing in for its binder is drawn after both recursions, in
+            # the order the fresh names have always been drawn.
+            p1, p2 = _project(p, a1.map), _project(p, a2.map)
+            q1, b1, used1 = transpose_t(
+                phi, p if p1 is None else p1, rename_apply(a1, u1), supply,
+                ptys, {b: pvt[a] for a, b in a1.map.items()})
+            q2, b2, used2 = transpose_t(
+                phi, p if p2 is None else p2, rename_apply(a2, u2), supply,
+                ptys, {b: pvt[a] for a, b in a2.map.items()})
             assert used1 == a1.cod() and used2 == a2.cod()
-            binder = PWith(rename_project(a1, p, supply),
-                           rename_project(a2, p, supply))
+            binder = PWith(_fresh_top(supply) if p1 is None else p1,
+                           _fresh_top(supply) if p2 is None else p2)
             used = a1.dom() | a2.dom()
             # the zeros for components untouched by both branches are
             # emitted once, by the enclosing lambda wrapper: sum over the
             # used projection only
-            p_used = rename_project(Renaming.identity(
-                [n for n in pattern_vars(p) if n in used]), p, supply)
+            p_used = rename_project(Renaming.identity(used), p, supply)
             body = let_(binder, WithPair(b1, b2), nu(p_used, a1, a2))
             return PWith(q1, q2), body, used
 
         case App(f, u1):
             fc = transpose_f(phi, f, supply, ptys)
-            hty = _f_type(f, phi, ptys | ptypes).cod
-            q1, b1, used1 = transpose_t(phi, p, u1, supply, ptys)
+            hty = _f_type(f, phi, ptys | pvt).cod
+            q1, b1, used1 = transpose_t(phi, p, u1, supply, ptys, pvt)
             q = supply.fresh("z")
             body = App(Abs(q1, b1), App(fc, Var(q)))
             return PVar(q, hty), body, used1
@@ -603,8 +609,9 @@ def transpose_f(phi: SectionEnv, f: Term, supply: NameSupply,
         case App(TimesDot(), _):
             return f
         case Abs(pat, body):
-            q, b, used = transpose_t(phi, pat, body, supply, ptys)
-            alpha = Renaming.identity([n for n in pattern_vars(pat) if n in used])
+            pvt = pattern_var_types(pat)
+            q, b, used = transpose_t(phi, pat, body, supply, ptys, pvt)
+            alpha = Renaming.identity([n for n in pvt if n in used])
             return Abs(q, let_(rename_project(alpha, pat, supply), b,
                                nu(pat, alpha, EMPTY_RENAMING)))
     m = _match_section_let(f)

@@ -3,7 +3,8 @@
 Commands: typecheck, eval, jvp, grad, workload, check, compare.  Every
 command prints a human-readable section and, with --format=machine, a
 stable line-oriented key=value section.  Exit codes: 0 all checks pass,
-1 a check failed, 2 usage error.
+1 a check failed, 2 a usage error or a rejected input (a missing file, or
+a `LinlogError` such as a syntax or typing error), 3 an internal error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import argparse
 import hashlib
 import os
 import sys
+import traceback
 
+from linlog.errors import LinlogError
 from linlog.fresh import NameSupply
 from linlog.frontend import SourceFile, parse, parse_point
 from linlog.linear_a.expr import JaxType, JReal, fv_primal, fv_tangent
@@ -104,7 +107,7 @@ def _grad_setup(sf: SourceFile, supply: NameSupply):
     shapes = []
     for p in sf.env:
         if not isinstance(p, PBang):
-            raise SystemExit("grad requires a !-variable header")
+            raise LinlogError("grad requires a !-variable header")
         theta.append((p.name, p.ty))
         shapes.append(_ltype_to_jax(p.ty))
     return term, theta, shapes
@@ -120,7 +123,7 @@ def _ltype_to_jax(t: LType) -> JaxType:
             return JOne
         case Tensor(Bang(l), Bang(r)):
             return JProd(_ltype_to_jax(l), _ltype_to_jax(r))
-    raise SystemExit(f"header type {t!r} is not a tensor sequence")
+    raise LinlogError(f"header type {t!r} is not a tensor sequence")
 
 
 def cmd_typecheck(args, report: Report):
@@ -441,14 +444,16 @@ def main(argv=None) -> int:
     }[args.cmd]
     try:
         handler(args, report)
-    except SystemExit:
-        raise
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:
+    except LinlogError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return 2
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     report.emit(args.format)
     return 1 if report.failed else 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from linlog.errors import LinlogError
 from linlog.fresh import NameSupply, is_reserved
 from linlog.linear_a.expr import (
     AddDot, Drop, Dup, Expr, JaxType, JOne, JProd, JReal, LetPair, Lit,
@@ -30,17 +31,17 @@ from linlog.lll.types import (
 )
 
 
-class SyntaxErrorAt(Exception):
+class SyntaxErrorAt(LinlogError):
     def __init__(self, msg, line=0, col=0):
         super().__init__(f"{line}:{col}: {msg}")
         self.line, self.col = line, col
 
 
-class ReservedName(Exception):
+class ReservedName(LinlogError):
     pass
 
 
-class SortError(Exception):
+class SortError(LinlogError):
     pass
 
 

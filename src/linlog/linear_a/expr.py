@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from linlog.errors import SortViolation  # noqa: F401  (re-exported from its old home)
 from linlog.fresh import NameSupply
 from linlog.lll.prims import PrimId
-
-
-class SortViolation(Exception):
-    pass
 
 
 # ------------------------------------------------------------------ types

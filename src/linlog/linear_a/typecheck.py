@@ -8,6 +8,7 @@ and enforces disjointness at every two-premise rule.
 
 from __future__ import annotations
 
+from linlog.errors import LinlogError
 from linlog.linear_a.expr import (
     AddDot, Drop, Dup, Expr, JaxType, JOne, JProd, JReal, LetPair, Lit,
     PrimApp, PrimTupElim0, PrimTupElim2, PrimTupIntro0, PrimTupIntro2,
@@ -16,7 +17,7 @@ from linlog.linear_a.expr import (
 )
 
 
-class JaxTypeError(Exception):
+class JaxTypeError(LinlogError):
     pass
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from linlog.errors import LinlogError
 from linlog.linear_a.expr import JaxType, JOne, JProd, JReal
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(LinlogError):
     pass
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
+from linlog.errors import LinlogError
 from linlog.lll.prims import PrimId
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
@@ -34,7 +35,7 @@ from linlog.lll.terms import (
 )
 
 
-class MachineError(Exception):
+class MachineError(LinlogError):
     pass
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from linlog.errors import LinlogError
 from linlog.fresh import NameSupply
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
@@ -17,15 +18,15 @@ from linlog.lll.terms import (
 from linlog.lll.types import Lolli, is_with_seq
 
 
-class BudgetExhausted(Exception):
+class BudgetExhausted(LinlogError):
     pass
 
 
-class StuckOpenTerm(Exception):
+class StuckOpenTerm(LinlogError):
     pass
 
 
-class NotAValueForPattern(Exception):
+class NotAValueForPattern(LinlogError):
     pass
 
 
@@ -517,12 +518,85 @@ def _exp_bound(p: Pattern, name: str) -> bool:
             return False
 
 
-def uniquify(term: Term, supply: NameSupply) -> Term:
-    """Rename binders so no name is bound twice; keeps first occurrences."""
-    seen: set[str] = set(free_vars(term))
+def _scope_scan(term: Term) -> tuple[set[str], bool]:
+    """The free variables of `term`, and whether some name is bound twice
+    in it or both bound and free, by one scoped walk.  It fills no
+    `free_vars` cache: on the unzipped term's let-spine the cached sets
+    would cost memory quadratic in its length."""
+    free: set[str] = set()
+    binders: set[str] = set()
+    clash = False
+    bound: dict[str, int] = {}  # name -> number of enclosing binders
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        # dispatch on the class, not with `match`: class patterns cost
+        # several times more per node, and U and T scan every term they get
+        cls = t.__class__
+        if cls is Var:
+            if t.name not in bound:
+                free.add(t.name)
+        elif cls is App:
+            todo.append(t.arg)
+            todo.append(t.fn)
+        elif cls is Abs:
+            names = pattern_vars(t.pat)
+            for n in names:
+                if n in binders:
+                    clash = True
+                binders.add(n)
+                bound[n] = bound.get(n, 0) + 1
+            todo.append(names)
+            todo.append(t.body)
+        elif cls is TensorPair or cls is WithPair:
+            todo.append(t.right)
+            todo.append(t.left)
+        elif cls is BangVal:
+            todo.append(t.inner)
+        elif cls is list:  # leaving the scope of these binder names
+            for n in t:
+                bound[n] -= 1
+                if not bound[n]:
+                    del bound[n]
+    return free, clash or not free.isdisjoint(binders)
 
-    def go(m):
+
+def uniquify(term: Term, supply: NameSupply) -> Term:
+    """Rename binders so no name is bound twice; keeps first occurrences.
+
+    Binders are visited in pre-order, left to right, so the fresh names are
+    drawn in that order.  The renamings in force travel down the walk in
+    one environment (original name -> new name), and a node below which
+    nothing was renamed is returned as it is.  The walk uses an explicit
+    stack, as a let-spine nests as deep as the program is long."""
+    seen, clash = _scope_scan(term)
+    if not clash:
+        return term
+    done: list[Term] = []  # finished subterms, in visiting order
+    # (node, env) visits a node under the renaming env; (node, None) and
+    # (node, pattern) rebuild it from its finished children, an Abs with
+    # the given pattern.
+    todo: list = [(term, {})]
+    while todo:
+        m, env = todo.pop()
+        if env is None or isinstance(env, Pattern):
+            match m:
+                case Abs(p, body):
+                    b = done.pop()
+                    p2 = p if env is None else env
+                    done.append(m if b is body and p2 is p else Abs(p2, b))
+                case BangVal(i):
+                    i2 = done.pop()
+                    done.append(m if i2 is i else BangVal(i2))
+                case App(f, a) | TensorPair(f, a) | WithPair(f, a):
+                    a2 = done.pop()
+                    f2 = done.pop()
+                    done.append(m if f2 is f and a2 is a
+                                else type(m)(f2, a2))
+            continue
         match m:
+            case Var(n):
+                done.append(Var(env[n]) if n in env else m)
             case Abs(p, body):
                 ren = {}
                 for n in pattern_vars(p):
@@ -530,20 +604,22 @@ def uniquify(term: Term, supply: NameSupply) -> Term:
                         ren[n] = supply.fresh(n.split("#")[0].lstrip("%"))
                     else:
                         seen.add(n)
+                # a name bound here that the environment renames was seen
+                # before, so it is renamed again here and `ren` shadows it
                 if ren:
-                    p = _rename_pattern(p, ren)
-                    body = _rename_free(body, ren)
                     seen.update(ren.values())
-                return Abs(p, go(body))
-            case App(f, a):
-                return App(go(f), go(a))
-            case TensorPair(l, r):
-                return TensorPair(go(l), go(r))
-            case WithPair(l, r):
-                return WithPair(go(l), go(r))
+                    env = env | ren
+                    todo.append((m, _rename_pattern(p, ren)))
+                else:
+                    todo.append((m, None))
+                todo.append((body, env))
+            case App(f, a) | TensorPair(f, a) | WithPair(f, a):
+                todo.append((m, None))
+                todo.append((a, env))
+                todo.append((f, env))
             case BangVal(i):
-                return BangVal(go(i))
+                todo.append((m, None))
+                todo.append((i, env))
             case _:
-                return m
-
-    return go(term)
+                done.append(m)
+    return done.pop()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from linlog.errors import LinlogError
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
@@ -29,7 +30,7 @@ from linlog.lll.terms import (
 from linlog.lll.types import Bang, LType, Lolli, One, Real, Top, With
 
 
-class LinError(Exception):
+class LinError(LinlogError):
     pass
 
 

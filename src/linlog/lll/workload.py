@@ -23,32 +23,56 @@ def _workload_fv(m: Term) -> tuple[int, set[str]]:
     is new and owned by the caller; a pair merges its smaller set into its
     larger one.  It leaves the `free_vars` cache alone: this pass visits
     every node of a large term once, and caching a set on each would cost
-    more memory than it saves."""
-    match m:
-        case PrimFn(_) | PlusDot() | TimesDot():
-            return 1, set()
-        case Var(name):
-            return 0, {name}
-        case UnitVal() | TopVal() | Numeral(_) | Zero():
-            return 0, set()
-        case BangVal(i):
-            return 0, _workload_fv(i)[1]
-        case Abs(p, body):
-            w, fv = _workload_fv(body)
-            for x, ty in pattern_var_types(p).items():
+    more memory than it saves.  It needs no Python recursion: the nodes
+    are listed in pre-order from an explicit stack, then folded in the
+    reverse order, which puts every child before its parent.  Both loops
+    dispatch on the class, not with `match`, whose class patterns cost
+    several times more per node."""
+    order: list[Term] = []
+    todo = [m]
+    while todo:
+        t = todo.pop()
+        order.append(t)
+        cls = t.__class__
+        if cls is App:
+            todo.append(t.arg)
+            todo.append(t.fn)
+        elif cls is TensorPair or cls is WithPair:
+            todo.append(t.right)
+            todo.append(t.left)
+        elif cls is Abs:
+            todo.append(t.body)
+        elif cls is BangVal:
+            todo.append(t.inner)
+    done: list[tuple[int, set[str]]] = []  # the last child folded is on top
+    for t in reversed(order):
+        cls = t.__class__
+        if cls is Var:
+            done.append((0, {t.name}))
+        elif cls is App or cls is TensorPair or cls is WithPair:
+            wf, left = done.pop()
+            wa, right = done.pop()
+            if len(left) < len(right):
+                left, right = right, left
+            left |= right
+            done.append((wf + wa, left))
+        elif cls is Abs:
+            w, fv = done.pop()
+            for x, ty in pattern_var_types(t.pat).items():
                 if x in fv:
                     fv.remove(x)
                 else:
                     w += workload_type(ty)
-            return w, fv
-        case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-            wf, left = _workload_fv(f)
-            wa, right = _workload_fv(a)
-            if len(left) < len(right):
-                left, right = right, left
-            left |= right
-            return wf + wa, left
-    raise AssertionError(m)
+            done.append((w, fv))
+        elif cls is BangVal:
+            done.append((0, done.pop()[1]))
+        elif cls is PrimFn or cls is PlusDot or cls is TimesDot:
+            done.append((1, set()))
+        elif cls is UnitVal or cls is TopVal or cls is Numeral or cls is Zero:
+            done.append((0, set()))
+        else:
+            raise AssertionError(t)
+    return done.pop()
 
 
 def is_safe(m: Term, var_types: dict[str, LType] | None = None) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from linlog.errors import NotWithSeq
 from linlog.fresh import NameSupply
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup
 from linlog.lll import machine
@@ -29,10 +30,6 @@ from linlog.lll.types import (
 )
 from linlog.lll.typecheck import TypingEnv, typecheck
 from linlog.translate import add_app, mk_zero, scale_app
-
-
-class NotWithSeq(Exception):
-    pass
 
 
 @dataclass(frozen=True)

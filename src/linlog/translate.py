@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from linlog.errors import EnumerationMismatch, LinlogError, NotWithSeq
 from linlog.fresh import NameSupply
 from linlog.linear_a.expr import (
     AddDot, Drop, Dup, Expr, JaxType, JOne, JProd, JReal, LetPair, Lit,
@@ -36,15 +37,7 @@ from linlog.lll.types import (
 )
 
 
-class EnumerationMismatch(Exception):
-    pass
-
-
-class IndexOutOfRange(Exception):
-    pass
-
-
-class NotWithSeq(Exception):
+class IndexOutOfRange(LinlogError):
     pass
 
 

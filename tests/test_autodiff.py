@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from linlog import NameSupply
@@ -7,9 +9,9 @@ from linlog.autodiff import (
     unzip, unzip_decompose,
 )
 from linlog.lll import (
-    Abs, App, BangVal, Numeral, PBang, PVar, PWith, PlusDot, Real, TensorPair,
-    TimesDot, Top, TopVal, TypingEnv, Var, With, WithPair, Zero, alpha_eq,
-    para, typecheck, workload_term,
+    Abs, App, BangVal, Numeral, PBang, PTensor, PVar, PWith, PlusDot, Real,
+    TensorPair, TimesDot, Top, TopVal, TypingEnv, Var, With, WithPair, Zero,
+    alpha_eq, para, typecheck, workload_term,
 )
 from linlog.lll.machine import Flops, apply_value, eval_term, run
 from linlog.oracle import basis_values, flatten_value
@@ -189,3 +191,71 @@ def test_transpose_keeps_live_section_binding():
     got = [flatten_value(apply_value(vf, b, Flops()))
            for b in basis_values(Real)]
     assert got == [[3.0]]
+
+
+def pattern_nodes(p):
+    match p:
+        case PTensor(l, r) | PWith(l, r):
+            return 1 + pattern_nodes(l) + pattern_nodes(r)
+    return 1
+
+
+def live_inputs_program(n_lets):
+    """A straight-line Linear-A program over x0, x1, x2 whose binary lets
+    take an input every other time, so that the tangent tuples T splits
+    and sums carry several live variables."""
+    inputs = ["x0", "x1", "x2"]
+    names, lets = list(inputs), []
+    for i in range(n_lets):
+        op = ("sin", "mul2", "cos", "add2", "sub2")[i % 5]
+        a = names[-1 - i % 3]
+        b = (inputs[2 * i % 3] if i % 2
+             else names[-1 - 5 * i % min(len(names), 6)])
+        args = a if op in ("sin", "cos") else f"{a} {b}"
+        lets.append(f"(let-p v{i} (prim {op} {args})")
+        names.append(f"v{i}")
+    body = " ".join(lets) + f" (var-p {names[-1]})" + ")" * n_lets
+    return ("(linear-a (primal (x0 real) (x1 real) (x2 real)) "
+            f"(expr {body}))")
+
+
+def test_transpose_walks_patterns_a_bounded_number_of_times(monkeypatch):
+    """A count guard on T's pattern analyses, not a timer: the pattern
+    nodes `pattern_vars` and `pattern_var_types` visit while transposing
+    an unzipped program stay within twice the nodes of the output, so no
+    pattern is re-walked once per subterm it scopes over."""
+    from linlog.frontend import parse
+    from linlog.lll import terms
+    from linlog.lll.terms import term_size
+    from linlog.linear_a.expr import fv_primal
+    from linlog.translate import delta_b_primal, primal_type
+
+    visited = [0]
+    pattern_vars, pattern_var_types = terms.pattern_vars, terms.pattern_var_types
+
+    def counted_vars(p):
+        visited[0] += 1  # it recurses through the module's own binding
+        return pattern_vars(p)
+
+    def counted_var_types(p):
+        visited[0] += pattern_nodes(p)
+        return pattern_var_types(p)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("linlog")]:
+        for original, counted in ((pattern_vars, counted_vars),
+                                  (pattern_var_types, counted_var_types)):
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, counted)
+    for n_lets in (40, 80):
+        sf = parse(live_inputs_program(n_lets))
+        supply = NameSupply()
+        term = delta_b_primal(dict(sf.primal), sf.body, supply)
+        theta = [(x, primal_type(t)) for x, t in sf.primal
+                 if x in fv_primal(sf.body)]
+        f, _ = forward(theta, term, supply)
+        u = unzip(f, supply)
+        visited[0] = 0
+        t = transpose(None, u, supply)
+        assert 0 < visited[0] <= 2 * term_size(t), \
+            (n_lets, visited[0], term_size(t))

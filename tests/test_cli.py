@@ -136,3 +136,38 @@ def test_check_random_machine_deterministic():
     _, out2 = run_cli("check", "--random", "8", "--seed", "4",
                       "--format", "machine")
     assert out1 == out2
+
+
+def test_rejected_input_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.lina"
+    bad.write_text("(linear-a (primal (x real)) (expr (var-p x)")
+    code, out = run_cli("typecheck", str(bad))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: SyntaxErrorAt")
+
+
+def test_linlog_error_in_a_command_exit_2(monkeypatch, capsys):
+    from linlog import cli
+    from linlog.errors import SortViolation
+
+    def rejects(args, report):
+        raise SortViolation("not a primal-sort term")
+
+    monkeypatch.setattr(cli, "cmd_typecheck", rejects)
+    code, _ = run_cli("typecheck", G)
+    assert code == 2
+    assert "error: SortViolation: not a primal-sort term" in capsys.readouterr().err
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    from linlog import cli
+
+    def crashes(args, report):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_grad", crashes)
+    code, out = run_cli("grad", G, "--point", "0 1", "--format", "machine")
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: boom" in err
+    assert "Traceback" in err

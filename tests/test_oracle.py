@@ -145,3 +145,43 @@ def test_run_grad_jacobian_for_tuple_output():
     assert row_a == pytest.approx([math.cos(x0), 0.0])
     assert row_b == pytest.approx([y0, x0])
     assert res.flops <= res.workload_bound
+
+
+def chain_program(n_lets):
+    """A straight-line Linear-A program of `n_lets` lets over x0, x1 whose
+    values stay within 2.5 and whose gradient neither vanishes nor blows
+    up: a sin or cos of the last value, then that plus (or times) an
+    input."""
+    prev, lets = "x0", []
+    for i in range(n_lets):
+        v = f"v{i}"
+        if i % 2 == 0:
+            lets.append(f"(let-p {v} (prim {('sin', 'cos')[i // 2 % 2]} {prev})")
+        else:
+            op = "mul2" if i % 8 == 7 else "add2"
+            lets.append(f"(let-p {v} (prim {op} {prev} x{i // 2 % 2})")
+        prev = v
+    body = " ".join(lets) + f" (var-p {prev})" + ")" * n_lets
+    return f"(linear-a (primal (x0 real) (x1 real)) (expr {body}))"
+
+
+def test_gradient_of_a_150_let_chain_at_the_default_recursion_limit():
+    import sys
+    from linlog.frontend import parse
+    from linlog.linear_a.expr import fv_primal
+    from linlog.translate import delta_b_primal, primal_type
+
+    assert sys.getrecursionlimit() <= 1000
+    sf = parse(chain_program(150))
+    supply = NameSupply()
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    point = [Scalar(0.7), Scalar(-0.4)]
+    res = run_grad(term, theta, point, pipeline="tuf", supply=supply)
+    fd = finite_diff_grad(term, theta, point)
+    got = [g.value for g in res.gradient]
+    assert len(got) == len(fd) == 2
+    assert all(abs(g) > 0.1 for g in got), got
+    assert got == pytest.approx(fd, rel=1e-5, abs=1e-5)
+    assert 0 < res.flops <= res.workload_bound

@@ -1,5 +1,6 @@
 import pytest
 
+from linlog import NameSupply
 from linlog.lll import (
     Abs, App, BangVal, Numeral, PBang, PTensor, PUnit, PVar, PWith, PlusDot,
     Real, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
@@ -7,6 +8,8 @@ from linlog.lll import (
     normalize, prim, prim_app, safe_reduce, simplify, substitute,
     value_for_pattern, workload_term, StuckOpenTerm,
 )
+from linlog.lll.reduce import _rename_free, _rename_pattern, uniquify
+from linlog.lll.terms import free_vars, pattern_vars, term_str
 from tests.terms9 import fig9a_term
 
 
@@ -182,3 +185,111 @@ def test_simplify_commutes_section_level_lets():
     out = simplify(t)
     # all administrative redexes melt: let q = v in a+b over <q,q>
     assert out == plus(Var("v"), Var("v"))
+
+
+# ------------------------------------------------------------ uniquify
+
+def ref_uniquify(term, supply):
+    """The recursive definition: rebuilds every node and renames each
+    repeated binder's body as it meets it."""
+    seen = set(free_vars(term))
+
+    def go(m):
+        match m:
+            case Abs(p, body):
+                ren = {}
+                for n in pattern_vars(p):
+                    if n in seen:
+                        ren[n] = supply.fresh(n.split("#")[0].lstrip("%"))
+                    else:
+                        seen.add(n)
+                if ren:
+                    p = _rename_pattern(p, ren)
+                    body = _rename_free(body, ren)
+                    seen.update(ren.values())
+                return Abs(p, go(body))
+            case App(f, a):
+                return App(go(f), go(a))
+            case TensorPair(l, r):
+                return TensorPair(go(l), go(r))
+            case WithPair(l, r):
+                return WithPair(go(l), go(r))
+            case BangVal(i):
+                return BangVal(go(i))
+            case _:
+                return m
+
+    return go(term)
+
+
+def uniquify_corpus():
+    """(term, supply) pairs: the generated corpora and their F/U images."""
+    from linlog.autodiff import forward, unzip
+    from linlog.gen import jax_cases, lll_f_cases, lll_p_cases, safe_ground_cases
+    from linlog.translate import Enumeration, delta
+    out = []
+    for c in lll_p_cases(25, 5):
+        f, _ = forward(c.sigma, c.term, c.supply)
+        out += [(c.term, c.supply), (f, c.supply),
+                (unzip(f, c.supply), c.supply)]
+    for c in jax_cases(15, 6, "linear-a"):
+        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        out += [(d, c.supply), (unzip(d, c.supply), c.supply)]
+    out += [(c.term, c.supply) for c in lll_f_cases(20, 7)]
+    out += [(c.term, NameSupply()) for c in safe_ground_cases(25, 8)]
+    return out
+
+
+def binders(m):
+    todo, out = [m], []
+    while todo:
+        t = todo.pop()
+        match t:
+            case Abs(p, body):
+                out += pattern_vars(p)
+                todo.append(body)
+            case App(f, a) | TensorPair(f, a) | WithPair(f, a):
+                todo += [f, a]
+            case BangVal(i):
+                todo.append(i)
+    return out
+
+
+def test_uniquify_matches_recursive_definition():
+    # the pipeline's terms bind every name once; pairing a term with a copy
+    # of itself, or with a free occurrence of one of its binders, makes
+    # uniquify rename
+    renamed = 0
+    for i, (m, supply) in enumerate(uniquify_corpus()):
+        cases = [m, TensorPair(m, m)]
+        if binders(m):
+            cases.append(WithPair(Var(binders(m)[-1]), m))
+        for t in cases:
+            s_new, s_ref = supply.clone(), supply.clone()
+            got, want = uniquify(t, s_new), ref_uniquify(t, s_ref)
+            assert got == want, (i, term_str(t))
+            assert s_new.fresh() == s_ref.fresh(), (i, term_str(t))
+            renamed += got is not t
+    assert renamed > 100
+
+
+def test_uniquify_returns_a_clean_term_itself():
+    t = App(Abs(PVar("x", Real), TensorPair(Var("x"), Var("y"))),
+            WithPair(Var("z"), BangVal(Var("w"))))
+    assert uniquify(t, NameSupply()) is t
+    # a bound name that is also free elsewhere is renamed, but the
+    # untouched subterms come back as they are
+    t2 = App(Abs(PVar("y", Real), Var("y")), t)
+    out = uniquify(t2, NameSupply())
+    assert out != t2 and out.arg is t and out.fn.body == Var(out.fn.pat.name)
+
+
+def test_uniquify_renames_repeated_binders_apart():
+    branch = App(Abs(PVar("u", Real), times(Var("u"), Var("u"))), Var("a"))
+    t = Abs(PWith(PVar("a", Real), PVar("b", Real)),
+            WithPair(branch, App(Abs(PVar("u", Real), Var("u")), Var("b"))))
+    out = uniquify(t, NameSupply())
+    names = binders(out)
+    assert len(names) == len(set(names)) == 4
+    assert free_vars(out) == free_vars(t) == frozenset()
+    assert alpha_eq(out, t)
