@@ -16,19 +16,16 @@ from dataclasses import dataclass, field
 
 from linlog.errors import EnumerationMismatch, LinlogError, SortViolation
 from linlog.fresh import NameSupply
-from linlog.lll.reduce import uniquify
+from linlog.lll.reduce import _rename_free, _rename_pattern, uniquify
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
     WithPair, Zero, all_names, bang_let, free_vars, let_, para, para_pattern,
     pattern_type, pattern_var_types, pattern_vars, prim_app, with_pattern,
-    with_tuple,
 )
 from linlog.lll.prims import partial_of
-from linlog.lll.types import (
-    Bang, LType, Lolli, One, Real, Tensor, Top, With, with_tuple_type,
-)
-from linlog.translate import add_app, mk_zero
+from linlog.lll.types import Bang, LType, Lolli, One, Real, Tensor, Top, With
+from linlog.translate import TangentCtx, add_app, mk_zero
 
 
 class CaptureDetected(LinlogError):
@@ -53,65 +50,8 @@ def seq_tangent(e: LType) -> LType:
 
 # ------------------------------------------------------------------ forward
 
-def _enum_and_type(theta: list[tuple[str, LType]]) -> LType:
-    return with_tuple_type([seq_tangent(e) for _, e in theta])
-
-
-class _Tree:
-    """One destructuring of the tangent tuple for an enumeration."""
-
-    def __init__(self, theta, supply):
-        self.theta = list(theta)
-        self.supply = supply
-        self.y = supply.fresh("u")
-        self.leaf = {n: supply.fresh("u") for n, _ in theta}
-
-    def lam(self, body: Term) -> Term:
-        if not self.theta:
-            return Abs(PVar(self.y, Top), body)
-        if len(self.theta) == 1:
-            n, e = self.theta[0]
-            return Abs(PVar(self.leaf[n], seq_tangent(e)), body)
-        tree = with_pattern([PVar(self.leaf[n], seq_tangent(e))
-                             for n, e in self.theta])
-        return Abs(PVar(self.y, _enum_and_type(self.theta)),
-                   let_(tree, Var(self.y), body))
-
-    def var(self, name: str) -> Term:
-        return Var(self.leaf[name])
-
-    def tuple_of(self, names) -> Term | None:
-        names = list(names)
-        if not names:
-            return None
-        return with_tuple([self.var(n) for n in names])
-
-    def unit_arg(self) -> Term:
-        # a T-typed argument: the whole tuple when the enumeration is
-        # empty, a closed <> otherwise
-        return Var(self.y) if not self.theta else TopVal()
-
-
-def _ptype(p: Term, tys: dict[str, LType]) -> LType:
-    """The inner type E of a primal-sort term of type !E."""
-    match p:
-        case BangVal(Var(x)):
-            return tys[x]
-        case BangVal(Numeral(_)) | BangVal(Zero()):
-            return Real
-        case BangVal(UnitVal()):
-            return One
-        case BangVal(TensorPair(a, b)):
-            return Tensor(Bang(_ptype(a, tys)), Bang(_ptype(b, tys)))
-        case App(PrimFn(_), _):
-            return Real
-        case App(Abs(PBang(x, ty), body), _):
-            return _ptype(body, tys | {x: ty})
-        case App(Abs(pat, body), Var(_)):
-            inner = {n: t.inner if isinstance(t, Bang) else t
-                     for n, t in pattern_var_types(pat).items()}
-            return _ptype(body, tys | inner)
-    raise SortViolation(f"not a primal-sort term: {p!r}")
+def _tangents(theta) -> list[tuple[str, LType]]:
+    return [(n, seq_tangent(e)) for n, e in theta]
 
 
 def _bang_section_pat(x: str, ety: LType, f: str, fty: LType) -> Pattern:
@@ -129,7 +69,8 @@ def forward(theta: list[tuple[str, LType]], p: Term,
     if set(names) != set(free_vars(p)) or len(names) != len(set(names)):
         raise EnumerationMismatch(
             f"enumeration {names} vs free variables {sorted(free_vars(p))}")
-    return _fwd(theta, p, {n: e for n, e in theta}, supply)
+    f, enum, _ = _fwd(theta, p, {n: e for n, e in theta}, supply)
+    return f, enum
 
 
 def _restrict(theta, names) -> list:
@@ -137,60 +78,55 @@ def _restrict(theta, names) -> list:
     return [(n, e) for n, e in theta if n in keep]
 
 
-def _arg_tuple(ctx: _Tree, enum, components=None) -> Term:
-    """Tangent tuple for a callee enumeration; `components` overrides
-    the tree variable for selected names."""
-    if not enum:
-        return ctx.unit_arg()
-    comps = components or {}
-    return with_tuple([comps.get(n, None) or ctx.var(n) for n, _ in enum])
+def _names(theta) -> list[str]:
+    return [n for n, _ in theta]
 
 
-def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list]:
+def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
+    """F of p, the enumeration it used, and the inner type E of p : !E."""
     match p:
         case BangVal(Var(x)):
-            u = supply.fresh("u")
-            return TensorPair(BangVal(Var(x)),
-                              para(Abs(PVar(u, seq_tangent(tys[x])), Var(u)))), theta
+            u, e = supply.fresh("u"), tys[x]
+            tan = para(Abs(PVar(u, seq_tangent(e)), Var(u)))
+            return TensorPair(BangVal(Var(x)), tan), theta, e
         case BangVal(Numeral(_)) | BangVal(Zero()):
             u = supply.fresh("u")
-            return TensorPair(p, para(Abs(PVar(u, Top), Zero()))), theta
+            return TensorPair(p, para(Abs(PVar(u, Top), Zero()))), theta, Real
         case BangVal(UnitVal()):
             u = supply.fresh("u")
-            return TensorPair(p, para(Abs(PVar(u, Top), TopVal()))), theta
+            return TensorPair(p, para(Abs(PVar(u, Top), TopVal()))), theta, One
 
         case BangVal(TensorPair(pa, pb)):
-            fa_t, tha = _fwd(_restrict(theta, free_vars(pa)), pa, tys, supply)
-            fb_t, thb = _fwd(_restrict(theta, free_vars(pb)), pb, tys, supply)
+            fa_t, tha, ea = _fwd(_restrict(theta, free_vars(pa)), pa, tys, supply)
+            fb_t, thb, eb = _fwd(_restrict(theta, free_vars(pb)), pb, tys, supply)
             a, f = supply.fresh("x"), supply.fresh("f")
             b, g = supply.fresh("x"), supply.fresh("g")
-            ea, eb = _ptype(pa, tys), _ptype(pb, tys)
-            ctx = _Tree(theta, supply)
-            fa = App(Var(f), _arg_tuple(ctx, tha))
-            gb = App(Var(g), _arg_tuple(ctx, thb))
+            ctx = TangentCtx(_tangents(theta), supply)
+            fa = App(Var(f), ctx.tuple_of(_names(tha)))
+            gb = App(Var(g), ctx.tuple_of(_names(thb)))
             body = ctx.lam(WithPair(fa, gb))
             out = TensorPair(BangVal(TensorPair(BangVal(Var(a)), BangVal(Var(b)))),
                              para(body))
             out = let_(_bang_section_pat(b, eb, g, _fn_ty(thb, eb)), fb_t, out)
-            return let_(_bang_section_pat(a, ea, f, _fn_ty(tha, ea)), fa_t, out), theta
+            out = let_(_bang_section_pat(a, ea, f, _fn_ty(tha, ea)), fa_t, out)
+            return out, theta, Tensor(Bang(ea), Bang(eb))
 
         case App(Abs(PBang(x, xty), pb), q):
-            fq_t, thq = _fwd(_restrict(theta, free_vars(q)), q, tys, supply)
+            fq_t, thq, _ = _fwd(_restrict(theta, free_vars(q)), q, tys, supply)
             thp = _restrict(theta, free_vars(pb) - {x})
             live = x in free_vars(pb)
             hint = ([(x, xty)] if live else []) + thp
-            fp_t, thg = _fwd(hint, pb, tys | {x: xty}, supply)
+            fp_t, thg, ey = _fwd(hint, pb, tys | {x: xty}, supply)
             f, y, g = supply.fresh("f"), supply.fresh("y"), supply.fresh("g")
-            ey = _ptype(pb, tys | {x: xty})
-            ctx = _Tree(theta, supply)
+            ctx = TangentCtx(_tangents(theta), supply)
             comps = {}
             if live:
-                comps[x] = App(Var(f), _arg_tuple(ctx, thq))
-            body = ctx.lam(App(Var(g), _arg_tuple(ctx, thg, comps)))
+                comps[x] = App(Var(f), ctx.tuple_of(_names(thq)))
+            body = ctx.lam(App(Var(g), ctx.tuple_of(_names(thg), comps=comps)))
             out = TensorPair(BangVal(Var(y)), para(body))
             out = let_(_bang_section_pat(y, ey, g, _fn_ty(thg, ey)), fp_t, out)
             return let_(_bang_section_pat(x, xty, f, _fn_ty(thq, xty)),
-                        fq_t, out), theta
+                        fq_t, out), theta, ey
 
         case App(PrimFn(fn), _) as ap:
             args = _prim_arg_vars(ap.arg, fn.arity)
@@ -213,57 +149,46 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list]:
                 out = bang_let(y, Real,
                                prim_app(partial_of(fn, i),
                                         [BangVal(Var(x)) for x in args]), out)
-            return out, enum
+            return out, enum, Real
 
         case App(Abs(pat, pb), Var(z)) if isinstance(pat, (PTensor, PUnit)):
             leaves = _tensor_pattern_leaves(pat)
             inner_tys = tys | {n: e for n, e in leaves}
             live = [(n, e) for n, e in leaves if n in free_vars(pb)]
             thp = _restrict(theta, free_vars(pb) - {n for n, _ in leaves})
-            fp_t, thg = _fwd(live + thp, pb, inner_tys, supply)
+            fp_t, thg, ey = _fwd(live + thp, pb, inner_tys, supply)
             y, g = supply.fresh("y"), supply.fresh("g")
-            ey = _ptype(pb, inner_tys)
-            ctx = _Tree(theta, supply)
-            # expand z's tangent component into the shape of the pattern
+            ctx = TangentCtx(_tangents(theta), supply)
+            # expand z's tangent component into the shape of the pattern:
+            # the with-pattern and the term that rebuilds what it binds
             tanvars = {n: supply.fresh("v") for n, _ in leaves}
 
             def expand(q):
                 match q:
                     case PBang(n, e):
-                        return PVar(tanvars[n], seq_tangent(e))
+                        return PVar(tanvars[n], seq_tangent(e)), Var(tanvars[n])
                     case PUnit():
-                        return PVar(supply.fresh("t"), Top)
+                        t = supply.fresh("t")
+                        return PVar(t, Top), Var(t)
                     case PTensor(l, r):
-                        return PWith(expand(l), expand(r))
+                        (pl, tl), (pr, tr) = expand(l), expand(r)
+                        return PWith(pl, pr), WithPair(tl, tr)
                 raise SortViolation(f"bad tensor pattern {q!r}")
 
-            zslot = expand(pat)
-            tree_pats = [zslot if n == z else PVar(ctx.leaf[n], seq_tangent(e))
-                         for n, e in ctx.theta]
+            zslot, zterm = expand(pat)
             comps = {n: Var(tanvars[n]) for n, _ in live}
-            comps[z] = _rebuild_with(zslot)
-            garg = _arg_tuple(ctx, thg, comps)
-            ypat = PVar(ctx.y, _enum_and_type(theta))
-            body = Abs(ypat, let_(with_pattern(tree_pats), Var(ctx.y),
-                                  App(Var(g), garg)))
+            comps[z] = zterm
+            garg = ctx.tuple_of(_names(thg), comps=comps)
+            body = ctx.lam_split(z, zslot, App(Var(g), garg))
             out = TensorPair(BangVal(Var(y)), para(body))
             out = let_(_bang_section_pat(y, ey, g, _fn_ty(thg, ey)), fp_t, out)
-            return let_(pat, Var(z), out), theta
+            return let_(pat, Var(z), out), theta, ey
 
     raise SortViolation(f"not a primal-sort term: {p!r}")
 
 
-def _rebuild_with(pat: Pattern) -> Term:
-    match pat:
-        case PVar(n, _):
-            return Var(n)
-        case PWith(l, r):
-            return WithPair(_rebuild_with(l), _rebuild_with(r))
-    raise AssertionError(pat)
-
-
 def _fn_ty(theta, out_e: LType) -> LType:
-    return Lolli(_enum_and_type(theta), seq_tangent(out_e))
+    return Lolli(TangentCtx.and_type(_tangents(theta)), seq_tangent(out_e))
 
 
 def _tensor_pattern_leaves(pat: Pattern) -> list[tuple[str, LType]]:
@@ -402,8 +327,7 @@ class Renaming:
 
     @staticmethod
     def fresh_for(names, supply: NameSupply) -> "Renaming":
-        return Renaming({n: supply.fresh(n.lstrip("%").split("#")[0] or "u")
-                         for n in names})
+        return Renaming({n: supply.fresh(n) for n in names})
 
     def dom(self):
         return self.map.keys()
@@ -423,13 +347,11 @@ def rename_apply(alpha: Renaming, m: Term) -> Term:
     clash = set(ren.values()) & all_names(m)
     if clash:
         raise CaptureDetected(f"codomain names {sorted(clash)} occur in the term")
-    from linlog.lll.reduce import _rename_free
     return _rename_free(m, ren)
 
 
 def rename_pattern(alpha: Renaming, p: Pattern) -> Pattern:
     """alpha[p]: rename matching leaves, keeping the shape."""
-    from linlog.lll.reduce import _rename_pattern
     return _rename_pattern(p, alpha.map)
 
 
@@ -619,7 +541,7 @@ def transpose_f(phi: SectionEnv, f: Term, supply: NameSupply,
         g, gty, body, rhs = m
         if g not in free_vars(body):
             return transpose_f(phi, body, supply, ptys)
-        gc = supply.fresh(g.lstrip("%").split("#")[0] or "f")
+        gc = supply.fresh(g)
         inner = transpose_f(phi.extend(g, gc, gty), body, supply, ptys)
         gcty = Lolli(gty.cod, gty.dom)
         return let_(para_pattern(PVar(gc, gcty)), para(transpose_f(phi, rhs, supply, ptys)),
@@ -647,7 +569,7 @@ def _transpose_a(phi: SectionEnv, r: Term, supply, ptys) -> Term:
             ctx, p1, _f1 = unzip_decompose(rhs)
             return bang_let(x, ty, ctx.plug(p1),
                             _transpose_a(phi, body, supply, ptys))
-        fc = supply.fresh(f.lstrip("%").split("#")[0] or "f")
+        fc = supply.fresh(f)
         fcty = Lolli(fty.cod, fty.dom)
         inner = _transpose_a(phi.extend(f, fc, fty), body, supply, ptys)
         return let_(_bang_section_pat(x, ty, fc, fcty),
@@ -657,7 +579,7 @@ def _transpose_a(phi: SectionEnv, r: Term, supply, ptys) -> Term:
         f, fty, body, rhs = m
         if f not in free_vars(body):
             return _transpose_a(phi, body, supply, ptys)
-        fc = supply.fresh(f.lstrip("%").split("#")[0] or "f")
+        fc = supply.fresh(f)
         inner = _transpose_a(phi.extend(f, fc, fty), body, supply, ptys)
         return let_(para_pattern(PVar(fc, Lolli(fty.cod, fty.dom))),
                     para(transpose_f(phi, rhs, supply, ptys)), inner)

@@ -10,28 +10,36 @@ import math
 import random
 from dataclasses import dataclass, field
 
+from linlog.autodiff import (
+    SectionEnv, forward, seq_tangent, transpose, transpose_f, unzip,
+)
 from linlog.fresh import NameSupply
 from linlog.gen import (jax_cases, lll_f_cases, lll_p_cases,
                         safe_ground_cases)
 from linlog.linear_a.expr import JReal, fv_primal
 from linlog.linear_a.transform import infer_types, jax_forward, jax_transpose, jax_unzip
+from linlog.linear_a.typecheck import jax_workload
+from linlog.linear_a.values import Scalar
 from linlog.lll.machine import Flops, apply_value, eval_term
+from linlog.lll.prims import prim
 from linlog.lll.reduce import (
-    _children, _rebuild, _safe_contract, beta_step, is_progress_normal_form,
-    normalize, safe_reduce,
+    _children, _rebuild, _safe_contract, _safe_step, beta_step,
+    is_progress_normal_form, normalize, safe_reduce,
 )
-from linlog.lll.terms import Abs, BangVal, PBang, Term, Var, alpha_eq, prim_app
+from linlog.lll.terms import (
+    Abs, BangVal, PBang, Term, Var, alpha_eq, bang_let, prim_app,
+)
 from linlog.lll.typecheck import TypingEnv, free_var_types, typecheck
-from linlog.lll.types import Lolli, Real, Tensor, workload_type
+from linlog.lll.types import Lolli, Real, Tensor, affine, workload_type
 from linlog.lll.workload import is_safe, workload_term
 from linlog.oracle import (
     EquivConfig, basis_values, dimension_basis_values, equiv_check,
     finite_diff_grad, flatten_value, naive_transpose, random_value_of,
     run_grad,
 )
-from linlog.translate import Enumeration, delta, delta_b_primal, primal_type
-from linlog.autodiff import SectionEnv, forward, transpose, transpose_f, unzip
-from linlog.linear_a.typecheck import jax_workload
+from linlog.translate import (
+    Enumeration, TangentCtx, delta, delta_b_primal, primal_type,
+)
 
 
 @dataclass
@@ -66,7 +74,6 @@ def _jax_lll_env(penv) -> TypingEnv:
 def check_running_example(cfg: EquivConfig | None = None) -> CheckResult:
     """Gradient of sin(x)*y + cos(x) on a 5x5 grid against the closed
     form (1e-9) and finite differences (1e-5)."""
-    from linlog.linear_a.values import Scalar
     cfg = cfg or EquivConfig()
     p = _running_example_term()
     theta = [("x", Real), ("y", Real)]
@@ -81,15 +88,14 @@ def check_running_example(cfg: EquivConfig | None = None) -> CheckResult:
                 abs(got[1] - gy) > 1e-9 * max(1, abs(gy)):
             bad += 1
             continue
-        fd = finite_diff_grad(p, theta, [Scalar(float(x)), Scalar(float(y))], cfg)
+        [fd] = finite_diff_grad(p, theta, [Scalar(float(x)), Scalar(float(y))],
+                                cfg)
         if abs(fd[0] - got[0]) > cfg.fd_tol or abs(fd[1] - got[1]) > cfg.fd_tol:
             bad += 1
     return CheckResult("running-example-gradient", len(pts), bad)
 
 
 def _running_example_term() -> Term:
-    from linlog.lll.prims import prim
-    from linlog.lll.terms import bang_let
     def bang(x):
         return BangVal(Var(x))
     return bang_let(
@@ -330,8 +336,6 @@ def check_matrix_transpose(n: int = 200, seed: int = 41,
 
 def parallel_example_term():
     """f(Q1, Q2) with independent subcomputations, the modularity example."""
-    from linlog.lll.prims import prim
-    from linlog.lll.terms import bang_let
     def bang(x):
         return BangVal(Var(x))
     q1 = bang_let("a1", Real, prim_app(prim("sin"), [bang("x")]),
@@ -345,7 +349,6 @@ def parallel_example_term():
 
 def check_skip_unzip(n: int = 100, seed: int = 51,
                      cfg: EquivConfig | None = None) -> CheckResult:
-    from linlog.linear_a.values import Scalar
     cfg = cfg or EquivConfig()
     rng = random.Random(seed + 9)
     bad = 0
@@ -397,7 +400,6 @@ def check_skip_unzip(n: int = 100, seed: int = 51,
 def check_gradients(n: int = 60, seed: int = 52,
                     cfg: EquivConfig | None = None) -> CheckResult:
     """run_grad against finite differences on generated scalar programs."""
-    from linlog.linear_a.values import Scalar
     cfg = cfg or EquivConfig()
     rng = random.Random(seed)
     bad = total = 0
@@ -417,7 +419,7 @@ def check_gradients(n: int = 60, seed: int = 52,
         total += 1
         try:
             res = run_grad(term, theta, point, "tuf", supply=supply)
-            fd = finite_diff_grad(term, theta, point, cfg)
+            [fd] = finite_diff_grad(term, theta, point, cfg)
         except OverflowError:
             total -= 1
             continue
@@ -467,17 +469,11 @@ def check_metatheory(n: int = 120, seed: int = 61) -> CheckResult:
             if not is_safe(cur, {}):
                 bad += 1
                 break
-            nxt = _one_safe_step(cur)
+            nxt = _safe_step(cur)
             if nxt is None:
                 break
-            cur = nxt
+            cur = nxt[0]
     return CheckResult("metatheory-smoke", len(cases), bad)
-
-
-def _one_safe_step(term):
-    from linlog.lll.reduce import _safe_step
-    r = _safe_step(term)
-    return None if r is None else r[0]
 
 
 def check_safety_closure(n: int = 120, seed: int = 62) -> CheckResult:
@@ -505,9 +501,8 @@ def check_typing_closure(n: int = 150, seed: int = 63) -> CheckResult:
         ety = typecheck(env, c.term)
         f, used = forward(c.sigma, c.term, supply)
         fty = typecheck(env, f)
-        from linlog.autodiff import _enum_and_type, seq_tangent
-        want = Tensor(ety, _affine(Lolli(_enum_and_type(used),
-                                         seq_tangent(ety.inner))))
+        ein = TangentCtx.and_type([(n, seq_tangent(e)) for n, e in used])
+        want = Tensor(ety, affine(Lolli(ein, seq_tangent(ety.inner))))
         if fty != want:
             bad += 1
             continue
@@ -518,15 +513,10 @@ def check_typing_closure(n: int = 150, seed: int = 63) -> CheckResult:
         t = transpose(None, u, supply)
         tty = typecheck(env, t)
         fn = fty.right.right
-        want_t = Tensor(fty.left, _affine(Lolli(fn.cod, fn.dom)))
+        want_t = Tensor(fty.left, affine(Lolli(fn.cod, fn.dom)))
         if tty != want_t:
             bad += 1
     return CheckResult("typing-closure-FUT", len(cases), bad)
-
-
-def _affine(t):
-    from linlog.lll.types import affine
-    return affine(t)
 
 
 # ------------------------------------------------------------- the battery

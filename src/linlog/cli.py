@@ -15,17 +15,27 @@ import os
 import sys
 import traceback
 
+from linlog.autodiff import forward, transpose, unzip
+from linlog.checks import CheckResult, full_battery
 from linlog.errors import LinlogError
 from linlog.fresh import NameSupply
 from linlog.frontend import SourceFile, parse, parse_point
-from linlog.linear_a.expr import JaxType, JReal, fv_primal, fv_tangent
+from linlog.linear_a.expr import (
+    JaxType, JOne, JProd, JReal, fv_primal, fv_tangent,
+)
+from linlog.linear_a.semantics import eval_primal
 from linlog.linear_a.typecheck import jax_workload, typecheck_jax
-from linlog.linear_a.values import NumTuple, Scalar, flatten
+from linlog.linear_a.values import NPair, NumTuple, Scalar, flatten
+from linlog.lll.machine import Flops, VWith, apply_value, eval_term
 from linlog.lll.terms import PBang
-from linlog.lll.typecheck import TypingEnv, typecheck
-from linlog.lll.types import LType, Real, workload_type
+from linlog.lll.typecheck import TypingEnv, free_var_types, typecheck
+from linlog.lll.types import Bang, LType, One, Real, Tensor, workload_type
 from linlog.lll.workload import is_safe, workload_term
-from linlog.oracle import EquivConfig, finite_diff_grad, run_grad
+from linlog.oracle import (
+    EquivConfig, GradResult, equiv_check, finite_diff_grad, lll_eval_primal,
+    numtuple_to_primal_value, numtuple_to_tangent_value, run_grad,
+    value_to_numtuple,
+)
 from linlog.translate import Enumeration, delta, delta_b_primal, primal_type
 
 
@@ -80,7 +90,6 @@ def _nt_str(v: NumTuple) -> str:
 
 def _nt_exact(v: NumTuple) -> str:
     """Full-precision rendering for the machine section."""
-    from linlog.linear_a.values import NPair
     match v:
         case Scalar(x):
             return repr(x)
@@ -114,8 +123,6 @@ def _grad_setup(sf: SourceFile, supply: NameSupply):
 
 
 def _ltype_to_jax(t: LType) -> JaxType:
-    from linlog.lll.types import Bang, One, Tensor
-    from linlog.linear_a.expr import JOne, JProd
     match t:
         case x if x is Real:
             return JReal
@@ -141,8 +148,6 @@ def cmd_typecheck(args, report: Report):
 
 
 def cmd_eval(args, report: Report):
-    from linlog.linear_a.semantics import eval_primal
-    from linlog.oracle import lll_eval_primal, numtuple_to_primal_value, value_to_numtuple
     sf = _load(args.file, report)
     if sf.dialect == "linear-a":
         shapes = [t for _, t in sf.primal]
@@ -162,10 +167,6 @@ def cmd_eval(args, report: Report):
 
 
 def cmd_jvp(args, report: Report):
-    from linlog.autodiff import forward
-    from linlog.lll.machine import Flops, apply_value, eval_term
-    from linlog.oracle import (numtuple_to_primal_value,
-                               numtuple_to_tangent_value, value_to_numtuple)
     sf = _load(args.file, report)
     supply = NameSupply()
     term, theta, shapes = _grad_setup(sf, supply)
@@ -179,7 +180,6 @@ def cmd_jvp(args, report: Report):
     by_name = {n: t for (n, _), t in zip(theta, tangent)}
     tanvals = [numtuple_to_tangent_value(by_name[n]) for n, _ in enum]
     tv = tanvals[-1]
-    from linlog.lll.machine import VWith
     for v in reversed(tanvals[:-1]):
         tv = VWith(v, tv)
     jv = value_to_numtuple(apply_value(out.right.right, tv, flops))
@@ -219,7 +219,6 @@ def cmd_grad(args, report: Report):
 
 
 def cmd_workload(args, report: Report):
-    from linlog.autodiff import forward, transpose, unzip
     sf = _load(args.file, report)
     supply = NameSupply()
     stages = {}
@@ -279,6 +278,17 @@ def cmd_workload(args, report: Report):
         report.put(f"workload.{k}", v)
 
 
+def _rows(res: GradResult) -> list[list[float]]:
+    """The rows of the transposed Jacobian, each over the scalar inputs."""
+    rows = [res.gradient] if res.jacobian_t is None else res.jacobian_t
+    return [[x for g in row for x in flatten(g)] for row in rows]
+
+
+def _disagree(rows_a, rows_b, tol: float) -> bool:
+    return any(abs(a - b) > tol * max(1.0, abs(a), abs(b))
+               for ra, rb in zip(rows_a, rows_b) for a, b in zip(ra, rb))
+
+
 def cmd_compare(args, report: Report):
     sf = _load(args.file, report)
     supply = NameSupply()
@@ -287,35 +297,31 @@ def cmd_compare(args, report: Report):
     r1 = run_grad(term, theta, point, "tuf", supply=supply.clone())
     r2 = run_grad(term, theta, point, "tf", supply=supply.clone())
     fd = finite_diff_grad(term, theta, point, EquivConfig(fd_step=args.fd_step))
-    g1 = [x for g in r1.gradient for x in flatten(g)]
-    g2 = [x for g in r2.gradient for x in flatten(g)]
+    g1, g2 = _rows(r1), _rows(r2)
     report.say(f"primal          = {_nt_str(r1.primal)}")
-    report.say(f"grad TUF        = {g1}   ({r1.flops} flops)")
-    report.say(f"grad TF         = {g2}   ({r2.flops} flops)")
-    report.say(f"finite diff     = {fd}")
-    report.put("grad.tuf", repr(g1))
-    report.put("grad.tf", repr(g2))
-    report.put("grad.fd", repr(fd))
+    for label, key, rows, note in (
+            ("grad TUF", "tuf", g1, f"   ({r1.flops} flops)"),
+            ("grad TF", "tf", g2, f"   ({r2.flops} flops)"),
+            ("finite diff", "fd", fd, "")):
+        for i, row in enumerate(rows):
+            # a tuple output: row i is the gradient of output component i
+            at, dot = ("", "") if r1.jacobian_t is None else (f"[{i}]", f".{i:02d}")
+            report.say(f"{label + at:<16}= {row}{note}")
+            report.put(f"grad.{key}{dot}", repr(row))
     report.put("flops.tuf", r1.flops)
     report.put("flops.tf", r2.flops)
-    tol = args.tol
-    for a, b in zip(g1, g2):
-        if abs(a - b) > tol * max(1.0, abs(a), abs(b)):
-            report.fail("TUF and TF gradients disagree")
-            break
-    for a, b in zip(g1, fd):
-        if abs(a - b) > 1e-5 * max(1.0, abs(a), abs(b)):
-            report.fail("gradient disagrees with finite differences")
-            break
+    if _disagree(g1, g2, args.tol):
+        report.fail("TUF and TF gradients disagree")
+    if _disagree(g1, fd, 1e-5):
+        report.fail("gradient disagrees with finite differences")
 
 
 def cmd_check(args, report: Report):
-    from linlog import checks
     cfg = EquivConfig(sample_count=4, rng_seed=args.seed)
     results = []
     if args.random:
         scale = args.random / 1000.0
-        results = checks.full_battery(scale=scale, seed=args.seed, cfg=cfg)
+        results = full_battery(scale=scale, seed=args.seed, cfg=cfg)
     else:
         sf = _load(args.file, report)
         supply = NameSupply()
@@ -332,12 +338,10 @@ def cmd_check(args, report: Report):
             typecheck(env, d)
             w_ok = workload_term(d) <= jax_workload(dict(sf.primal),
                                                     dict(sf.tangent), sf.body)
-            from linlog import checks as _checks
-            from linlog.lll.typecheck import free_var_types
-            results.append(_checks.CheckResult("encoding-typechecks", 1, 0))
-            results.append(_checks.CheckResult("encoding-workload", 1,
+            results.append(CheckResult("encoding-typechecks", 1, 0))
+            results.append(CheckResult("encoding-workload", 1,
                                                0 if w_ok else 1))
-            results.append(_checks.CheckResult(
+            results.append(CheckResult(
                 "encoding-safe", 1,
                 0 if is_safe(d, free_var_types(env)) else 1))
             for i, r in enumerate(results):
@@ -351,26 +355,21 @@ def cmd_check(args, report: Report):
         env = TypingEnv.of(*[PBang(x, e) for x, e in theta])
         typecheck(env, term)
         report.say("typecheck: ok")
-        from linlog.autodiff import forward, transpose, unzip
-        from linlog.oracle import equiv_check
         f, enum = forward(theta, term, supply)
         tuf = transpose(None, unzip(f, supply), supply)
         tf = transpose(None, f, supply)
         ty = typecheck(env, tuf)
         v = equiv_check(ty, tuf, tf, env, cfg)
-        results.append(checks.CheckResult("skip-unzipping", 1, 0 if v else 1))
-        from linlog.lll.typecheck import free_var_types
+        results.append(CheckResult("skip-unzipping", 1, 0 if v else 1))
         ok_safe = is_safe(term, free_var_types(env)) and \
             is_safe(f, free_var_types(env)) and is_safe(tuf, free_var_types(env))
-        results.append(checks.CheckResult("safety-closure", 1, 0 if ok_safe else 1))
+        results.append(CheckResult("safety-closure", 1, 0 if ok_safe else 1))
         if all(e is JReal for e in shapes):
             point = [Scalar(0.5 + 0.25 * i) for i in range(len(shapes))]
             res = run_grad(term, theta, point, "tuf", supply=supply)
-            fd = finite_diff_grad(term, theta, point)
-            got = [x for g in res.gradient for x in flatten(g)]
-            bad = any(abs(a - b) > 1e-5 * max(1.0, abs(a), abs(b))
-                      for a, b in zip(got, fd))
-            results.append(checks.CheckResult("gradient-agreement", 1, int(bad)))
+            bad = _disagree(_rows(res), finite_diff_grad(term, theta, point),
+                            1e-5)
+            results.append(CheckResult("gradient-agreement", 1, int(bad)))
     for i, r in enumerate(results):
         report.say(r.line())
         report.put(f"check.{i:02d}.{r.name}", "pass" if r.passed else "fail")

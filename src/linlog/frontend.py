@@ -21,10 +21,11 @@ from linlog.linear_a.expr import (
 )
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup
 from linlog.lll.prims import REGISTRY
+from linlog.lll.reduce import _rename_free, _rename_pattern
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PTensor, PUnit, PVar, PWith,
     PlusDot, PrimFn, Term, TensorPair, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero,
+    WithPair, Zero, all_names, pattern_vars, prim_app,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, Top, With, affine,
@@ -281,7 +282,6 @@ def parse_lll_term(x) -> Term:
             name = _sym(x[1])
             if name not in REGISTRY:
                 raise SyntaxErrorAt(f"unknown primitive {name}", x[1].line, x[1].col)
-            from linlog.lll.terms import prim_app
             return prim_app(REGISTRY[name], [parse_lll_term(a) for a in x[2:]])
         case "lam":
             return Abs(parse_pattern(x[1]), parse_lll_term(x[2]))
@@ -569,9 +569,6 @@ def sanitize_lina(e: Expr) -> Expr:
 
 
 def sanitize_lll(m: Term) -> Term:
-    from linlog.lll.reduce import _rename_free, _rename_pattern
-    from linlog.lll.terms import all_names
-
     names = set(all_names(m))
     counter = [0]
 
@@ -586,7 +583,6 @@ def sanitize_lll(m: Term) -> Term:
     def go(t):
         match t:
             case Abs(p, body):
-                from linlog.lll.terms import pattern_vars
                 ren = {n: fresh_safe() for n in pattern_vars(p) if is_reserved(n)}
                 if ren:
                     p = _rename_pattern(p, ren)

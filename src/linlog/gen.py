@@ -15,15 +15,26 @@ from linlog.fresh import NameSupply
 from linlog.linear_a.expr import (
     AddDot, Drop, Dup, Expr, JaxType, JOne, JProd, JReal, LetPair, Lit,
     PrimApp, ScaleDot, TanTupElim2, VarPair, ZeroDot, fv_primal, fv_tangent,
-    let_p, let_t, pair_pt, p_var, t_var, ttup_e, ttup_vars,
+    jax_workload_type, let_p, let_t, pair_pt, p_var, t_var, ttup_e, ttup_vars,
 )
+from linlog.linear_a.transform import infer_types
+from linlog.lll.machine import value_to_term
 from linlog.lll.prims import REGISTRY, prim
+from linlog.lll.reduce import substitute
+from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, PBang, PTensor, PVar, PWith, PlusDot, Term,
     TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero, free_vars,
     let_, para, para_pattern, prim_app,
 )
-from linlog.lll.types import Bang, LType, Lolli, Real, Tensor, Top, With
+from linlog.lll.types import (
+    Bang, LType, Lolli, Real, Tensor, Top, With, workload_type,
+)
+from linlog.oracle import random_value_of
+from linlog.translate import (
+    Enumeration, TangentCtx, delta, mk_zero, primal_type, tangent_type,
+    with_tree,
+)
 
 UNARY_PRIMS = [p for p in REGISTRY.values() if p.arity == 1]
 BINARY_PRIMS = [prim(n) for n in ("add2", "mul2", "sub2")]
@@ -51,7 +62,6 @@ def _fresh_env(rng: random.Random, supply: NameSupply, tangent_dim: int):
     dim = 0
     while dim < tangent_dim and len(theta) < 3:
         ty = rng.choice(SMALL_JAX_TYPES)
-        from linlog.linear_a.expr import jax_workload_type
         d = jax_workload_type(ty)
         if dim + d > tangent_dim:
             ty = JReal
@@ -85,7 +95,6 @@ def gen_tangent(rng, supply, penv, tenv: list, depth: int) -> Expr:
         left, right = tenv[:k], tenv[k:]
         t = supply.fresh("t").replace("%", "d")
         e1 = gen_tangent(rng, supply, penv, left, depth - 1)
-        from linlog.linear_a.transform import infer_types
         _, sg = infer_types(e1, penv, dict(left))
         e2 = gen_tangent(rng, supply, penv, right + [(t, sg)], depth - 1)
         return let_t(t, e1, e2, supply)
@@ -171,7 +180,6 @@ def gen_linear_a(rng, supply, penv, tenv: list, depth: int) -> Expr:
         k = rng.randint(0, len(tenv))
         left, right = tenv[:k], tenv[k:]
         e1 = gen_linear_a(rng, supply, penv, left, depth - 1)
-        from linlog.linear_a.transform import infer_types
         ty1, sg1 = infer_types(e1, penv, dict(left))
         x = supply.fresh("v").replace("%", "p")
         t = supply.fresh("t").replace("%", "d")
@@ -184,7 +192,6 @@ def gen_linear_a(rng, supply, penv, tenv: list, depth: int) -> Expr:
 
 
 def gen_linear_b(rng, supply, penv, tenv: list, depth: int) -> Expr:
-    from linlog.linear_a.transform import infer_types
     stack_len = rng.randint(0, depth)
     frames = []
     penv = dict(penv)
@@ -246,8 +253,7 @@ def gen_lll_p(rng, supply, sigma: list, depth: int) -> Term:
     if r < 0.55:
         x = supply.fresh("v")
         q = gen_lll_p(rng, supply, sigma, depth - 1)
-        from linlog.autodiff import _ptype
-        ety = _ptype(q, {n: e for n, e in sigma})
+        ety = primal_inner_type(q, dict(sigma))
         for _ in range(4):
             body = gen_lll_p(rng, supply, sigma + [(x, ety)], depth - 1)
             if x in free_vars(body):
@@ -337,7 +343,6 @@ def _gen_u(rng, supply, avail: list, target: LType, sigma, phi, depth) -> Term:
     if depth <= 0:
         if matching:
             return Var(rng.choice(matching))
-        from linlog.translate import mk_zero
         return mk_zero(target)
     match target:
         case t if t is Top:
@@ -370,7 +375,7 @@ def _gen_u(rng, supply, avail: list, target: LType, sigma, phi, depth) -> Term:
 
 
 def gen_lll_f(rng, supply, sigma, dom: LType, cod: LType, depth: int) -> Term:
-    pat, leaves = _tree(dom, supply)
+    pat, leaves, _ = with_tree(dom, supply, "u")
     phi = {}
     wrap = []
     for _ in range(rng.randint(0, 1)):
@@ -388,19 +393,7 @@ def gen_lll_f(rng, supply, sigma, dom: LType, cod: LType, depth: int) -> Term:
     return out
 
 
-def _tree(h: LType, supply):
-    match h:
-        case With(l, r):
-            pl, vl = _tree(l, supply)
-            pr, vr = _tree(r, supply)
-            return PWith(pl, pr), vl + vr
-        case _:
-            n = supply.fresh("u")
-            return PVar(n, h), [(n, h)]
-
-
 def lll_f_cases(n: int, seed: int, max_dim: int = 8, depth: int = 3) -> list[FnCase]:
-    from linlog.lll.types import workload_type
     out = []
     rng = random.Random(seed)
     while len(out) < n:
@@ -427,10 +420,6 @@ class GroundCase:
 def safe_ground_cases(n: int, seed: int) -> list[GroundCase]:
     """Closed safe terms of ground type: encodings of random first-order
     programs applied to numerals, plus small arithmetic terms."""
-    from linlog.translate import Enumeration, delta
-    from linlog.oracle import random_value_of
-    from linlog.lll.machine import value_to_term
-
     out = []
     rng = random.Random(seed)
     for i in range(n):
@@ -441,20 +430,16 @@ def safe_ground_cases(n: int, seed: int) -> list[GroundCase]:
         penv, theta = _fresh_env(rng, supply, 3)
         e = gen_linear_a(rng, supply, penv, theta, 2)
         theta = [(t, ty) for t, ty in theta if t in fv_tangent(e)]
-        d = delta(penv, Enumeration(tuple(theta)), e, supply)
+        th = Enumeration(tuple(theta))
+        d = delta(penv, th, e, supply)
         # close the primal environment with numerals
         term = d
         for x in sorted(fv_primal(e)):
             term = _subst_bang_numeral(term, x, rng)
         # apply the tangent map to a sampled tuple
-        from linlog.translate import tangent_type
-        from linlog.lll.types import with_tuple_type
         z, g = supply.fresh("z"), supply.fresh("g")
-        from linlog.autodiff import _ptype
-        ltype = with_tuple_type([tangent_type(t) for _, t in theta])
-        from linlog.linear_a.transform import infer_types
+        ltype = TangentCtx.and_type(th.tangents())
         ty, sg = infer_types(e, penv, dict(theta))
-        from linlog.translate import primal_type
         svec = value_to_term(random_value_of(ltype, rng))
         pat = PTensor(PBang(z, primal_type(ty)),
                       para_pattern(PVar(g, Lolli(ltype, tangent_type(sg)))))
@@ -464,7 +449,6 @@ def safe_ground_cases(n: int, seed: int) -> list[GroundCase]:
 
 
 def _subst_bang_numeral(term: Term, x: str, rng) -> Term:
-    from linlog.lll.reduce import substitute
     return substitute(term, PBang(x, Real), BangVal(Numeral(rng.uniform(-2, 2))))
 
 

@@ -601,7 +601,7 @@ def uniquify(term: Term, supply: NameSupply) -> Term:
                 ren = {}
                 for n in pattern_vars(p):
                     if n in seen:
-                        ren[n] = supply.fresh(n.split("#")[0].lstrip("%"))
+                        ren[n] = supply.fresh(n)
                     else:
                         seen.add(n)
                 # a name bound here that the environment renames was seen

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import enum
 
+from linlog.errors import SortViolation
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, PBang, PTensor, PUnit, PVar, PWith, PlusDot,
     Pattern, PrimFn, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
     WithPair, Zero, pattern_type, pattern_var_types,
 )
-from linlog.lll.types import Bang, LType, Lolli, Real, is_tensor_seq, is_with_seq
+from linlog.lll.types import (
+    Bang, LType, Lolli, One, Real, Tensor, is_tensor_seq, is_with_seq,
+)
 
 
 class Sort(enum.Enum):
@@ -91,6 +94,34 @@ def is_primal_sort(m: Term, types: dict[str, LType]) -> bool:
                     and is_primal_sort(body, types | pattern_var_types(p)))
         case _:
             return False
+
+
+def primal_inner_type(p: Term, tys: dict[str, LType]) -> LType:
+    """The inner type E of a primal-sort term of type !E; `tys` maps the
+    free !-variables to their inner types.  Walks a let chain in a loop,
+    binding into one copy of `tys`."""
+    tys = dict(tys)
+    while True:
+        match p:
+            case BangVal(Var(x)):
+                return tys[x]
+            case BangVal(Numeral(_)) | BangVal(Zero()):
+                return Real
+            case BangVal(UnitVal()):
+                return One
+            case BangVal(TensorPair(a, b)):
+                return Tensor(Bang(primal_inner_type(a, tys)),
+                              Bang(primal_inner_type(b, tys)))
+            case App(PrimFn(_), _):
+                return Real
+            case App(Abs(PBang(x, ty), body), _):
+                tys[x] = ty
+            case App(Abs(pat, body), Var(_)):
+                tys.update((n, t.inner if isinstance(t, Bang) else t)
+                           for n, t in pattern_var_types(pat).items())
+            case _:
+                raise SortViolation(f"not a primal-sort term: {p!r}")
+        p = body
 
 
 def is_tangent_sort(m: Term, types: dict[str, LType]) -> bool:

@@ -25,9 +25,10 @@ from linlog.errors import LinlogError
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, pattern_type, pattern_vars, prim_arg_type,
+    WithPair, Zero, pattern_type, pattern_var_types, pattern_vars,
+    prim_arg_type,
 )
-from linlog.lll.types import Bang, LType, Lolli, One, Real, Top, With
+from linlog.lll.types import Bang, LType, Lolli, One, Real, Tensor, Top, With
 
 
 class LinError(LinlogError):
@@ -398,7 +399,6 @@ def _check(term: Term, scope: _Scope):
         case TensorPair(l, r):
             ty_l, u_l, s_l = _check(l, scope)
             ty_r, u_r, s_r = _check(r, scope)
-            from linlog.lll.types import Tensor
             return Tensor(ty_l, ty_r), _combine_usages(u_l, u_r, scope), s_l or s_r
 
         case WithPair(l, r):
@@ -419,7 +419,6 @@ def _check(term: Term, scope: _Scope):
 
 def free_var_types(env: TypingEnv) -> dict[str, LType]:
     """Resource type of every env variable (!A for bang patterns)."""
-    from linlog.lll.terms import pattern_var_types
     out: dict[str, LType] = {}
     for p in env.entries:
         out.update(pattern_var_types(p))

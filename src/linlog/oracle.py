@@ -12,24 +12,32 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from linlog.autodiff import (
+    SectionEnv, _t_type, forward, seq_tangent, transpose, unzip,
+)
 from linlog.errors import NotWithSeq
 from linlog.fresh import NameSupply
-from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup
+from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup, flatten
 from linlog.lll import machine
 from linlog.lll.machine import (
     Flops, VBang, VNum, VPair, VTop, VUnit, VWith, Value, apply_value,
     compile_term, eval_compiled, eval_term, values_close,
 )
+from linlog.lll.reduce import simplify
+from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
-    Abs, App, BangVal, Numeral, Pattern, PBang, PTensor, PUnit, PVar, PWith,
-    Term, TensorPair, TimesDot, TopVal, Var, WithPair, Zero, para_pattern,
-    pattern_type,
+    Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar,
+    PWith, Term, TensorPair, TimesDot, TopVal, Var, WithPair, Zero,
+    para_pattern, pattern_type, pattern_var_types,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, Top, With, is_ground, is_with_seq,
 )
-from linlog.lll.typecheck import TypingEnv, typecheck
-from linlog.translate import add_app, mk_zero, scale_app
+from linlog.lll.typecheck import TypeMismatch, TypingEnv, typecheck
+from linlog.lll.workload import workload_term
+from linlog.translate import (
+    TangentCtx, add_app, mk_zero, scale_app, with_tree,
+)
 
 
 @dataclass(frozen=True)
@@ -94,16 +102,11 @@ def inner_product(h: LType, supply: NameSupply | None = None) -> Term:
             y1, y2 = supply.fresh("y"), supply.fresh("y")
             pat = PTensor(PWith(PVar(x1, l), PVar(x2, r)),
                           PWith(PVar(y1, l), PVar(y2, r)))
-            body = App(machine_plus(), WithPair(
+            body = App(PlusDot(), WithPair(
                 App(inner_product(l, supply), TensorPair(Var(x1), Var(y1))),
                 App(inner_product(r, supply), TensorPair(Var(x2), Var(y2)))))
             return Abs(pat, body)
     raise AssertionError(h)
-
-
-def machine_plus():
-    from linlog.lll.terms import PlusDot
-    return PlusDot()
 
 
 def mk_dual(h: LType, supply: NameSupply | None = None) -> Term:
@@ -134,28 +137,11 @@ def naive_transpose(p: Pattern, u: Term,
     """The reference transpose: undual_L (\\p. dual_H q U).  Returns the
     fresh cotangent pattern q and the term, with q's variables free."""
     supply = supply or NameSupply()
-    from linlog.autodiff import SectionEnv, _t_type
     l = pattern_type(p)
-    h = _t_type(u, SectionEnv(), dict(_pattern_types(p)))
-    qpat, qterm = _fresh_tree(h, supply)
+    h = _t_type(u, SectionEnv(), pattern_var_types(p))
+    qpat, _, qterm = with_tree(h, supply, "q")
     functional = Abs(p, App(App(mk_dual(h, supply), qterm), u))
     return qpat, App(mk_undual(l, supply), functional)
-
-
-def _pattern_types(p: Pattern):
-    from linlog.lll.terms import pattern_var_types
-    return pattern_var_types(p)
-
-
-def _fresh_tree(h: LType, supply: NameSupply):
-    match h:
-        case With(l, r):
-            pl, tl = _fresh_tree(l, supply)
-            pr, tr = _fresh_tree(r, supply)
-            return PWith(pl, pr), WithPair(tl, tr)
-        case _:
-            n = supply.fresh("q")
-            return PVar(n, h), Var(n)
 
 
 # ------------------------------------------------------------ value bridges
@@ -239,7 +225,7 @@ def random_linear_map(l: LType, h: LType, rng: random.Random,
                       supply: NameSupply | None = None) -> Term:
     """A random matrix encoded as a term of type L -o H."""
     supply = supply or NameSupply()
-    pat, leaves = _tree_with_leaves(l, supply)
+    pat, leaves, _ = with_tree(l, supply, "i")
     ins = [n for n, t in leaves if t is Real]
 
     def build(ty):
@@ -251,7 +237,7 @@ def random_linear_map(l: LType, h: LType, rng: random.Random,
                     return Zero()
                 out = terms[0]
                 for t2 in terms[1:]:
-                    out = App(machine_plus(), WithPair(out, t2))
+                    out = App(PlusDot(), WithPair(out, t2))
                 return out
             case t if t is Top:
                 return TopVal()
@@ -260,17 +246,6 @@ def random_linear_map(l: LType, h: LType, rng: random.Random,
         raise AssertionError(ty)
 
     return Abs(pat, build(h))
-
-
-def _tree_with_leaves(h: LType, supply: NameSupply):
-    match h:
-        case With(l, r):
-            pl, vl = _tree_with_leaves(l, supply)
-            pr, vr = _tree_with_leaves(r, supply)
-            return PWith(pl, pr), vl + vr
-        case _:
-            n = supply.fresh("i")
-            return PVar(n, h), [(n, h)]
 
 
 # ------------------------------------------------------------- equivalence
@@ -372,7 +347,6 @@ def equiv_check(ty: LType, m: Term, n: Term, env: TypingEnv,
     tm = typecheck(env, m)
     tn = typecheck(env, n)
     if tm != ty or tn != ty:
-        from linlog.lll.typecheck import TypeMismatch
         raise TypeMismatch(f"{tm!r} / {tn!r} do not match {ty!r}")
     rng = random.Random(cfg.rng_seed)
     rounds = cfg.sample_count if env.entries else 1
@@ -403,14 +377,16 @@ def lll_eval_primal(p: Term, values: dict[str, Value]) -> tuple[Value, int]:
 
 def finite_diff_grad(p: Term, theta: list[tuple[str, LType]],
                      point: list[NumTuple], cfg: EquivConfig | None = None
-                     ) -> list[float]:
-    """Central differences of the scalar primal along every scalar input."""
+                     ) -> list[list[float]]:
+    """Central differences of the primal along every scalar input: one row
+    per scalar output component, in the order of `GradResult.jacobian_t`,
+    each over the scalar inputs in order."""
     cfg = cfg or EquivConfig()
     h = cfg.fd_step
     flat = []
     shapes = []
     for v in point:
-        xs = _nt_flatten(v)
+        xs = flatten(v)
         shapes.append(len(xs))
         flat.extend(xs)
 
@@ -422,24 +398,17 @@ def finite_diff_grad(p: Term, theta: list[tuple[str, LType]],
         for (name, _), n in zip(theta, shapes):
             values[name] = _nt_unflatten_primal(xs[i:i + n], point[len(values)])
             i += n
-        v = eval_compiled(code, values, Flops())
-        out = flatten_value(v)
-        assert len(out) == 1, "finite differences need a scalar output"
-        return out[0]
+        return flatten_value(eval_compiled(code, values, Flops()))
 
-    grad = []
+    cols = []
     for j in range(len(flat)):
         up = list(flat)
         dn = list(flat)
         up[j] += h
         dn[j] -= h
-        grad.append((run(up) - run(dn)) / (2 * h))
-    return grad
-
-
-def _nt_flatten(v: NumTuple) -> list[float]:
-    from linlog.linear_a.values import flatten
-    return flatten(v)
+        cols.append([(a - b) / (2 * h) for a, b in zip(run(up), run(dn))])
+    n_out = len(cols[0]) if cols else len(run(flat))
+    return [[col[i] for col in cols] for i in range(n_out)]
 
 
 def _nt_unflatten_primal(xs, template: NumTuple) -> Value:
@@ -477,10 +446,6 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     transposed tangent map is applied to the unit cotangent; tuple
     outputs are run once per basis cotangent, yielding the transposed
     Jacobian row by row."""
-    from linlog.autodiff import forward, seq_tangent, transpose, unzip
-    from linlog.lll.reduce import simplify as simp
-    from linlog.lll.workload import workload_term
-
     supply = supply or NameSupply()
     cfg = cfg or EquivConfig()
     f, enum = forward(theta, p, supply)
@@ -491,10 +456,10 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     if simplify_output:
-        r = simp(r)
+        r = simplify(r)
 
-    ein = with_tuple_types(enum)
-    out_e = _out_type(p, theta)
+    ein = TangentCtx.and_type([(n, seq_tangent(e)) for n, e in enum])
+    out_e = primal_inner_type(p, dict(theta))
     hty = seq_tangent(out_e)
     values = {n: numtuple_to_primal_value(v) for (n, _), v in zip(theta, point)}
 
@@ -523,16 +488,6 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
         bound += wb
     return GradResult(primal, rows[0] if rows else [], flops, bound,
                       jacobian_t=rows)
-
-
-def with_tuple_types(theta) -> LType:
-    from linlog.autodiff import _enum_and_type
-    return _enum_and_type(theta)
-
-
-def _out_type(p, theta) -> LType:
-    from linlog.autodiff import _ptype
-    return _ptype(p, {n: t for n, t in theta})
 
 
 def _split_tangent(v: Value, enum) -> list[NumTuple]:

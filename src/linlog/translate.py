@@ -28,8 +28,8 @@ from linlog.linear_a.expr import (
 from linlog.linear_a.transform import decompose_linear_b, infer_types
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar,
-    PWith, Term, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, let_,
-    para, para_pattern, prim_app, with_pattern, with_tuple,
+    PWith, Term, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
+    let_, para, para_pattern, prim_app, with_pattern, with_tuple,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, Top, With, is_with_seq,
@@ -77,11 +77,9 @@ class Enumeration:
     def names(self) -> list[str]:
         return [n for n, _ in self.entries]
 
-    def types(self) -> list[LType]:
-        return [tangent_type(t) for _, t in self.entries]
-
-    def and_type(self) -> LType:
-        return with_tuple_type(self.types())
+    def tangents(self) -> list[tuple[str, LType]]:
+        """The entries with the tangent types of their types."""
+        return [(n, tangent_type(t)) for n, t in self.entries]
 
     def position(self, name: str) -> int:
         for i, (n, _) in enumerate(self.entries):
@@ -114,7 +112,6 @@ def mk_zero(h: LType) -> Term:
     _check_with_seq(h)
     match h:
         case x if x is Real:
-            from linlog.lll.terms import Zero
             return Zero()
         case x if x is Top:
             return TopVal()
@@ -123,24 +120,25 @@ def mk_zero(h: LType) -> Term:
     raise AssertionError(h)
 
 
-def _var_tree(h: LType, supply: NameSupply, hint="h"):
-    """A complete variable pattern for h plus the leaf (name, type) list."""
+def with_tree(h: LType, supply: NameSupply, hint: str = "h"):
+    """A fresh variable pattern for the with-sequence type h, one variable
+    per leaf from left to right: the pattern, its leaves as (name, type)
+    pairs, and the term that rebuilds the value it binds."""
     match h:
         case With(l, r):
-            pl, vl = _var_tree(l, supply, hint)
-            pr, vr = _var_tree(r, supply, hint)
-            return PWith(pl, pr), vl + vr
-        case _:
-            n = supply.fresh(hint)
-            return PVar(n, h), [(n, h)]
+            pl, vl, tl = with_tree(l, supply, hint)
+            pr, vr, tr = with_tree(r, supply, hint)
+            return PWith(pl, pr), vl + vr, WithPair(tl, tr)
+    n = supply.fresh(hint)
+    return PVar(n, h), [(n, h)], Var(n)
 
 
 def mk_add(h: LType, supply: NameSupply | None = None) -> Term:
     """Pointwise addition, a closed term of type (H & H) -o H."""
     _check_with_seq(h)
     supply = supply or NameSupply()
-    p1, v1 = _var_tree(h, supply, "a")
-    p2, v2 = _var_tree(h, supply, "b")
+    p1, v1, _ = with_tree(h, supply, "a")
+    p2, v2, _ = with_tree(h, supply, "b")
 
     def zip_add(ty, i):
         match ty:
@@ -170,7 +168,7 @@ def scale_app(h: LType, x: Term, v: Term, supply: NameSupply | None = None) -> T
     supply = supply or NameSupply()
     if h is Real:
         return App(App(TimesDot(), x), v)
-    p, leaves = _var_tree(h, supply, "s")
+    p, leaves, _ = with_tree(h, supply, "s")
 
     def go(ty, i):
         match ty:
@@ -239,6 +237,54 @@ def mk_fuse(index_set, comps: list[LType], supply: NameSupply | None = None) -> 
     return Abs(pat, body)
 
 
+class TangentCtx:
+    """One destructuring of the tangent tuple of an enumeration, given as
+    (name, tangent type) pairs: a lambda over the tuple that binds a fresh
+    variable to each component."""
+
+    def __init__(self, pairs, supply: NameSupply):
+        self.pairs = list(pairs)
+        self.yvar = supply.fresh("y")
+        self.leaf = {n: supply.fresh(n) for n, _ in self.pairs}
+
+    @staticmethod
+    def and_type(pairs) -> LType:
+        """The type of the tuple of (name, tangent type) pairs."""
+        return with_tuple_type([t for _, t in pairs])
+
+    def lam(self, body: Term) -> Term:
+        if not self.pairs:
+            return Abs(PVar(self.yvar, Top), body)
+        if len(self.pairs) == 1:
+            n, t = self.pairs[0]
+            return Abs(PVar(self.leaf[n], t), body)
+        return self.lam_split(None, None, body)
+
+    def lam_split(self, name, slot: Pattern, body: Term) -> Term:
+        """A lambda over the tuple that binds the component `name` by the
+        pattern `slot` instead of its variable."""
+        tree = with_pattern([slot if n == name else PVar(self.leaf[n], t)
+                             for n, t in self.pairs])
+        return Abs(PVar(self.yvar, self.and_type(self.pairs)),
+                   let_(tree, Var(self.yvar), body))
+
+    def var(self, name: str) -> Term:
+        return Var(self.leaf[name])
+
+    def tuple_of(self, names, empty: Term | None = None,
+                 comps: dict[str, Term] | None = None) -> Term:
+        """The tuple of the components `names`, each its variable unless
+        `comps` gives a term for it; `empty` when there are none, by
+        default the unit (the whole tuple when the enumeration is empty)."""
+        if not names:
+            if empty is not None:
+                return empty
+            return Var(self.yvar) if not self.pairs else TopVal()
+        comps = comps or {}
+        return with_tuple([comps[n] if n in comps else self.var(n)
+                           for n in names])
+
+
 # ----------------------------------------------------------- delta proper
 
 def _bang_pair_pat(x: str, xty: JaxType, f: str, fty: LType) -> Pattern:
@@ -246,40 +292,18 @@ def _bang_pair_pat(x: str, xty: JaxType, f: str, fty: LType) -> Pattern:
 
 
 def _map_type(theta: Enumeration, out: LType) -> LType:
-    return Lolli(theta.and_type(), out)
+    return Lolli(TangentCtx.and_type(theta.tangents()), out)
 
 
-class _TangentCtx:
-    """Destructured view of the tangent tuple for an enumeration."""
-
-    def __init__(self, theta: Enumeration, supply: NameSupply):
-        self.theta = theta
-        self.supply = supply
-        self.yvar = supply.fresh("y")
-        self.leaves = [(supply.fresh(n.lstrip("%").split("#")[0] or "u"),
-                        tangent_type(t)) for n, t in theta.entries]
-
-    def lam(self, body: Term) -> Term:
-        if not self.theta.entries:
-            return Abs(PVar(self.yvar, Top), body)
-        if len(self.theta.entries) == 1:
-            n, t = self.leaves[0]
-            return Abs(PVar(n, t), body)
-        tree = with_pattern([PVar(n, t) for n, t in self.leaves])
-        return Abs(PVar(self.yvar, self.theta.and_type()),
-                   let_(tree, Var(self.yvar), body))
-
-    def var(self, name: str) -> Term:
-        return Var(self.leaves[self.theta.position(name)][0])
-
-    def tuple_of(self, names: list[str], empty: Term | None = None) -> Term:
-        if not names:
-            if empty is not None:
-                return empty
-            if not self.theta.entries:
-                return Var(self.yvar)  # the whole tuple is the unit
-            return TopVal()
-        return with_tuple([self.var(n) for n in names])
+def _split_lam(ctx: TangentCtx, zd: str, tz: JProd, rest: Enumeration,
+               f: str, supply: NameSupply) -> Term:
+    """The tangent map that splits the zd component of the tuple into its
+    two halves in place and passes them, then the rest, to f."""
+    a, b = supply.fresh("c"), supply.fresh("c")
+    halves = PWith(PVar(a, tangent_type(tz.left)),
+                   PVar(b, tangent_type(tz.right)))
+    arg = with_tuple([Var(a), Var(b)] + [ctx.var(n) for n in rest.names()])
+    return ctx.lam_split(zd, halves, App(Var(f), arg))
 
 
 def delta(penv: dict[str, JaxType], theta: Enumeration, e: Expr,
@@ -297,7 +321,7 @@ def _tenv(theta: Enumeration):
 def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
     match e:
         case VarPair(x, _):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(BangVal(Var(x)), para(ctx.lam(ctx.var(theta.names()[0]))))
 
         case LetPair(x, yd, e1, e2):
@@ -309,7 +333,7 @@ def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
             d2 = _delta(penv | {x: ty1}, inner, e2, supply)
             ty2, sg2 = infer_types(e2, penv | {x: ty1}, _tenv(inner))
             f, g, z = supply.fresh("f"), supply.fresh("g"), supply.fresh("z")
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             farg = ctx.tuple_of(th1.names())
             garg = App(Var(f), farg)
             if len(th2):
@@ -322,11 +346,11 @@ def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
                         d1, out)
 
         case PrimTupIntro0() | TanTupIntro0():
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(BangVal(UnitVal()), para(ctx.lam(TopVal())))
 
         case PrimTupIntro2(x1, x2):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(BangVal(TensorPair(BangVal(Var(x1)), BangVal(Var(x2)))),
                               para(ctx.lam(TopVal())))
 
@@ -341,7 +365,7 @@ def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
             return let_(pat, Var(z), inner)
 
         case TanTupIntro2(t1, t2):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(BangVal(UnitVal()),
                               para(ctx.lam(ctx.tuple_of([t1, t2]))))
 
@@ -350,7 +374,7 @@ def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
             d = _delta(penv, rest, body, supply)
             _ty, sg = infer_types(body, penv, _tenv(rest))
             x, f = supply.fresh("x"), supply.fresh("f")
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             arg = ctx.tuple_of(rest.names(),
                                empty=ctx.var(zd) if theta.entries else None)
             out = TensorPair(BangVal(Var(x)), para(ctx.lam(App(Var(f), arg))))
@@ -365,53 +389,41 @@ def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
             d = _delta(penv, inner_enum, body, supply)
             _ty, sg = infer_types(body, penv, _tenv(inner_enum))
             x, f = supply.fresh("x"), supply.fresh("f")
-            ctx = _TangentCtx(theta, supply)
-            # split the zd component into its two halves in place
-            a, b = supply.fresh("c"), supply.fresh("c")
-            pos = theta.position(zd)
-            leaves = list(ctx.leaves)
-            tree_pats = [PVar(n, t) for n, t in leaves]
-            tree_pats[pos] = PWith(PVar(a, tangent_type(tz.left)),
-                                   PVar(b, tangent_type(tz.right)))
-            tree = with_pattern(tree_pats)
-            comps = [Var(a), Var(b)] + [Var(leaves[theta.position(n)][0])
-                                        for n in rest.names()]
-            y = PVar(ctx.yvar, theta.and_type())
-            body_t = Abs(y, let_(tree, Var(ctx.yvar),
-                                 App(Var(f), with_tuple(comps))))
+            ctx = TangentCtx(theta.tangents(), supply)
+            body_t = _split_lam(ctx, zd, tz, rest, f, supply)
             out = TensorPair(BangVal(Var(x)), para(body_t))
             return let_(_bang_pair_pat(x, _ty, f,
                                        _map_type(inner_enum, tangent_type(sg))),
                         d, out)
 
         case Lit(r):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(BangVal(Numeral(r)), para(ctx.lam(TopVal())))
 
         case PrimApp(fn, args):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(prim_app(fn, [BangVal(Var(a)) for a in args]),
                               para(ctx.lam(TopVal())))
 
         case ZeroDot(sg):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return TensorPair(BangVal(UnitVal()),
                               para(ctx.lam(mk_zero(tangent_type(sg)))))
 
         case AddDot(t1, t2):
             h = tangent_type(theta.jax_type(t1))
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             body = add_app(h, ctx.var(t1), ctx.var(t2), supply)
             return TensorPair(BangVal(UnitVal()), para(ctx.lam(body)))
 
         case ScaleDot(x, t):
             h = tangent_type(theta.jax_type(t))
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             body = scale_app(h, Var(x), ctx.var(t), supply)
             return TensorPair(BangVal(UnitVal()), para(ctx.lam(body)))
 
         case Dup(t):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             v = ctx.var(t)
             return TensorPair(BangVal(UnitVal()), para(ctx.lam(WithPair(v, v))))
 
@@ -419,7 +431,7 @@ def _delta(penv, theta: Enumeration, e: Expr, supply: NameSupply) -> Term:
             d = _delta(penv, theta, body, supply)
             ty, sg = infer_types(body, penv, _tenv(theta))
             x, f, z = supply.fresh("x"), supply.fresh("f"), supply.fresh("z")
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             inner = let_(PVar(z, tangent_type(sg)),
                          App(Var(f), ctx.tuple_of(theta.names())), TopVal())
             out = TensorPair(BangVal(UnitVal()), para(ctx.lam(inner)))
@@ -515,7 +527,7 @@ def _delta_bt(et: Expr, penv, theta: Enumeration, supply: NameSupply) -> Term:
     if xd is not None:
         if theta.names() != [xd]:
             raise EnumerationMismatch(f"{theta.names()} vs variable {xd}")
-        ctx = _TangentCtx(theta, supply)
+        ctx = TangentCtx(theta.tangents(), supply)
         return ctx.lam(ctx.var(xd))
 
     m = match_let_t(et)
@@ -527,7 +539,7 @@ def _delta_bt(et: Expr, penv, theta: Enumeration, supply: NameSupply) -> Term:
         inner = th2.prepend(yd, sg1)
         _, sg2 = infer_types(e2, penv, _tenv(inner))
         f, g = supply.fresh("f"), supply.fresh("g")
-        ctx = _TangentCtx(theta, supply)
+        ctx = TangentCtx(theta.tangents(), supply)
         garg = App(Var(f), ctx.tuple_of(th1.names()))
         if len(th2):
             garg = WithPair(garg, ctx.tuple_of(th2.names()))
@@ -540,16 +552,16 @@ def _delta_bt(et: Expr, penv, theta: Enumeration, supply: NameSupply) -> Term:
 
     match et:
         case TanTupIntro0():
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return ctx.lam(TopVal())
         case TanTupIntro2(t1, t2):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return ctx.lam(ctx.tuple_of([t1, t2]))
         case TanTupElim0(zd, body):
             rest = theta.remove(zd)
             f = supply.fresh("f")
             _, sg = infer_types(body, penv, _tenv(rest))
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             arg = ctx.tuple_of(rest.names(),
                                empty=ctx.var(zd) if theta.entries else None)
             return _section_let(
@@ -562,38 +574,29 @@ def _delta_bt(et: Expr, penv, theta: Enumeration, supply: NameSupply) -> Term:
             inner = Enumeration(((t1, tz.left), (t2, tz.right)) + rest.entries)
             _, sg = infer_types(body, penv, _tenv(inner))
             f = supply.fresh("f")
-            ctx = _TangentCtx(theta, supply)
-            a, b = supply.fresh("c"), supply.fresh("c")
-            pos = theta.position(zd)
-            tree_pats = [PVar(n, t) for n, t in ctx.leaves]
-            tree_pats[pos] = PWith(PVar(a, tangent_type(tz.left)),
-                                   PVar(b, tangent_type(tz.right)))
-            comps = [Var(a), Var(b)] + [Var(ctx.leaves[theta.position(n)][0])
-                                        for n in rest.names()]
-            y = PVar(ctx.yvar, theta.and_type())
-            lam = Abs(y, let_(with_pattern(tree_pats), Var(ctx.yvar),
-                              App(Var(f), with_tuple(comps))))
+            ctx = TangentCtx(theta.tangents(), supply)
+            lam = _split_lam(ctx, zd, tz, rest, f, supply)
             return _section_let(f, _map_type(inner, tangent_type(sg)),
                                 _delta_bt(body, penv, inner, supply), lam)
         case Dup(t):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             v = ctx.var(t)
             return ctx.lam(WithPair(v, v))
         case ZeroDot(sg):
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return ctx.lam(mk_zero(tangent_type(sg)))
         case AddDot(t1, t2):
             h = tangent_type(theta.jax_type(t1))
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return ctx.lam(add_app(h, ctx.var(t1), ctx.var(t2), supply))
         case ScaleDot(x, t):
             h = tangent_type(theta.jax_type(t))
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             return ctx.lam(scale_app(h, Var(x), ctx.var(t), supply))
         case Drop(body):
             _, sg = infer_types(body, penv, _tenv(theta))
             f, z = supply.fresh("f"), supply.fresh("z")
-            ctx = _TangentCtx(theta, supply)
+            ctx = TangentCtx(theta.tangents(), supply)
             inner = let_(PVar(z, tangent_type(sg)),
                          App(Var(f), ctx.tuple_of(theta.names())), TopVal())
             return _section_let(f, _map_type(theta, tangent_type(sg)),

@@ -259,3 +259,36 @@ def test_transpose_walks_patterns_a_bounded_number_of_times(monkeypatch):
         t = transpose(None, u, supply)
         assert 0 < visited[0] <= 2 * term_size(t), \
             (n_lets, visited[0], term_size(t))
+
+
+def test_forward_derives_primal_types_without_re_walking(monkeypatch):
+    """F returns each subterm's inner type along with its image, so it
+    never asks `primal_inner_type`, which walks a whole let chain; only the
+    roots of `run_grad` do, once each."""
+    from linlog.frontend import parse
+    from linlog.linear_a.expr import fv_primal
+    from linlog.linear_a.values import Scalar
+    from linlog.lll import sorts
+    from linlog.oracle import run_grad
+    from linlog.translate import delta_b_primal, primal_type
+
+    calls = [0]
+    original = sorts.primal_inner_type
+
+    def counted(p, tys):
+        calls[0] += 1
+        return original(p, tys)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("linlog")]:
+        for name, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, name, counted)
+    sf = parse(live_inputs_program(30))
+    supply = NameSupply()
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    forward(theta, term, supply)
+    assert calls[0] == 0
+    run_grad(term, theta, [Scalar(0.3)] * len(theta), supply=supply)
+    assert calls[0] == 1

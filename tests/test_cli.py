@@ -71,6 +71,31 @@ def test_check_file():
     assert "skip-unzipping" in out
 
 
+@pytest.mark.parametrize("args", [
+    ("compare", G, "--point", "0.5 2.0"),
+    ("check", G),
+    ("compare", "programs/pair_out.lll", "--point", "0.5 2.0"),
+    ("check", "programs/pair_out.lll"),
+])
+def test_compare_and_check_pass(args):
+    code, out = run_cli(*args, "--format", "machine")
+    assert code == 0, out
+    assert "status=ok" in out
+
+
+def test_compare_prints_every_row_of_a_tuple_output():
+    # (sin x, x*y) at (0.5, 2): rows (cos 0.5, 0) and (y, x) = (2, 0.5)
+    _, out = run_cli("compare", "programs/pair_out.lll", "--point", "0.5 2.0",
+                     "--format", "machine")
+    rows = {k: eval(v) for k, v in (l.split("=", 1) for l in out.splitlines())
+            if k.startswith("grad.")}
+    assert rows.keys() == {f"grad.{k}.{i:02d}" for k in ("tuf", "tf", "fd")
+                           for i in range(2)}
+    for k in ("tuf", "tf", "fd"):
+        assert rows[f"grad.{k}.00"] == pytest.approx([math.cos(0.5), 0.0], abs=1e-6)
+        assert rows[f"grad.{k}.01"] == pytest.approx([2.0, 0.5], abs=1e-6)
+
+
 def test_usage_error_exit_2():
     code = subprocess.run(
         [sys.executable, "-m", "linlog.cli", "grad", G],

@@ -1,0 +1,83 @@
+"""Layering guard for the package's imports.
+
+Every import of a `linlog` module sits at the top of its module, and the
+top-level imports form no cycle: the modules depend on each other in the
+order lll -> linear_a -> frontend/translate -> autodiff -> oracle -> gen ->
+checks -> cli.  The scan reads the source with `ast`, so it sees imports in
+code that no test runs.
+"""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import linlog
+
+SRC = Path(linlog.__file__).parent
+
+
+def modules() -> dict[str, ast.Module]:
+    out = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = ast.parse(path.read_text(), str(path))
+    return out
+
+
+def linlog_targets(node: ast.stmt) -> list[str]:
+    """The `linlog` modules an import statement names (relative imports
+    count as `linlog` ones: the package has no other)."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "linlog"]
+    if isinstance(node, ast.ImportFrom):
+        if node.level or (node.module or "").split(".")[0] == "linlog":
+            mod = node.module or ""
+            return [mod] + [f"{mod}.{a.name}" for a in node.names]
+    return []
+
+
+def test_no_function_imports_a_linlog_module():
+    local = set()
+    for name, tree in modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+                for node in ast.walk(fn):
+                    if linlog_targets(node):
+                        local.add(f"{name}:{node.lineno}")
+    assert not local, f"{len(local)} function-local imports: {sorted(local)}"
+
+
+def test_top_level_imports_are_acyclic():
+    mods = modules()
+    graph = {name: sorted({t for node in tree.body
+                           for t in linlog_targets(node) if t in mods} - {name})
+             for name, tree in mods.items()}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as e:
+        raise AssertionError("import cycle: " + " -> ".join(e.args[1])) from None
+
+
+LEVELS = {"linlog.lll": 0, "linlog.linear_a": 1, "linlog.frontend": 2,
+          "linlog.translate": 2, "linlog.autodiff": 3, "linlog.oracle": 4,
+          "linlog.gen": 5, "linlog.checks": 6, "linlog.cli": 7}
+
+
+def layer(mod: str) -> str | None:
+    return next((top for top in LEVELS
+                 if mod == top or mod.startswith(top + ".")), None)
+
+
+def test_each_layer_imports_only_lower_ones():
+    mods = modules()
+    upward = []
+    for name, tree in mods.items():
+        for node in tree.body:
+            for t in [t for t in linlog_targets(node) if t in mods]:
+                a, b = layer(name), layer(t)
+                if a and b and a != b and LEVELS[b] >= LEVELS[a]:
+                    upward.append(f"{name} -> {t}")
+    assert not upward, upward

@@ -103,9 +103,9 @@ def test_naive_transpose_contraction():
 def test_finite_diff_on_g():
     p = fig9a_term()
     theta = [("x", Real), ("y", Real)]
-    g = finite_diff_grad(p, theta, [Scalar(0.0), Scalar(1.0)])
+    [g] = finite_diff_grad(p, theta, [Scalar(0.0), Scalar(1.0)])
     assert g == pytest.approx([1.0, 0.0], abs=1e-5)
-    g2 = finite_diff_grad(p, theta, [Scalar(0.5), Scalar(2.0)])
+    [g2] = finite_diff_grad(p, theta, [Scalar(0.5), Scalar(2.0)])
     assert g2 == pytest.approx(list(g_grad(0.5, 2.0)), abs=1e-5)
 
 
@@ -147,6 +147,23 @@ def test_run_grad_jacobian_for_tuple_output():
     assert res.flops <= res.workload_bound
 
 
+def test_finite_diff_rows_follow_the_jacobian_of_a_tuple_output():
+    from linlog.lll import BangVal, TensorPair, Var, bang_let, prim, prim_app
+
+    def bang(x):
+        return BangVal(Var(x))
+    p = bang_let("a", Real, prim_app(prim("sin"), [bang("x")]),
+                 bang_let("b", Real, prim_app(prim("mul2"), [bang("x"), bang("y")]),
+                          BangVal(TensorPair(bang("a"), bang("b")))))
+    theta = [("x", Real), ("y", Real)]
+    point = [Scalar(0.4), Scalar(1.7)]
+    res = run_grad(p, theta, point, "tuf")
+    fd = finite_diff_grad(p, theta, point)
+    assert len(fd) == len(res.jacobian_t) == 2
+    for got, row in zip(fd, res.jacobian_t):
+        assert got == pytest.approx([v.value for v in row], abs=1e-6)
+
+
 def chain_program(n_lets):
     """A straight-line Linear-A program of `n_lets` lets over x0, x1 whose
     values stay within 2.5 and whose gradient neither vanishes nor blows
@@ -179,7 +196,7 @@ def test_gradient_of_a_150_let_chain_at_the_default_recursion_limit():
              if x in fv_primal(sf.body)]
     point = [Scalar(0.7), Scalar(-0.4)]
     res = run_grad(term, theta, point, pipeline="tuf", supply=supply)
-    fd = finite_diff_grad(term, theta, point)
+    [fd] = finite_diff_grad(term, theta, point)
     got = [g.value for g in res.gradient]
     assert len(got) == len(fd) == 2
     assert all(abs(g) > 0.1 for g in got), got
