@@ -1,14 +1,21 @@
 """Structural golden tests for the worked example, all four stages."""
 
+import hashlib
+
 from linlog import NameSupply
 from linlog.autodiff import forward, transpose, unzip
+from linlog.frontend import parse
+from linlog.gen import lll_p_cases
 from linlog.linear_a import JReal
 from linlog.lll import Bang, Real, alpha_eq, simplify, typecheck, workload_term
+from linlog.linear_a.expr import fv_primal
 from linlog.lll.sorts import Sort, classify_sort
+from linlog.lll.terms import term_str
 from linlog.lll.typecheck import free_var_types
-from linlog.translate import Enumeration, delta_b, delta_b_primal
+from linlog.translate import Enumeration, delta_b, delta_b_primal, primal_type
 from tests.terms9 import fig9a_env, fig9a_term, fig9b_term, fig9c_term, fig9d_term
 from tests.test_linear_a import G_ENV, g_expr
+from tests.test_oracle import chain_program
 
 
 def test_delta_b_of_source_is_fig9a():
@@ -74,3 +81,32 @@ def test_workload_chain_on_example():
     assert wu <= wf
     # W(T(R)) + W(L) <= W(R) + W(H) with L = R&R, H = R
     assert wt + 2 <= wu + 1
+
+
+def pipeline_text(theta, term, supply) -> str:
+    """The printed F, U, T(U) and T(F) images of a primal term and the
+    next fresh name: `alpha_eq` and the value digests miss a change in the
+    order fresh names are drawn, this text does not."""
+    f, _ = forward(theta, term, supply)
+    u = unzip(f, supply)
+    tu = transpose(None, u, supply)
+    tf = transpose(None, f, supply)
+    return "\n".join([*map(term_str, (f, u, tu, tf)), supply.fresh()])
+
+
+def digest(texts) -> str:
+    return hashlib.sha256("\n\n".join(texts).encode()).hexdigest()[:16]
+
+
+def test_pipeline_text_is_pinned():
+    fig9a = pipeline_text([("x", Real), ("y", Real)], fig9a_term(), NameSupply())
+    corpus = [pipeline_text(c.sigma, c.term, c.supply)
+              for c in lll_p_cases(30, 17)]
+    sf = parse(chain_program(30))
+    supply = NameSupply()
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    chain = pipeline_text(theta, term, supply)
+    assert (digest([fig9a]), digest(corpus), digest([chain])) == (
+        "d052a96aac3c693a", "c9609353b20e33ac", "b986bb5be0211426")
