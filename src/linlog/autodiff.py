@@ -12,16 +12,16 @@ was actually shared and a zero only where one was erased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from linlog.errors import EnumerationMismatch, LinlogError, SortViolation
 from linlog.fresh import NameSupply
-from linlog.lll.reduce import _rename_free, _rename_pattern, uniquify
+from linlog.lll.lets import LetKind, bind, let_kind, rebuild, spine, unbind
+from linlog.lll.reduce import _rename_free, uniquify
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, all_names, bang_let, free_vars, let_, para, para_pattern,
-    pattern_type, pattern_var_types, pattern_vars, prim_app, with_pattern,
+    WithPair, Zero, _children, all_names, bang_let, free_vars, let_, para,
+    para_pattern, pattern_type, pattern_var_types, pattern_vars, prim_app,
+    with_pattern,
 )
 from linlog.lll.prims import partial_of
 from linlog.lll.types import Bang, LType, Lolli, One, Real, Tensor, Top, With
@@ -84,34 +84,11 @@ def _names(theta) -> list[str]:
 
 def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
     """F of p, the enumeration it used, and the inner type E of p : !E."""
-    match p:
-        case BangVal(Var(x)):
-            u, e = supply.fresh("u"), tys[x]
-            tan = para(Abs(PVar(u, seq_tangent(e)), Var(u)))
-            return TensorPair(BangVal(Var(x)), tan), theta, e
-        case BangVal(Numeral(_)) | BangVal(Zero()):
-            u = supply.fresh("u")
-            return TensorPair(p, para(Abs(PVar(u, Top), Zero()))), theta, Real
-        case BangVal(UnitVal()):
-            u = supply.fresh("u")
-            return TensorPair(p, para(Abs(PVar(u, Top), TopVal()))), theta, One
-
-        case BangVal(TensorPair(pa, pb)):
-            fa_t, tha, ea = _fwd(_restrict(theta, free_vars(pa)), pa, tys, supply)
-            fb_t, thb, eb = _fwd(_restrict(theta, free_vars(pb)), pb, tys, supply)
-            a, f = supply.fresh("x"), supply.fresh("f")
-            b, g = supply.fresh("x"), supply.fresh("g")
-            ctx = TangentCtx(_tangents(theta), supply)
-            fa = App(Var(f), ctx.tuple_of(_names(tha)))
-            gb = App(Var(g), ctx.tuple_of(_names(thb)))
-            body = ctx.lam(WithPair(fa, gb))
-            out = TensorPair(BangVal(TensorPair(BangVal(Var(a)), BangVal(Var(b)))),
-                             para(body))
-            out = let_(_bang_section_pat(b, eb, g, _fn_ty(thb, eb)), fb_t, out)
-            out = let_(_bang_section_pat(a, ea, f, _fn_ty(tha, ea)), fa_t, out)
-            return out, theta, Tensor(Bang(ea), Bang(eb))
-
-        case App(Abs(PBang(x, xty), pb), q):
+    if isinstance(p, App) and isinstance(p.fn, Abs):
+        pat, pb, q = p.fn.pat, p.fn.body, p.arg
+        kind = let_kind(pat, q)
+        if kind is LetKind.BANG:
+            x, xty = pat.name, pat.ty
             fq_t, thq, _ = _fwd(_restrict(theta, free_vars(q)), q, tys, supply)
             thp = _restrict(theta, free_vars(pb) - {x})
             live = x in free_vars(pb)
@@ -128,30 +105,8 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             return let_(_bang_section_pat(x, xty, f, _fn_ty(thq, xty)),
                         fq_t, out), theta, ey
 
-        case App(PrimFn(fn), _) as ap:
-            args = _prim_arg_vars(ap.arg, fn.arity)
-            enum = []
-            for n in args:  # first-occurrence argument order
-                if n not in [m for m, _ in enum]:
-                    enum.append((n, tys[n]))
-            ys = [supply.fresh("w") for _ in range(fn.arity)]
-            uvar = {n: supply.fresh("u") for n, _ in enum}
-            prods = [App(App(TimesDot(), Var(y)), Var(uvar[x]))
-                     for y, x in zip(ys, args)]
-            acc = prods[-1]
-            for t in reversed(prods[:-1]):
-                acc = App(PlusDot(), WithPair(t, acc))
-            # the tangent tuple is bound by a with-pattern directly
-            pat = with_pattern([PVar(uvar[n], seq_tangent(e)) for n, e in enum])
-            out = TensorPair(prim_app(fn, [BangVal(Var(x)) for x in args]),
-                             para(Abs(pat, acc)))
-            for i, y in reversed(list(enumerate(ys))):
-                out = bang_let(y, Real,
-                               prim_app(partial_of(fn, i),
-                                        [BangVal(Var(x)) for x in args]), out)
-            return out, enum, Real
-
-        case App(Abs(pat, pb), Var(z)) if isinstance(pat, (PTensor, PUnit)):
+        if kind is LetKind.TENSOR:
+            z = q.name
             leaves = _tensor_pattern_leaves(pat)
             inner_tys = tys | {n: e for n, e in leaves}
             live = [(n, e) for n, e in leaves if n in free_vars(pb)]
@@ -183,6 +138,56 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             out = TensorPair(BangVal(Var(y)), para(body))
             out = let_(_bang_section_pat(y, ey, g, _fn_ty(thg, ey)), fp_t, out)
             return let_(pat, Var(z), out), theta, ey
+
+    match p:
+        case BangVal(Var(x)):
+            u, e = supply.fresh("u"), tys[x]
+            tan = para(Abs(PVar(u, seq_tangent(e)), Var(u)))
+            return TensorPair(BangVal(Var(x)), tan), theta, e
+        case BangVal(Numeral(_)) | BangVal(Zero()):
+            u = supply.fresh("u")
+            return TensorPair(p, para(Abs(PVar(u, Top), Zero()))), theta, Real
+        case BangVal(UnitVal()):
+            u = supply.fresh("u")
+            return TensorPair(p, para(Abs(PVar(u, Top), TopVal()))), theta, One
+
+        case BangVal(TensorPair(pa, pb)):
+            fa_t, tha, ea = _fwd(_restrict(theta, free_vars(pa)), pa, tys, supply)
+            fb_t, thb, eb = _fwd(_restrict(theta, free_vars(pb)), pb, tys, supply)
+            a, f = supply.fresh("x"), supply.fresh("f")
+            b, g = supply.fresh("x"), supply.fresh("g")
+            ctx = TangentCtx(_tangents(theta), supply)
+            fa = App(Var(f), ctx.tuple_of(_names(tha)))
+            gb = App(Var(g), ctx.tuple_of(_names(thb)))
+            body = ctx.lam(WithPair(fa, gb))
+            out = TensorPair(BangVal(TensorPair(BangVal(Var(a)), BangVal(Var(b)))),
+                             para(body))
+            out = let_(_bang_section_pat(b, eb, g, _fn_ty(thb, eb)), fb_t, out)
+            out = let_(_bang_section_pat(a, ea, f, _fn_ty(tha, ea)), fa_t, out)
+            return out, theta, Tensor(Bang(ea), Bang(eb))
+
+        case App(PrimFn(fn), _) as ap:
+            args = _prim_arg_vars(ap.arg, fn.arity)
+            enum = []
+            for n in args:  # first-occurrence argument order
+                if n not in [m for m, _ in enum]:
+                    enum.append((n, tys[n]))
+            ys = [supply.fresh("w") for _ in range(fn.arity)]
+            uvar = {n: supply.fresh("u") for n, _ in enum}
+            prods = [App(App(TimesDot(), Var(y)), Var(uvar[x]))
+                     for y, x in zip(ys, args)]
+            acc = prods[-1]
+            for t in reversed(prods[:-1]):
+                acc = App(PlusDot(), WithPair(t, acc))
+            # the tangent tuple is bound by a with-pattern directly
+            pat = with_pattern([PVar(uvar[n], seq_tangent(e)) for n, e in enum])
+            out = TensorPair(prim_app(fn, [BangVal(Var(x)) for x in args]),
+                             para(Abs(pat, acc)))
+            for i, y in reversed(list(enumerate(ys))):
+                out = bang_let(y, Real,
+                               prim_app(partial_of(fn, i),
+                                        [BangVal(Var(x)) for x in args]), out)
+            return out, enum, Real
 
     raise SortViolation(f"not a primal-sort term: {p!r}")
 
@@ -219,96 +224,36 @@ def _prim_arg_vars(arg: Term, arity: int) -> list[str]:
 
 # ---------------------------------------------------------------- unzipping
 
-@dataclass(frozen=True)
-class LetBang:
-    name: str
-    ty: LType
-    term: Term
-
-
-@dataclass(frozen=True)
-class LetTensorPat:
-    pat: Pattern
-    var: str
-
-
-@dataclass(frozen=True)
-class ExpContext:
-    frames: tuple = ()
-
-    def plug(self, core: Term) -> Term:
-        for fr in reversed(self.frames):
-            match fr:
-                case LetBang(x, ty, p):
-                    core = bang_let(x, ty, p, core)
-                case LetTensorPat(pat, z):
-                    core = let_(pat, Var(z), core)
-        return core
-
-
-def _match_bang_section_let(m: Term):
-    match m:
-        case App(Abs(PTensor(PBang(x, ty), PWith(PUnit(), PVar(f, fty))), body), rhs):
-            return x, ty, f, fty, body, rhs
-    return None
-
-
-def _match_section_let(m: Term):
-    match m:
-        case App(Abs(PWith(PUnit(), PVar(f, fty)), body), WithPair(UnitVal(), rhs)):
-            return f, fty, body, rhs
-    return None
-
-
-def _match_bang_let(m: Term):
-    match m:
-        case App(Abs(PBang(x, ty), body), rhs):
-            return x, ty, body, rhs
-    return None
-
-
-def _match_tensor_let(m: Term):
-    match m:
-        case App(Abs(pat, body), Var(z)) if isinstance(pat, (PTensor, PUnit)):
-            return pat, z, body
-    return None
-
-
-def unzip_decompose(s: Term) -> tuple[ExpContext, Term, Term]:
-    match s:
+def unzip_decompose(s: Term) -> tuple[list, Term, Term]:
+    """(frames, P, F) for a mixed-sort term: the exponential lets, to be
+    hoisted in order around ``(P, par(F))``.  It loops over the let spine
+    and recurses only into the right-hand side of a bang-section let."""
+    frames, tail = spine(s)
+    ctx, fframes = [], []
+    for pat, rhs in frames:
+        kind = let_kind(pat, rhs)
+        if kind is LetKind.BANG_SECTION:
+            e1, p1, f1 = unzip_decompose(rhs)
+            ctx += e1
+            ctx.append((pat.left, p1))
+            fframes.append((pat.right, para(f1)))
+        elif kind is LetKind.SECTION:
+            fframes.append((pat, rhs))
+        elif kind is not None:
+            ctx.append((pat, rhs))
+        else:
+            raise SortViolation(f"not a mixed-sort let: {pat!r} = {rhs!r}")
+    match tail:
         case TensorPair(p, WithPair(UnitVal(), f)):
-            return ExpContext(), p, f
-    m = _match_bang_section_let(s)
-    if m is not None:
-        x, ty, f, fty, body, rhs = m
-        e1, p1, f1 = unzip_decompose(rhs)
-        e2, p2, f2 = unzip_decompose(body)
-        ctx = ExpContext(e1.frames + (LetBang(x, ty, p1),) + e2.frames)
-        fpart = let_(para_pattern(PVar(f, fty)), para(f1), f2)
-        return ctx, p2, fpart
-    m = _match_section_let(s)
-    if m is not None:
-        f, fty, body, rhs = m
-        e1, p1, f1 = unzip_decompose(body)
-        return e1, p1, let_(para_pattern(PVar(f, fty)), para(rhs), f1)
-    m = _match_bang_let(s)
-    if m is not None:
-        x, ty, body, rhs = m
-        e1, p1, f1 = unzip_decompose(body)
-        return ExpContext((LetBang(x, ty, rhs),) + e1.frames), p1, f1
-    m = _match_tensor_let(s)
-    if m is not None:
-        pat, z, body = m
-        e1, p1, f1 = unzip_decompose(body)
-        return ExpContext((LetTensorPat(pat, z),) + e1.frames), p1, f1
-    raise SortViolation(f"not a mixed-sort term: {s!r}")
+            return ctx, p, rebuild(fframes, f)
+    raise SortViolation(f"not a mixed-sort term: {tail!r}")
 
 
 def unzip(s: Term, supply: NameSupply | None = None) -> Term:
     supply = supply or NameSupply()
     s = uniquify(s, supply)
     ctx, p, f = unzip_decompose(s)
-    return ctx.plug(TensorPair(p, para(f)))
+    return rebuild(ctx, TensorPair(p, para(f)))
 
 
 # ---------------------------------------------------------------- renamings
@@ -348,11 +293,6 @@ def rename_apply(alpha: Renaming, m: Term) -> Term:
     if clash:
         raise CaptureDetected(f"codomain names {sorted(clash)} occur in the term")
     return _rename_free(m, ren)
-
-
-def rename_pattern(alpha: Renaming, p: Pattern) -> Pattern:
-    """alpha[p]: rename matching leaves, keeping the shape."""
-    return _rename_pattern(p, alpha.map)
 
 
 def _project(p: Pattern, ren: dict[str, str]) -> Pattern | None:
@@ -412,24 +352,34 @@ def nu(p: Pattern, a1: Renaming, a2: Renaming) -> Term:
 
 
 # ---------------------------------------------------------------- transpose
-
-@dataclass
-class SectionEnv:
-    """Maps each section-bound function to its cotangent sibling and
-    original type."""
-    entries: dict[str, tuple[str, LType]] = field(default_factory=dict)
-
-    def extend(self, f, fc, ty):
-        out = dict(self.entries)
-        out[f] = (fc, ty)
-        return SectionEnv(out)
+#
+# `phi` maps each section-bound function in scope to its cotangent sibling
+# and its type: one dict, extended at a section binder and restored on
+# leaving the binder's scope.  `occurs` holds every variable name occurring
+# in T's input: after `uniquify` a binder's name occurs only in its scope,
+# so a section binder whose name is not in it is dropped.
 
 
-def _f_type(f: Term, phi: SectionEnv, ptys: dict[str, LType]) -> LType:
+def _occurring(m: Term) -> set[str]:
+    out, todo = set(), [m]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is Var:
+            out.add(t.name)
+        todo += _children(t)
+    return out
+
+
+def _f_type(f: Term, phi: dict, ptys: dict[str, LType]) -> LType:
+    frames, f = spine(f)
+    if any(let_kind(p, n) is not LetKind.SECTION for p, n in frames):
+        raise SortViolation(f"not a tangent-function let chain: {f!r}")
+    if frames:
+        ptys = ptys | {p.right.name: p.right.ty for p, _ in frames}
     match f:
         case Var(name):
-            if name in phi.entries:
-                return phi.entries[name][1]
+            if name in phi:
+                return phi[name][1]
             return ptys[name]
         case PlusDot():
             return Lolli(With(Real, Real), Real)
@@ -438,14 +388,10 @@ def _f_type(f: Term, phi: SectionEnv, ptys: dict[str, LType]) -> LType:
         case Abs(pat, body):
             return Lolli(pattern_type(pat),
                          _t_type(body, phi, ptys | pattern_var_types(pat)))
-    m = _match_section_let(f)
-    if m is not None:
-        g, gty, body, _rhs = m
-        return _f_type(body, phi, ptys | {g: gty})
     raise SortViolation(f"not a tangent-function term: {f!r}")
 
 
-def _t_type(u: Term, phi: SectionEnv, ptys) -> LType:
+def _t_type(u: Term, phi: dict, ptys) -> LType:
     match u:
         case Var(n):
             return ptys[n]
@@ -461,14 +407,18 @@ def _t_type(u: Term, phi: SectionEnv, ptys) -> LType:
     raise SortViolation(f"not a tangent-sort term: {u!r}")
 
 
-def transpose_t(phi: SectionEnv, p: Pattern, u: Term, supply: NameSupply,
-                ptys: dict[str, LType], pvt: dict[str, LType] | None = None):
+def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
+                ptys: dict[str, LType], pvt: dict[str, LType] | None = None,
+                occurs: set[str] | None = None):
     """Returns (cotangent pattern q, body, used p-variables).  `pvt` maps
     the variables of `p` that may occur free in `u` to their types, in
     pattern order (by default all of them); below a with-pair, `p` is
-    projected to the variables its component uses."""
+    projected to the variables its component uses.  `occurs` holds the
+    names occurring in T's input (by default those occurring in `u`)."""
     if pvt is None:
         pvt = pattern_var_types(p)
+    if occurs is None:
+        occurs = _occurring(u)
 
     match u:
         case Var(name) if name in pvt:
@@ -492,10 +442,10 @@ def transpose_t(phi: SectionEnv, p: Pattern, u: Term, supply: NameSupply,
             p1, p2 = _project(p, a1.map), _project(p, a2.map)
             q1, b1, used1 = transpose_t(
                 phi, p if p1 is None else p1, rename_apply(a1, u1), supply,
-                ptys, {b: pvt[a] for a, b in a1.map.items()})
+                ptys, {b: pvt[a] for a, b in a1.map.items()}, occurs)
             q2, b2, used2 = transpose_t(
                 phi, p if p2 is None else p2, rename_apply(a2, u2), supply,
-                ptys, {b: pvt[a] for a, b in a2.map.items()})
+                ptys, {b: pvt[a] for a, b in a2.map.items()}, occurs)
             assert used1 == a1.cod() and used2 == a2.cod()
             binder = PWith(_fresh_top(supply) if p1 is None else p1,
                            _fresh_top(supply) if p2 is None else p2)
@@ -508,9 +458,9 @@ def transpose_t(phi: SectionEnv, p: Pattern, u: Term, supply: NameSupply,
             return PWith(q1, q2), body, used
 
         case App(f, u1):
-            fc = transpose_f(phi, f, supply, ptys)
+            fc = transpose_f(phi, f, supply, ptys, occurs)
             hty = _f_type(f, phi, ptys | pvt).cod
-            q1, b1, used1 = transpose_t(phi, p, u1, supply, ptys, pvt)
+            q1, b1, used1 = transpose_t(phi, p, u1, supply, ptys, pvt, occurs)
             q = supply.fresh("z")
             body = App(Abs(q1, b1), App(fc, Var(q)))
             return PVar(q, hty), body, used1
@@ -518,13 +468,21 @@ def transpose_t(phi: SectionEnv, p: Pattern, u: Term, supply: NameSupply,
     raise SortViolation(f"not a tangent-sort term: {u!r}")
 
 
-def transpose_f(phi: SectionEnv, f: Term, supply: NameSupply,
-                ptys: dict[str, LType]) -> Term:
+def transpose_f(phi: dict, f: Term, supply: NameSupply,
+                ptys: dict[str, LType], occurs: set[str] | None = None) -> Term:
+    """T of a tangent-function term; `occurs` is as for `transpose_t`."""
+    if occurs is None:
+        occurs = _occurring(f)
+    frames, f = spine(f)
+    if frames:
+        return _transpose_lets(
+            phi, frames, (LetKind.SECTION,), supply, ptys, occurs,
+            lambda: transpose_f(phi, f, supply, ptys, occurs))
     match f:
         case Var(name):
-            if name not in phi.entries:
+            if name not in phi:
                 raise SortViolation(f"function variable {name} not section-bound")
-            return Var(phi.entries[name][0])
+            return Var(phi[name][0])
         case PlusDot():
             u = supply.fresh("u")
             return Abs(PVar(u, Real), WithPair(Var(u), Var(u)))
@@ -532,63 +490,63 @@ def transpose_f(phi: SectionEnv, f: Term, supply: NameSupply,
             return f
         case Abs(pat, body):
             pvt = pattern_var_types(pat)
-            q, b, used = transpose_t(phi, pat, body, supply, ptys, pvt)
+            q, b, used = transpose_t(phi, pat, body, supply, ptys, pvt, occurs)
             alpha = Renaming.identity([n for n in pvt if n in used])
             return Abs(q, let_(rename_project(alpha, pat, supply), b,
                                nu(pat, alpha, EMPTY_RENAMING)))
-    m = _match_section_let(f)
-    if m is not None:
-        g, gty, body, rhs = m
-        if g not in free_vars(body):
-            return transpose_f(phi, body, supply, ptys)
-        gc = supply.fresh(g)
-        inner = transpose_f(phi.extend(g, gc, gty), body, supply, ptys)
-        gcty = Lolli(gty.cod, gty.dom)
-        return let_(para_pattern(PVar(gc, gcty)), para(transpose_f(phi, rhs, supply, ptys)),
-                    inner)
     raise SortViolation(f"not a tangent-function term: {f!r}")
 
 
-def transpose(phi: SectionEnv | None, r: Term,
+def transpose(phi: dict | None, r: Term,
               supply: NameSupply | None = None) -> Term:
     """T over mixed-sort terms; works with or without prior unzipping."""
     supply = supply or NameSupply()
-    phi = phi or SectionEnv()
     r = uniquify(r, supply)
-    return _transpose_a(phi, r, supply, {})
+    return _transpose_a({} if phi is None else phi, r, supply, _occurring(r))
 
 
-def _transpose_a(phi: SectionEnv, r: Term, supply, ptys) -> Term:
-    match r:
+def _transpose_a(phi: dict, r: Term, supply, occurs) -> Term:
+    frames, tail = spine(r)
+    match tail:
         case TensorPair(p, WithPair(UnitVal(), f)):
-            return TensorPair(p, para(transpose_f(phi, f, supply, ptys)))
-    m = _match_bang_section_let(r)
-    if m is not None:
-        x, ty, f, fty, body, rhs = m
-        if f not in free_vars(body):
+            return _transpose_lets(
+                phi, frames, tuple(LetKind), supply, {}, occurs, lambda:
+                TensorPair(p, para(transpose_f(phi, f, supply, {}, occurs))))
+    raise SortViolation(f"not a mixed-sort term: {tail!r}")
+
+
+def _transpose_lets(phi, frames, kinds, supply, ptys, occurs, tail) -> Term:
+    """T of the let spine `frames` around the tail that `tail()`
+    transposes, in one loop: the section lets are entered in order, each
+    live one drawing its cotangent name; then the tail is transposed; then
+    the right-hand sides, innermost first, each in the scope of the lets
+    before it.  Only right-hand sides recurse.  A dead section let is
+    dropped, keeping the primal half of a bang-section let."""
+    out, todo = [], []
+    for pat, rhs in frames:
+        kind = let_kind(pat, rhs)
+        if kind not in kinds:
+            raise SortViolation(f"not a let of this sort: {pat!r} = {rhs!r}")
+        if kind is LetKind.BANG or kind is LetKind.TENSOR:
+            out.append((pat, rhs))
+            continue
+        f = pat.right.right if kind is LetKind.BANG_SECTION else pat.right
+        if f.name in occurs:
+            fc = PVar(supply.fresh(f.name), Lolli(f.ty.cod, f.ty.dom))
+            todo.append((len(out), kind, rhs,
+                         bind(phi, {f.name: (fc.name, f.ty)})))
+            sec = para_pattern(fc)
+            out.append((sec if kind is LetKind.SECTION
+                        else PTensor(pat.left, sec), None))
+        elif kind is LetKind.BANG_SECTION:
             ctx, p1, _f1 = unzip_decompose(rhs)
-            return bang_let(x, ty, ctx.plug(p1),
-                            _transpose_a(phi, body, supply, ptys))
-        fc = supply.fresh(f)
-        fcty = Lolli(fty.cod, fty.dom)
-        inner = _transpose_a(phi.extend(f, fc, fty), body, supply, ptys)
-        return let_(_bang_section_pat(x, ty, fc, fcty),
-                    _transpose_a(phi, rhs, supply, ptys), inner)
-    m = _match_section_let(r)
-    if m is not None:
-        f, fty, body, rhs = m
-        if f not in free_vars(body):
-            return _transpose_a(phi, body, supply, ptys)
-        fc = supply.fresh(f)
-        inner = _transpose_a(phi.extend(f, fc, fty), body, supply, ptys)
-        return let_(para_pattern(PVar(fc, Lolli(fty.cod, fty.dom))),
-                    para(transpose_f(phi, rhs, supply, ptys)), inner)
-    m = _match_bang_let(r)
-    if m is not None:
-        x, ty, body, rhs = m
-        return bang_let(x, ty, rhs, _transpose_a(phi, body, supply, ptys))
-    m = _match_tensor_let(r)
-    if m is not None:
-        pat, z, body = m
-        return let_(pat, Var(z), _transpose_a(phi, body, supply, ptys))
-    raise SortViolation(f"not a mixed-sort term: {r!r}")
+            out.append((pat.left, rebuild(ctx, p1)))
+    inner = tail()
+    for i, kind, rhs, saved in reversed(todo):
+        unbind(phi, saved)
+        if kind is LetKind.SECTION:
+            rhs = para(transpose_f(phi, rhs.right, supply, ptys, occurs))
+        else:
+            rhs = _transpose_a(phi, rhs, supply, occurs)
+        out[i] = out[i][0], rhs
+    return rebuild(out, inner)

@@ -10,9 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from linlog.autodiff import (
-    SectionEnv, forward, seq_tangent, transpose, transpose_f, unzip,
-)
+from linlog.autodiff import forward, seq_tangent, transpose, transpose_f, unzip
 from linlog.fresh import NameSupply
 from linlog.gen import (jax_cases, lll_f_cases, lll_p_cases,
                         safe_ground_cases)
@@ -300,7 +298,7 @@ def check_matrix_transpose(n: int = 200, seed: int = 41,
     for c in cases:
         supply = c.supply
         tys = {x: e for x, e in c.sigma}
-        tc = transpose_f(SectionEnv(), c.term, supply, tys)
+        tc = transpose_f({}, c.term, supply, tys)
         values = {x: random_value_of(e, rng) for x, e in c.sigma}
         flops = Flops()
         fv_val = eval_term(c.term, dict(values), flops)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from linlog.errors import LinlogError
+from linlog.lll.lets import spine
 from linlog.lll.prims import PrimId
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
@@ -396,25 +397,21 @@ def _compile_abs(m: Abs, sc: _Scope):
     return _closure(m.pat, m.body, enter, srcs)
 
 
-def _compile_lets(m: App, sc: _Scope):
-    """``let p = N in M`` binds into the current frame, without a closure,
-    and a let-spine ``let p1 = N1 in ... let pk = Nk in M`` runs as a loop."""
+def _compile_app(m: App, sc: _Scope):
+    """A let-spine ``let p1 = N1 in ... let pk = Nk in M`` binds into the
+    current frame, without a closure, and runs as a loop."""
+    frames, body = spine(m)
+    if not frames:
+        f = _compile(m.fn, sc)
+        return sc.share(_app, f, _compile(m.arg, sc))
     mark = len(sc.trail)
     steps = []
-    while type(m) is App and type(m.fn) is Abs:
-        rhs = _compile(m.arg, sc)
-        steps.append((_compile_pattern(m.fn.pat, sc), rhs))
-        m = m.fn.body
-    body = _compile(m, sc)
+    for pat, rhs in frames:
+        code = _compile(rhs, sc)
+        steps.append((_compile_pattern(pat, sc), code))
+    body = _compile(body, sc)
     sc.unwind(mark)
     return sc.share(_lets, tuple(steps), body)
-
-
-def _compile_app(m: App, sc: _Scope):
-    if type(m.fn) is Abs:
-        return _compile_lets(m, sc)
-    f = _compile(m.fn, sc)
-    return sc.share(_app, f, _compile(m.arg, sc))
 
 
 def _compile_pair(make):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from linlog.lll.prims import PrimId
 from linlog.lll.types import (
-    Bang, LType, One, Real, Tensor, With, is_with_seq, type_str,
+    Bang, LType, One, Real, Tensor, With, type_str,
 )
 
 # ---------------------------------------------------------------- patterns
@@ -97,26 +97,6 @@ def pattern_var_types(p: Pattern) -> dict[str, LType]:
                 pass
     go(p)
     return out
-
-
-def is_with_pattern(p: Pattern) -> bool:
-    match p:
-        case PVar(_, ty):
-            return is_with_seq(ty)
-        case PWith(l, r):
-            return is_with_pattern(l) and is_with_pattern(r)
-        case _:
-            return False
-
-
-def is_tensor_pattern(p: Pattern) -> bool:
-    match p:
-        case PVar(_, _) | PBang(_, _) | PUnit():
-            return True
-        case PTensor(l, r):
-            return is_tensor_pattern(l) and is_tensor_pattern(r)
-        case _:
-            return False
 
 
 def with_pattern(leaves: list[Pattern]) -> Pattern:

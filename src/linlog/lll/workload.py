@@ -7,9 +7,11 @@ bounds the number of numeric steps of any maximal safe reduction.
 
 from __future__ import annotations
 
+from linlog.lll.lets import bind, unbind
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, PlusDot, PrimFn, Term, TensorPair, TimesDot,
-    TopVal, UnitVal, Var, WithPair, Zero, free_vars, pattern_var_types,
+    TopVal, UnitVal, Var, WithPair, Zero, _children, free_vars,
+    pattern_var_types,
 )
 from linlog.lll.types import LType, is_ground, workload_type
 
@@ -78,25 +80,29 @@ def _workload_fv(m: Term) -> tuple[int, set[str]]:
 def is_safe(m: Term, var_types: dict[str, LType] | None = None) -> bool:
     """Definition-of-safety check: no workload under a bang, and additive
     pairs share only ground variables.  `var_types` gives the resource
-    types of the term's free variables (needed for the ground test)."""
+    types of the term's free variables (needed for the ground test).  The
+    walk uses an explicit stack and one type dictionary: a binder adds its
+    variables, and the saved entries pushed beneath its body restore them."""
     types = dict(var_types or {})
-
-    def go(t, types):
-        match t:
-            case BangVal(i):
-                return workload_term(i) == 0 and go(i, types)
-            case WithPair(l, r):
-                shared = free_vars(l) & free_vars(r)
-                for x in shared:
-                    ty = types.get(x)
-                    if ty is None or not is_ground(ty):
-                        return False
-                return go(l, types) and go(r, types)
-            case Abs(p, body):
-                return go(body, types | pattern_var_types(p))
-            case App(f, a) | TensorPair(f, a):
-                return go(f, types) and go(a, types)
-            case _:
-                return True
-
-    return go(m, types)
+    todo: list = [m]
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is list:
+            unbind(types, t)
+        elif cls is BangVal:
+            if workload_term(t.inner):
+                return False
+            todo.append(t.inner)
+        elif cls is WithPair:
+            for x in free_vars(t.left) & free_vars(t.right):
+                ty = types.get(x)
+                if ty is None or not is_ground(ty):
+                    return False
+            todo += (t.right, t.left)
+        elif cls is Abs:
+            todo.append(bind(types, pattern_var_types(t.pat)))
+            todo.append(t.body)
+        elif cls is App or cls is TensorPair:
+            todo += _children(t)
+    return True

@@ -12,9 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from linlog.autodiff import (
-    SectionEnv, _t_type, forward, seq_tangent, transpose, unzip,
-)
+from linlog.autodiff import _t_type, forward, seq_tangent, transpose, unzip
 from linlog.errors import NotWithSeq
 from linlog.fresh import NameSupply
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup, flatten
@@ -138,7 +136,7 @@ def naive_transpose(p: Pattern, u: Term,
     fresh cotangent pattern q and the term, with q's variables free."""
     supply = supply or NameSupply()
     l = pattern_type(p)
-    h = _t_type(u, SectionEnv(), pattern_var_types(p))
+    h = _t_type(u, {}, pattern_var_types(p))
     qpat, _, qterm = with_tree(h, supply, "q")
     functional = Abs(p, App(App(mk_dual(h, supply), qterm), u))
     return qpat, App(mk_undual(l, supply), functional)

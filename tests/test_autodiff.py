@@ -4,9 +4,8 @@ import pytest
 
 from linlog import NameSupply
 from linlog.autodiff import (
-    EMPTY_RENAMING, Renaming, SectionEnv, forward, nu, rename_apply,
-    rename_pattern, rename_project, transpose, transpose_f, transpose_t,
-    unzip, unzip_decompose,
+    EMPTY_RENAMING, Renaming, forward, nu, rename_apply, rename_project,
+    transpose, transpose_f, transpose_t, unzip, unzip_decompose,
 )
 from linlog.lll import (
     Abs, App, BangVal, Numeral, PBang, PTensor, PVar, PWith, PlusDot, Real,
@@ -14,6 +13,7 @@ from linlog.lll import (
     alpha_eq, para, typecheck, workload_term,
 )
 from linlog.lll.machine import Flops, apply_value, eval_term, run
+from linlog.lll.reduce import _rename_pattern
 from linlog.oracle import basis_values, flatten_value
 
 RR = With(Real, Real)
@@ -43,7 +43,7 @@ def test_rename_project_examples():
     p = PWith(PWith(pvar("x"), pvar("y")), pvar("u"))
     alpha = Renaming((("x", "x1"), ("y", "y1")))
     assert rename_project(alpha, p) == PWith(pvar("x1"), pvar("y1"))
-    assert rename_pattern(alpha, p) == \
+    assert _rename_pattern(p, alpha.map) == \
         PWith(PWith(pvar("x1"), pvar("y1")), pvar("u"))
     # empty domain: a fresh top variable
     out = rename_project(EMPTY_RENAMING, p, NameSupply())
@@ -78,32 +78,32 @@ def test_nu_examples():
 
 def test_transpose_t_variable():
     s = NameSupply()
-    q, body, used = transpose_t(SectionEnv(), pvar("u"), Var("u"), s, {})
+    q, body, used = transpose_t({}, pvar("u"), Var("u"), s, {})
     assert used == {"u"}
     assert body == Var(q.name)
 
 
 def test_transpose_t_zero_and_top():
     s = NameSupply()
-    q, body, used = transpose_t(SectionEnv(), pvar("u"), Zero(), s, {})
+    q, body, used = transpose_t({}, pvar("u"), Zero(), s, {})
     assert body == TopVal() and used == set()
-    q2, body2, _ = transpose_t(SectionEnv(), pvar("u"), TopVal(), s, {})
+    q2, body2, _ = transpose_t({}, pvar("u"), TopVal(), s, {})
     assert body2 == TopVal()
 
 
 def test_transpose_f_plus_and_scale():
     s = NameSupply()
-    tp = transpose_f(SectionEnv(), PlusDot(), s, {})
+    tp = transpose_f({}, PlusDot(), s, {})
     assert isinstance(tp, Abs) and isinstance(tp.body, WithPair)
     scale = App(TimesDot(), Var("x"))
-    assert transpose_f(SectionEnv(), scale, s, {"x": Real}) == scale
+    assert transpose_f({}, scale, s, {"x": Real}) == scale
 
 
 def test_transpose_f_partial_use_inserts_zero():
     # T(\<x, y>. x) = \q. let x = q in <x, 0>
     s = NameSupply()
     f = Abs(PWith(pvar("x"), pvar("y")), Var("x"))
-    tf = transpose_f(SectionEnv(), f, s, {})
+    tf = transpose_f({}, f, s, {})
     env = TypingEnv()
     from linlog.lll import Lolli
     assert typecheck(env, tf) == Lolli(Real, RR)
@@ -116,7 +116,7 @@ def test_transpose_f_contraction_becomes_addition():
     s = NameSupply()
     f = Abs(PWith(pvar("u"), pvar("u2")),
             WithPair(WithPair(Var("u"), Var("u")), Var("u2")))
-    tf = transpose_f(SectionEnv(), f, s, {})
+    tf = transpose_f({}, f, s, {})
     vf, _ = run(tf)
     got = [flatten_value(apply_value(vf, b, Flops()))
            for b in basis_values(With(RR, Real))]
@@ -127,7 +127,7 @@ def test_unzip_decompose_literal_pair():
     s = NameSupply()
     r = TensorPair(BangVal(Numeral(1.0)), para(Abs(PVar("u", Top), TopVal())))
     ctx, p, f = unzip_decompose(r)
-    assert ctx.frames == ()
+    assert ctx == []
     assert p == r.left and f == r.right.right
 
 
@@ -171,7 +171,7 @@ def test_transpose_drops_dead_section_binding():
     g = Abs(pvar("u"), Var("u"))
     f_term = Abs(pvar("w"), App(App(TimesDot(), Var("c")), Var("w")))
     t = let_(para_pattern(PVar("f", Lolli(Real, Real))), para(f_term), g)
-    out = transpose_f(SectionEnv(), t, s, {"c": Real})
+    out = transpose_f({}, t, s, {"c": Real})
     # the dead binding is gone entirely
     from linlog.lll.terms import free_vars
     assert "c" not in free_vars(out)
@@ -183,7 +183,7 @@ def test_transpose_keeps_live_section_binding():
     g = Abs(pvar("u"), App(Var("f"), Var("u")))
     f_term = Abs(pvar("w"), App(App(TimesDot(), Var("c")), Var("w")))
     t = let_(para_pattern(PVar("f", Lolli(Real, Real))), para(f_term), g)
-    out = transpose_f(SectionEnv(), t, s, {"c": Real})
+    out = transpose_f({}, t, s, {"c": Real})
     from linlog.lll.reduce import substitute
     from linlog.lll.terms import free_vars
     assert "c" in free_vars(out)
@@ -292,3 +292,51 @@ def test_forward_derives_primal_types_without_re_walking(monkeypatch):
     assert calls[0] == 0
     run_grad(term, theta, [Scalar(0.3)] * len(theta), supply=supply)
     assert calls[0] == 1
+
+
+def chain_images(n_lets):
+    """The supply, the types of the free variables, and F and U of
+    `chain_program(n_lets)`.  F, U and T nest lets through right-hand
+    sides as deep as the program is long; their let spines are walked in
+    loops."""
+    from linlog.frontend import parse
+    from linlog.lll import Bang
+    from linlog.linear_a.expr import fv_primal
+    from linlog.translate import delta_b_primal, primal_type
+    from tests.test_oracle import chain_program
+
+    sf = parse(chain_program(n_lets))
+    supply = NameSupply()
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    f, _ = forward(theta, term, supply)
+    return supply, {x: Bang(e) for x, e in theta}, f, unzip(f, supply)
+
+
+def test_a_400_let_chain_at_the_default_recursion_limit():
+    from linlog.lll.sorts import Sort, classify_sort
+    from linlog.lll.workload import is_safe
+
+    assert sys.getrecursionlimit() <= 1000
+    supply, tys, f, u = chain_images(400)
+    for image in (f, u, transpose(None, u, supply), transpose(None, f, supply)):
+        assert classify_sort(image, tys) == Sort.LLL_A
+        assert is_safe(image, tys)
+
+
+def test_transpose_fills_free_variable_caches_linearly():
+    """A count guard, not a timer: the free-variable sets T caches on the
+    nodes of U's output grow about linearly with the program, so T asks
+    no let of the spine for the free variables of everything below it."""
+    from linlog.lll.terms import _COMPOSITE
+    from tests.test_terms import subterms
+
+    def cached(n_lets):
+        supply, _tys, _f, u = chain_images(n_lets)
+        transpose(None, u, supply)
+        return sum(len(t._fv) for t in subterms(u)
+                   if isinstance(t, _COMPOSITE) and t._fv is not None)
+
+    small, large = cached(200), cached(400)
+    assert 0 < large <= 2.2 * small, (small, large)

@@ -1,10 +1,11 @@
-"""Layering guard for the package's imports.
+"""Layering guards: the package's imports, and one home for let shapes.
 
 Every import of a `linlog` module sits at the top of its module, and the
 top-level imports form no cycle: the modules depend on each other in the
 order lll -> linear_a -> frontend/translate -> autodiff -> oracle -> gen ->
-checks -> cli.  The scan reads the source with `ast`, so it sees imports in
-code that no test runs.
+checks -> cli.  The modules that read let spines recognise let shapes only
+through `lll.lets`.  The scan reads the source with `ast`, so it sees code
+that no test runs.
 """
 
 import ast
@@ -81,3 +82,37 @@ def test_each_layer_imports_only_lower_ones():
                 if a and b and a != b and LEVELS[b] >= LEVELS[a]:
                     upward.append(f"{name} -> {t}")
     assert not upward, upward
+
+
+# The modules that read let spines; `lll.reduce` (the reference rewriting
+# engine) and `frontend` read terms on their own.
+LET_READERS = ("linlog.autodiff", "linlog.lll.sorts", "linlog.lll.workload",
+               "linlog.lll.machine")
+
+
+def class_name(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def matches_class(pattern: ast.pattern, name: str) -> bool:
+    """Whether `pattern` (under `as` and `|`) is a class pattern `name(...)`."""
+    if isinstance(pattern, ast.MatchAs) and pattern.pattern is not None:
+        return matches_class(pattern.pattern, name)
+    if isinstance(pattern, ast.MatchOr):
+        return any(matches_class(p, name) for p in pattern.patterns)
+    return isinstance(pattern, ast.MatchClass) and class_name(pattern.cls) == name
+
+
+def test_let_shapes_are_classified_in_one_place():
+    """No `App(Abs(...))` class pattern in the modules that read lets: they
+    go through `lll.lets` (`spine` and `let_kind`)."""
+    mods = modules()
+    found = []
+    for name in LET_READERS:
+        for node in ast.walk(mods[name]):
+            if isinstance(node, ast.MatchClass) and class_name(node.cls) == "App":
+                fn = node.patterns[:1] + [p for k, p in zip(
+                    node.kwd_attrs, node.kwd_patterns) if k == "fn"]
+                if any(matches_class(p, "Abs") for p in fn):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, found

@@ -4,7 +4,7 @@
 import pytest
 
 from linlog import NameSupply
-from linlog.autodiff import SectionEnv, forward, transpose, transpose_f, unzip
+from linlog.autodiff import forward, transpose, transpose_f, unzip
 from linlog.frontend import parse
 from linlog.gen import jax_cases, lll_f_cases, lll_p_cases, safe_ground_cases
 from linlog.lll import terms
@@ -78,7 +78,7 @@ def corpus():
         out += [d, u, transpose(None, u, c.supply)]
     for c in lll_f_cases(20, 7):
         tys = dict(c.sigma)
-        out += [c.term, transpose_f(SectionEnv(), c.term, c.supply, tys)]
+        out += [c.term, transpose_f({}, c.term, c.supply, tys)]
     out += [c.term for c in safe_ground_cases(25, 8)]
     return out
 
