@@ -118,12 +118,3 @@ def unflatten(xs: list[float], t: JaxType) -> NumTuple:
         raise ShapeMismatch(f"{len(xs)} scalars for {t!r}")
     return v
 
-
-def basis_tuples(t: JaxType) -> list[NumTuple]:
-    n = len(flatten(zero_of(t)))
-    out = []
-    for i in range(n):
-        xs = [0.0] * n
-        xs[i] = 1.0
-        out.append(unflatten(xs, t))
-    return out

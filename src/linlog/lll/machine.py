@@ -19,6 +19,16 @@ frame without building a closure, and a chain of lets runs as a loop, so
 long let-spines need no Python stack.  The free variables of the whole
 term are read from the caller's environment once per run; one that the
 environment lacks fails only when it is evaluated.
+
+Let right-hand sides are flattened at compile time on an explicit stack
+("Let-floating", Peyton Jones, Partain & Santos, 1996): a with- or
+tensor-pattern against a pair of its kind binds component by component
+without building the pair, and a right-hand side that is a let spine adds
+its lets to the same loop.  So the lets that the transposition nests
+through right-hand sides compile and run at a host depth independent of
+their number.  Flops are unchanged; a split pattern's shape error is
+raised before its later components run.  Values are slotted dataclasses,
+never changed in place (tests/test_layering.py checks this).
 """
 
 from __future__ import annotations
@@ -44,34 +54,34 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VNum(Value):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VUnit(Value):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VTop(Value):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VPair(Value):
     left: Value
     right: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VWith(Value):
     left: Value
     right: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VBang(Value):
     inner: Value
 
@@ -94,17 +104,17 @@ class VClosure(Value):
         return f"VClosure(pat={self.pat!r}, body={self.body!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VPrim(Value):
     fn: PrimId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VPlus(Value):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VTimes(Value):
     partial: float | None = None
 
@@ -405,13 +415,49 @@ def _compile_app(m: App, sc: _Scope):
         f = _compile(m.fn, sc)
         return sc.share(_app, f, _compile(m.arg, sc))
     mark = len(sc.trail)
-    steps = []
-    for pat, rhs in frames:
-        code = _compile(rhs, sc)
-        steps.append((_compile_pattern(pat, sc), code))
+    steps = _let_steps(frames, sc)
     body = _compile(body, sc)
     sc.unwind(mark)
-    return sc.share(_lets, tuple(steps), body)
+    return sc.share(_lets, steps, body)
+
+
+_SPLITS = {(PWith, WithPair), (PTensor, TensorPair)}
+_BIND, _UNWIND = object(), object()
+
+
+def _let_steps(frames, sc: _Scope) -> tuple:
+    """The (binder, code) steps of the lets `frames`, their right-hand
+    sides flattened; binds their patterns in `sc`.  A pattern is bound once
+    its whole right-hand side is compiled and the names of the lets inside
+    it are forgotten, so each right-hand side sees the scope before its let."""
+    steps, open_ = [], []  # open_: steps whose pattern is not bound yet
+    todo = []
+
+    def push(frames):
+        for p, n in reversed(frames):
+            todo.extend(((_BIND, len(open_)), (p, n)))
+
+    push(frames)
+    while todo:
+        p, n = todo.pop()
+        if p is _BIND:
+            for i in open_[n:]:
+                pat, code = steps[i]
+                steps[i] = (_compile_pattern(pat, sc), code)
+            del open_[n:]
+        elif p is _UNWIND:
+            sc.unwind(n)
+        elif (type(p), type(n)) in _SPLITS:
+            todo.extend(((p.right, n.right), (p.left, n.left)))
+        else:
+            inner, tail = spine(n)
+            if inner:
+                todo.extend(((_UNWIND, len(sc.trail)), (p, tail)))
+                push(inner)
+            else:
+                open_.append(len(steps))
+                steps.append((p, _compile(n, sc)))
+    return tuple(steps)
 
 
 def _compile_pair(make):

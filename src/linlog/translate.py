@@ -186,14 +186,6 @@ def scale_app(h: LType, x: Term, v: Term, supply: NameSupply | None = None) -> T
     return App(Abs(p, body), v)
 
 
-def mk_scale(h: LType, supply: NameSupply | None = None) -> Term:
-    supply = supply or NameSupply()
-    x = supply.fresh("x")
-    v = supply.fresh("v")
-    return Abs(PVar(x, Real),
-               Abs(PVar(v, h), scale_app(h, Var(x), Var(v), supply)))
-
-
 def mk_split(index_set, comps: list[LType], supply: NameSupply | None = None) -> Term:
     """sigma_I: &comps -o (&_{i in I} comps) & (&_{not in I} comps)."""
     supply = supply or NameSupply()

@@ -116,3 +116,23 @@ def test_let_shapes_are_classified_in_one_place():
                 if any(matches_class(p, "Abs") for p in fn):
                     found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+# The fields of the evaluator's values, which are not frozen: a value is
+# shared between frames and closures, so no code may change one in place.
+VALUE_FIELDS = {"left", "right", "inner", "value", "partial", "fn"}
+
+
+def test_no_code_assigns_to_a_value_field():
+    found = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in VALUE_FIELDS
+                    and isinstance(node.ctx, (ast.Store, ast.Del))):
+                found.append(f"{name}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.Call)
+                  and class_name(node.func) in ("setattr", "__setattr__")
+                  and any(isinstance(a, ast.Constant)
+                          and a.value in VALUE_FIELDS for a in node.args)):
+                found.append(f"{name}:{node.lineno} {class_name(node.func)}")
+    assert not found, found

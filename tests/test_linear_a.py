@@ -11,8 +11,19 @@ from linlog.linear_a import (
     jax_transpose, jax_unzip, jax_workload, let_p, pair_pt, p_var, t_var,
     typecheck_jax,
 )
-from linlog.linear_a.values import basis_tuples, flatten
+from linlog.linear_a.values import flatten, unflatten, zero_of
 from linlog.lll.prims import prim
+
+
+def basis_tuples(t):
+    """The unit tuples of type `t`, one per scalar component."""
+    n = len(flatten(zero_of(t)))
+    out = []
+    for i in range(n):
+        xs = [0.0] * n
+        xs[i] = 1.0
+        out.append(unflatten(xs, t))
+    return out
 
 
 def g_expr(supply):

@@ -1,17 +1,31 @@
 """The compiled evaluator against the rewriting engine, its executable
-specification, plus the binding and error behaviour compilation must keep."""
+specification, plus the binding and error behaviour compilation must keep,
+the scoping of let right-hand sides flattened at compile time, and the
+host stack depth that flattening bounds."""
+
+import inspect
+import re
+import sys
+import threading
 
 import pytest
 
+from linlog import NameSupply
+from linlog.autodiff import forward, transpose, unzip
+from linlog.frontend import parse
 from linlog.gen import safe_ground_cases
+from linlog.linear_a.expr import fv_primal
 from linlog.lll import (
-    Abs, App, BangVal, Lolli, Numeral, PBang, PTensor, PVar, Real, TensorPair,
-    TimesDot, Var, let_, safe_reduce,
+    Abs, App, BangVal, Lolli, Numeral, PBang, PTensor, PVar, PWith, Real,
+    TensorPair, TimesDot, Var, WithPair, let_, prim, safe_reduce,
+    workload_term,
 )
 from linlog.lll.machine import (
-    Flops, MachineError, VNum, VPair, apply_value, compile_term, eval_compiled,
-    run, values_close,
+    Flops, MachineError, VBang, VNum, VPair, VPlus, VPrim, VTimes, VTop,
+    VUnit, VWith, apply_value, compile_term, eval_compiled, run, values_close,
 )
+from linlog.translate import delta_b_primal, primal_type
+from tests.test_oracle import chain_program
 
 
 def times(a, b):
@@ -75,3 +89,171 @@ def test_pattern_mismatch_messages():
                  Var("a")))
     with pytest.raises(MachineError, match="expected a number"):
         run(times(BangVal(Numeral(1.0)), Numeral(2.0)))
+
+
+# ---- let right-hand sides flattened at compile time
+
+def num(x):
+    return Numeral(float(x))
+
+
+def real(name):
+    return PVar(name, Real)
+
+
+def agrees_with_safe_reduce(m):
+    """The machine's value of the closed term `m`, after checking it and
+    its flops against `safe_reduce`."""
+    out = safe_reduce(m)
+    v, flops = run(m)
+    ref, _ = run(out.result)
+    assert values_close(v, ref, 0.0), (v, ref)
+    assert flops == out.numeric_steps, (flops, out.numeric_steps)
+    return v
+
+
+def test_split_pair_reads_outer_names_in_its_second_component():
+    # let x = 2 in let <x, y> = <3 *. x, x *. 5> in x *. y
+    m = let_(real("x"), num(2),
+             let_(PWith(real("x"), real("y")),
+                  WithPair(times(num(3), Var("x")), times(Var("x"), num(5))),
+                  times(Var("x"), Var("y"))))
+    assert agrees_with_safe_reduce(m) == VNum(60.0)
+
+
+def test_names_of_a_let_in_a_right_hand_side_end_with_it():
+    # let q = 7 in let p = (let q = 2 in q *. 3) in p *. q
+    m = let_(real("q"), num(7),
+             let_(real("p"), let_(real("q"), num(2), times(Var("q"), num(3))),
+                  times(Var("p"), Var("q"))))
+    assert agrees_with_safe_reduce(m) == VNum(42.0)
+    # let p = 5 in let q = 7 in
+    # let <p, r> = <(let q = 2 in q *. 3), p *. q> in p *. (r *. q)
+    m = let_(real("p"), num(5), let_(real("q"), num(7), let_(
+        PWith(real("p"), real("r")),
+        WithPair(let_(real("q"), num(2), times(Var("q"), num(3))),
+                 times(Var("p"), Var("q"))),
+        times(Var("p"), times(Var("r"), Var("q"))))))
+    assert agrees_with_safe_reduce(m) == VNum(6.0 * 35.0 * 7.0)
+
+
+def test_nested_split_reads_outer_names():
+    # let a = 2 in let b = 3 in
+    # let <a, <b, c>> = <b *. 5, <a *. 7, a *. b>> in a *. (b *. c)
+    m = let_(real("a"), num(2), let_(real("b"), num(3), let_(
+        PWith(real("a"), PWith(real("b"), real("c"))),
+        WithPair(times(Var("b"), num(5)),
+                 WithPair(times(Var("a"), num(7)), times(Var("a"), Var("b")))),
+        times(Var("a"), times(Var("b"), Var("c"))))))
+    assert agrees_with_safe_reduce(m) == VNum(15.0 * 14.0 * 6.0)
+
+
+def test_tensor_split_under_bang_patterns():
+    # let !x = !2 in let (!x (x) !y) = (!(x *. 3) (x) !(x *. 5)) in !(x *. y)
+    m = let_(PBang("x", Real), BangVal(num(2)), let_(
+        PTensor(PBang("x", Real), PBang("y", Real)),
+        TensorPair(BangVal(times(Var("x"), num(3))),
+                   BangVal(times(Var("x"), num(5)))),
+        BangVal(times(Var("x"), Var("y")))))
+    assert agrees_with_safe_reduce(m) == VBang(VNum(60.0))
+
+
+def test_binder_mismatch_inside_a_split_keeps_its_message():
+    # let x = 4 in let <!x, y> = <!0.5, x *. 2> in x *. y
+    m = let_(real("x"), num(4), let_(
+        PWith(PBang("x", Real), real("y")),
+        WithPair(BangVal(num(0.5)), times(Var("x"), num(2))),
+        times(Var("x"), Var("y"))))
+    assert agrees_with_safe_reduce(m) == VNum(4.0)
+    message = re.escape("pattern !x against VNum(value=0.5)")
+    for pat, pair in ((PWith, WithPair), (PTensor, TensorPair)):
+        bad = let_(pat(PBang("x", Real), real("y")), pair(num(0.5), num(1)),
+                   Var("y"))
+        with pytest.raises(MachineError, match=message):
+            run(bad)
+
+
+# ---- host stack depth
+
+ENV = {"x0": VNum(0.7), "x1": VNum(-0.4)}
+
+
+def transposed_chain(n_lets):
+    """The Δ term of `chain_program(n_lets)` and T(U) of its F image."""
+    sf = parse(chain_program(n_lets))
+    supply = NameSupply()
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    f, _ = forward(theta, term, supply)
+    return term, transpose(None, unzip(f, supply), supply)
+
+
+def with_headroom(frames, fn, *args):
+    """`fn(*args)` with the recursion limit `frames` above this call."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_evaluator_depth_does_not_grow_with_the_program():
+    for n in (75, 400):
+        term, r = transposed_chain(n)
+        c = with_headroom(60, compile_term, r)
+        out = with_headroom(30, eval_compiled, c, ENV, Flops())
+        assert out.left == run(term, ENV)[0], n
+
+
+def test_a_transposed_1000_let_chain_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    built = []
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(50_000)
+    threading.stack_size(256 << 20)
+    try:
+        worker = threading.Thread(
+            target=lambda: built.append(transposed_chain(1000)))
+        worker.start()
+        worker.join(300)
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive() and built
+    [(term, r)] = built
+    fl = Flops()
+    out = eval_compiled(compile_term(r), ENV, fl)
+    primal, _ = run(term, ENV)
+    assert type(primal) is VBang and out.left == primal
+    assert 0 < fl.count <= workload_term(r)
+
+
+# ---- values
+
+VALUES = [
+    (VNum(1.5), "VNum(value=1.5)", ("value",)),
+    (VUnit(), "VUnit()", ()),
+    (VTop(), "VTop()", ()),
+    (VPair(VNum(1.0), VUnit()), "VPair(left=VNum(value=1.0), right=VUnit())",
+     ("left", "right")),
+    (VWith(VTop(), VNum(2.0)), "VWith(left=VTop(), right=VNum(value=2.0))",
+     ("left", "right")),
+    (VBang(VNum(1.0)), "VBang(inner=VNum(value=1.0))", ("inner",)),
+    (VPrim(prim("sin")), "VPrim(fn=prim:sin)", ("fn",)),
+    (VPlus(), "VPlus()", ()),
+    (VTimes(), "VTimes(partial=None)", ("partial",)),
+    (VTimes(2.0), "VTimes(partial=2.0)", ("partial",)),
+]
+
+
+def test_values_are_slotted_and_compare_by_their_fields():
+    for v, text, fields in VALUES:
+        assert repr(v) == text
+        assert type(v).__match_args__ == fields
+        assert not hasattr(v, "__dict__"), text
+        twin = type(v)(*(getattr(v, f) for f in fields))
+        assert twin is not v and twin == v and hash(twin) == hash(v), text
+    assert VPair(VUnit(), VTop()) != VWith(VUnit(), VTop())
+    assert VNum(1.0) != VNum(2.0) and VTimes() != VTimes(1.0)

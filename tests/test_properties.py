@@ -13,7 +13,6 @@ from linlog.linear_a import (
 )
 from linlog.linear_a.expr import JProd, fv_primal, fv_tangent
 from linlog.linear_a.transform import infer_types
-from linlog.linear_a.values import basis_tuples, flatten, unflatten, zero_of
 from linlog.lll import PBang, Real, TypingEnv, alpha_eq, typecheck
 from linlog.lll.types import with_tuple_type
 from linlog.oracle import EquivConfig, basis, equiv_check

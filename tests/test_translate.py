@@ -5,17 +5,17 @@ from linlog.linear_a import (
     AddDot, Dup, JOne, JProd, JReal, ScaleDot, TanTupIntro2, VarPair, ZeroDot,
 )
 from linlog.lll import (
-    Abs, App, Bang, BangVal, Lolli, Numeral, One, PBang, Real, TensorPair,
-    Tensor, Top, TopVal, TypingEnv, Var, With, WithPair, Zero, alpha_eq,
-    normalize, typecheck,
+    Abs, App, Bang, BangVal, Lolli, Numeral, One, PBang, PVar, Real,
+    TensorPair, Tensor, Top, TopVal, TypingEnv, Var, With, WithPair, Zero,
+    alpha_eq, normalize, typecheck,
 )
 from linlog.lll.machine import run
 from linlog.lll.sorts import Sort, classify_sort
 from linlog.lll.typecheck import free_var_types
 from linlog.oracle import basis, flatten_value
 from linlog.translate import (
-    Enumeration, delta, mk_add, mk_fuse, mk_scale, mk_split, mk_zero,
-    primal_type, tangent_type,
+    Enumeration, delta, mk_add, mk_fuse, mk_split, mk_zero, primal_type,
+    scale_app, tangent_type,
 )
 
 RR = With(Real, Real)
@@ -40,6 +40,15 @@ def test_mk_zero():
 def test_mk_add_scalar_pair():
     out = normalize(App(mk_add(Real), WithPair(Numeral(2.0), Numeral(3.0))))
     assert out.result == Numeral(5.0)
+
+
+def mk_scale(h, supply=None):
+    """The curried map x, v -> x *. v on the with-sequence type `h`."""
+    supply = supply or NameSupply()
+    x = supply.fresh("x")
+    v = supply.fresh("v")
+    return Abs(PVar(x, Real),
+               Abs(PVar(v, h), scale_app(h, Var(x), Var(v), supply)))
 
 
 def test_mk_scale_compound():
@@ -81,7 +90,6 @@ def test_delta_varpair():
     # (!x, par(\u. u))
     assert isinstance(d, TensorPair)
     assert d.left == BangVal(Var("x"))
-    from linlog.lll import PVar
     fn = d.right.right
     assert alpha_eq(fn, Abs(PVar("u", Real), Var("u")))
 
