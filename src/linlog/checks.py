@@ -24,6 +24,7 @@ from linlog.lll.reduce import (
     _children, _rebuild, _safe_contract, _safe_step, beta_step,
     is_progress_normal_form, normalize, safe_reduce,
 )
+from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
     Abs, BangVal, PBang, Term, Var, alpha_eq, bang_let, prim_app,
 )
@@ -33,7 +34,7 @@ from linlog.lll.workload import is_safe, workload_term
 from linlog.oracle import (
     EquivConfig, basis_values, dimension_basis_values, equiv_check,
     finite_diff_grad, flatten_value, naive_transpose, random_value_of,
-    run_grad,
+    rows_disagree, run_grad, value_to_numtuple,
 )
 from linlog.translate import (
     Enumeration, TangentCtx, delta, delta_b_primal, primal_type,
@@ -397,38 +398,52 @@ def check_skip_unzip(n: int = 100, seed: int = 51,
 
 def check_gradients(n: int = 60, seed: int = 52,
                     cfg: EquivConfig | None = None) -> CheckResult:
-    """run_grad against finite differences on generated scalar programs."""
+    """run_grad against finite differences, row by row, with its flops
+    within the workload bound: on n generated scalar programs, then on
+    the tuple outputs with a scalar component among n primal terms."""
     cfg = cfg or EquivConfig()
     rng = random.Random(seed)
     bad = total = 0
     for c in jax_cases(n * 3, seed, "primal"):
         if total >= n:
             break
-        supply = c.supply
         ty, _ = infer_types(c.expr, c.penv, {})
         if ty is not JReal:
             continue
         fv = [x for x in c.penv if x in fv_primal(c.expr)]
         if not fv:
             continue
-        term = delta_b_primal(c.penv, c.expr, supply)
-        theta = [(x, Real) for x in fv]
+        term = delta_b_primal(c.penv, c.expr, c.supply)
         point = [Scalar(rng.uniform(-1.5, 1.5)) for _ in fv]
-        total += 1
-        try:
-            res = run_grad(term, theta, point, "tuf", supply=supply)
-            [fd] = finite_diff_grad(term, theta, point, cfg)
-        except OverflowError:
-            total -= 1
+        found = _gradient_violations(term, [(x, Real) for x in fv], point,
+                                     c.supply, cfg)
+        if found is not None:
+            total += 1
+            bad += found
+    for c in lll_p_cases(n, seed):
+        out = primal_inner_type(c.term, dict(c.sigma))
+        if out is Real or not c.sigma or not workload_type(seq_tangent(out)):
             continue
-        got = [g.value for g in res.gradient]
-        if len(got) != len(fd) or any(
-                abs(a - b) > cfg.fd_tol * max(1.0, abs(b), abs(a))
-                for a, b in zip(got, fd)):
-            bad += 1
-        if res.flops > res.workload_bound:
-            bad += 1
+        point = [value_to_numtuple(random_value_of(e, rng))
+                 for _, e in c.sigma]
+        found = _gradient_violations(c.term, c.sigma, point, c.supply, cfg)
+        if found is not None:
+            total += 1
+            bad += found
     return CheckResult("gradient-vs-finite-difference", total, bad)
+
+
+def _gradient_violations(term, theta, point, supply, cfg) -> int | None:
+    """0-2 violations of one gradient, or None if the program overflows."""
+    try:
+        res = run_grad(term, theta, point, "tuf", supply=supply)
+        fd = finite_diff_grad(term, theta, point, cfg)
+    except OverflowError:
+        return None
+    got = res.flat_rows()
+    wrong = ([len(r) for r in got] != [len(r) for r in fd]
+             or rows_disagree(got, fd, cfg.fd_tol))
+    return wrong + (res.flops > res.workload_bound)
 
 
 # ----------------------------------------------------------- criterion 8

@@ -25,16 +25,15 @@ from linlog.linear_a.expr import (
 )
 from linlog.linear_a.semantics import eval_primal
 from linlog.linear_a.typecheck import jax_workload, typecheck_jax
-from linlog.linear_a.values import NPair, NumTuple, Scalar, flatten
-from linlog.lll.machine import Flops, VWith, apply_value, eval_term
+from linlog.linear_a.values import NPair, NumTuple, Scalar
+from linlog.lll.machine import Flops, VWith, apply_value, eval_term, run
 from linlog.lll.terms import PBang
 from linlog.lll.typecheck import TypingEnv, free_var_types, typecheck
 from linlog.lll.types import Bang, LType, One, Real, Tensor, workload_type
 from linlog.lll.workload import is_safe, workload_term
 from linlog.oracle import (
-    EquivConfig, GradResult, equiv_check, finite_diff_grad, lll_eval_primal,
-    numtuple_to_primal_value, numtuple_to_tangent_value, run_grad,
-    value_to_numtuple,
+    EquivConfig, equiv_check, finite_diff_grad, numtuple_to_primal_value,
+    numtuple_to_tangent_value, rows_disagree, run_grad, value_to_numtuple,
 )
 from linlog.translate import Enumeration, delta, delta_b_primal, primal_type
 
@@ -159,7 +158,7 @@ def cmd_eval(args, report: Report):
         point = parse_point(args.point, shapes)
         values = {n: numtuple_to_primal_value(v)
                   for (n, _), v in zip(theta, point)}
-        v, flops = lll_eval_primal(term, values)
+        v, flops = run(term, values)
         report.put("flops", flops)
         out = value_to_numtuple(v)
     report.say(f"value = {_nt_str(out)}")
@@ -278,17 +277,6 @@ def cmd_workload(args, report: Report):
         report.put(f"workload.{k}", v)
 
 
-def _rows(res: GradResult) -> list[list[float]]:
-    """The rows of the transposed Jacobian, each over the scalar inputs."""
-    rows = [res.gradient] if res.jacobian_t is None else res.jacobian_t
-    return [[x for g in row for x in flatten(g)] for row in rows]
-
-
-def _disagree(rows_a, rows_b, tol: float) -> bool:
-    return any(abs(a - b) > tol * max(1.0, abs(a), abs(b))
-               for ra, rb in zip(rows_a, rows_b) for a, b in zip(ra, rb))
-
-
 def cmd_compare(args, report: Report):
     sf = _load(args.file, report)
     supply = NameSupply()
@@ -297,7 +285,7 @@ def cmd_compare(args, report: Report):
     r1 = run_grad(term, theta, point, "tuf", supply=supply.clone())
     r2 = run_grad(term, theta, point, "tf", supply=supply.clone())
     fd = finite_diff_grad(term, theta, point, EquivConfig(fd_step=args.fd_step))
-    g1, g2 = _rows(r1), _rows(r2)
+    g1, g2 = r1.flat_rows(), r2.flat_rows()
     report.say(f"primal          = {_nt_str(r1.primal)}")
     for label, key, rows, note in (
             ("grad TUF", "tuf", g1, f"   ({r1.flops} flops)"),
@@ -310,9 +298,9 @@ def cmd_compare(args, report: Report):
             report.put(f"grad.{key}{dot}", repr(row))
     report.put("flops.tuf", r1.flops)
     report.put("flops.tf", r2.flops)
-    if _disagree(g1, g2, args.tol):
+    if rows_disagree(g1, g2, args.tol):
         report.fail("TUF and TF gradients disagree")
-    if _disagree(g1, fd, 1e-5):
+    if rows_disagree(g1, fd, 1e-5):
         report.fail("gradient disagrees with finite differences")
 
 
@@ -367,8 +355,8 @@ def cmd_check(args, report: Report):
         if all(e is JReal for e in shapes):
             point = [Scalar(0.5 + 0.25 * i) for i in range(len(shapes))]
             res = run_grad(term, theta, point, "tuf", supply=supply)
-            bad = _disagree(_rows(res), finite_diff_grad(term, theta, point),
-                            1e-5)
+            bad = rows_disagree(res.flat_rows(),
+                                finite_diff_grad(term, theta, point), 1e-5)
             results.append(CheckResult("gradient-agreement", 1, int(bad)))
     for i, r in enumerate(results):
         report.say(r.line())

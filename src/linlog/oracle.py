@@ -12,30 +12,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from linlog.autodiff import _t_type, forward, seq_tangent, transpose, unzip
+from linlog.autodiff import (
+    _t_type, forward, seq_tangent, transpose, unzip, unzip_decompose,
+)
 from linlog.errors import NotWithSeq
 from linlog.fresh import NameSupply
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup, flatten
 from linlog.lll import machine
 from linlog.lll.machine import (
     Flops, VBang, VNum, VPair, VTop, VUnit, VWith, Value, apply_value,
-    compile_term, eval_compiled, eval_term, values_close,
+    compile_term, eval_compiled, values_close,
 )
 from linlog.lll.reduce import simplify
 from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
-    Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar,
-    PWith, Term, TensorPair, TimesDot, TopVal, Var, WithPair, Zero,
-    para_pattern, pattern_type, pattern_var_types,
+    Abs, App, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar, PWith,
+    Term, TensorPair, TimesDot, TopVal, Var, WithPair, Zero, pattern_type,
+    pattern_var_types,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, Top, With, is_ground, is_with_seq,
 )
 from linlog.lll.typecheck import TypeMismatch, TypingEnv, typecheck
 from linlog.lll.workload import workload_term
-from linlog.translate import (
-    TangentCtx, add_app, mk_zero, scale_app, with_tree,
-)
+from linlog.translate import add_app, mk_zero, scale_app, with_tree
 
 
 @dataclass(frozen=True)
@@ -367,12 +367,6 @@ def equiv_check(ty: LType, m: Term, n: Term, env: TypingEnv,
 
 # --------------------------------------------------------- finite difference
 
-def lll_eval_primal(p: Term, values: dict[str, Value]) -> tuple[Value, int]:
-    flops = Flops()
-    v = eval_term(p, values, flops)
-    return v, flops.count
-
-
 def finite_diff_grad(p: Term, theta: list[tuple[str, LType]],
                      point: list[NumTuple], cfg: EquivConfig | None = None
                      ) -> list[list[float]]:
@@ -409,6 +403,14 @@ def finite_diff_grad(p: Term, theta: list[tuple[str, LType]],
     return [[col[i] for col in cols] for i in range(n_out)]
 
 
+def rows_disagree(a: list[list[float]], b: list[list[float]],
+                  tol: float) -> bool:
+    """Whether two Jacobians differ in an entry they share, relative to its
+    magnitude where that exceeds 1."""
+    return any(abs(x - y) > tol * max(1.0, abs(x), abs(y))
+               for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
 def _nt_unflatten_primal(xs, template: NumTuple) -> Value:
     def go(t, i):
         match t:
@@ -435,17 +437,25 @@ class GradResult:
     workload_bound: int
     jacobian_t: list[list[NumTuple]] | None = None
 
+    def flat_rows(self) -> list[list[float]]:
+        """The rows of the transposed Jacobian, each over the scalar inputs."""
+        rows = [self.gradient] if self.jacobian_t is None else self.jacobian_t
+        return [[x for g in row for x in flatten(g)] for row in rows]
+
 
 def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
              pipeline: str = "tuf", simplify_output: bool = False,
-             cfg: EquivConfig | None = None,
              supply: NameSupply | None = None) -> GradResult:
-    """Gradient through the reverse pipeline.  For a scalar output the
-    transposed tangent map is applied to the unit cotangent; tuple
-    outputs are run once per basis cotangent, yielding the transposed
-    Jacobian row by row."""
+    """Gradient through the reverse pipeline, linearizing once.  The
+    transposed term r evaluates once to `!primal ⊗ <(), g>`; row i of the
+    transposed Jacobian is g applied to the i-th of the k basis cotangents
+    of the output (a scalar output is the case k = 1).
+
+    The bound is W(r) + max(k-1, 0)·W(map), the map being the linear part
+    of r with its section lets (`unzip_decompose(r)[2]`): W(r) bounds the
+    primal run and one application, and each further application runs
+    only the map's body, which W(map) bounds."""
     supply = supply or NameSupply()
-    cfg = cfg or EquivConfig()
     f, enum = forward(theta, p, supply)
     if pipeline == "tuf":
         r = transpose(None, unzip(f, supply), supply)
@@ -456,36 +466,22 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     if simplify_output:
         r = simplify(r)
 
-    ein = TangentCtx.and_type([(n, seq_tangent(e)) for n, e in enum])
-    out_e = primal_inner_type(p, dict(theta))
-    hty = seq_tangent(out_e)
+    hty = seq_tangent(primal_inner_type(p, dict(theta)))
     values = {n: numtuple_to_primal_value(v) for (n, _), v in zip(theta, point)}
-
-    def one_run(cotangent: Term):
-        z, g = supply.fresh("z"), supply.fresh("g")
-        pat = PTensor(PBang(z, out_e), para_pattern(PVar(g, Lolli(hty, ein))))
-        total = App(Abs(pat, TensorPair(BangVal(Var(z)),
-                                        App(Var(g), cotangent))), r)
-        out, flops = lll_eval_primal(total, values)
-        primal = value_to_numtuple(out.left.inner)
-        by_name = dict(zip([n for n, _ in enum],
-                           _split_tangent(out.right, enum)))
-        row = [by_name[n] for n, _ in theta]
-        return primal, row, flops, workload_term(total)
-
-    if hty is Real:
-        primal, grads, flops, bound = one_run(Numeral(1.0))
-        return GradResult(primal, grads, flops, bound)
+    flops = Flops()
+    out = eval_compiled(compile_term(r), values, flops)
+    g = out.right.right
     rows = []
-    flops = bound = 0
-    primal = None
-    for b in basis(hty):
-        primal, row, fl, wb = one_run(b)
-        rows.append(row)
-        flops += fl
-        bound += wb
-    return GradResult(primal, rows[0] if rows else [], flops, bound,
-                      jacobian_t=rows)
+    for b in basis_values(hty):
+        by_name = dict(zip([n for n, _ in enum],
+                           _split_tangent(apply_value(g, b, flops), enum)))
+        rows.append([by_name[n] for n, _ in theta])
+    bound = workload_term(r)
+    if len(rows) > 1:  # the map is walked only if it is applied again
+        bound += (len(rows) - 1) * workload_term(unzip_decompose(r)[2])
+    return GradResult(value_to_numtuple(out.left.inner),
+                      rows[0] if rows else [], flops.count, bound,
+                      jacobian_t=None if hty is Real else rows)
 
 
 def _split_tangent(v: Value, enum) -> list[NumTuple]:

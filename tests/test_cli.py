@@ -145,6 +145,41 @@ def test_grad_prints_every_jacobian_row_of_a_tuple_output():
     assert eval(rows["grad.01"]) == pytest.approx((2.0, 0.5), abs=1e-12)
 
 
+def test_grad_of_a_tuple_output_evaluates_the_primal_once():
+    # two outputs: one primal run and two applications of the map, not two
+    # full runs (18 flops)
+    code, out = run_cli("grad", "programs/pair_out.lll", "--point", "0.5 2.0",
+                        "--format", "machine")
+    assert code == 0
+    lines = dict(l.split("=", 1) for l in out.splitlines())
+    assert lines["grad.00"] == "(0.8775825618903728, 0.0)"
+    assert lines["grad.01"] == "(2.0, 0.5)"
+    assert lines["primal"] == "(0.479425538604203, 1.0)"
+    assert lines["flops"] == "13" and lines["workload_bound"] == "13"
+
+
+NO_SCALAR_OUTPUT = ("(linear-a (primal (x real)) "
+                    "(expr (let-p y (prim sin x) (ptup-e (ptup) (ptup)))))")
+
+
+def test_grad_and_compare_keep_the_primal_of_an_output_with_no_scalar_component(
+        tmp_path):
+    # the output has no basis cotangent, yet the primal is still computed
+    src = tmp_path / "no_scalar.lina"
+    src.write_text(NO_SCALAR_OUTPUT)
+    code, out = run_cli("grad", str(src), "--point", "0.3")
+    assert code == 0 and "primal = ((), ())" in out
+    code, out = run_cli("grad", str(src), "--point", "0.3", "--format", "machine")
+    lines = dict(l.split("=", 1) for l in out.splitlines())
+    assert code == 0
+    assert lines["primal"] == "((), ())"
+    assert lines["flops"] == "2" and lines["workload_bound"] == "2"
+    _, out = run_cli("eval", str(src), "--point", "0.3", "--format", "machine")
+    assert "value=((), ())" in out.splitlines()
+    code, out = run_cli("compare", str(src), "--point", "0.3")
+    assert code == 0 and "primal          = ((), ())" in out
+
+
 def test_compare_uses_fd_step():
     _, fine = run_cli("compare", G, "--point", "0.5 2.0", "--format", "machine")
     _, coarse = run_cli("compare", G, "--point", "0.5 2.0", "--fd-step", "0.1",

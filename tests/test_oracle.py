@@ -1,19 +1,35 @@
+import functools
+import importlib.util
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from linlog import NameSupply
+from linlog import NameSupply, oracle
+from linlog.autodiff import forward, seq_tangent, transpose, unzip
+from linlog.frontend import parse
+from linlog.gen import lll_p_cases
 from linlog.linear_a import Scalar
+from linlog.linear_a.expr import fv_primal
 from linlog.lll import (
     Abs, App, Numeral, PVar, PWith, PlusDot, Real, Top, TopVal, TypingEnv,
     Var, With, WithPair, Zero, normalize, typecheck, workload_type,
 )
 from linlog.lll.machine import VNum, VWith, run
+from linlog.lll.reduce import simplify
+from linlog.lll.sorts import primal_inner_type
+from linlog.lll.terms import BangVal, PBang, PTensor, TensorPair, para_pattern
+from linlog.lll.types import Lolli
+from linlog.lll.workload import workload_term
 from linlog.oracle import (
-    EquivConfig, GradResult, Verdict, basis, basis_values, equiv_check,
-    finite_diff_grad, flatten_value, inner_product, mk_dual, mk_undual,
-    naive_transpose, run_grad, term_to_value,
+    EquivConfig, GradResult, Verdict, _split_tangent, basis, basis_values,
+    equiv_check, finite_diff_grad, flatten_value, inner_product, mk_dual,
+    mk_undual, naive_transpose, numtuple_to_primal_value, random_value_of,
+    run_grad, term_to_value, value_to_numtuple,
 )
+from linlog.translate import TangentCtx, delta_b_primal, primal_type
 from tests.terms9 import fig9a_env, fig9a_term
 from tests.test_linear_a import g_grad, g_value
 
@@ -202,3 +218,140 @@ def test_gradient_of_a_150_let_chain_at_the_default_recursion_limit():
     assert all(abs(g) > 0.1 for g in got), got
     assert got == pytest.approx(fd, rel=1e-5, abs=1e-5)
     assert 0 < res.flops <= res.workload_bound
+
+
+# ------------------------------------------- linearizing once, against the
+# per-cotangent loop that `run_grad` replaced
+
+LADDER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
+
+
+@functools.cache
+def _ladder():
+    spec = importlib.util.spec_from_file_location("ladder", LADDER_PATH)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def ladder_case(n_lets, n_inputs, n_outputs, seed=0):
+    """A straight-line program of the benchmark's gradient ladder, lowered
+    as the command line's grad lowers it."""
+    rng = random.Random(f"ladder:{seed}:{n_lets}:{n_outputs}")
+    prog = _ladder().generate(rng, n_lets, n_inputs, n_outputs)
+    supply = NameSupply()
+    sf = parse(prog.source(), supply)
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    point = [Scalar(rng.uniform(-1.5, 1.5)) for _ in theta]
+    return term, theta, point, supply
+
+
+def reference_run_grad(p, theta, point, pipeline, simplify_output, supply):
+    """`run_grad` before it linearized once: for each basis cotangent it
+    wraps the transposed term, compiles it, runs it whole, primal included,
+    and walks the wrapper for its workload; flops and bounds add up.
+    Returns (primal, rows, flops, bound); the primal is None when the
+    output has no basis cotangent."""
+    f, enum = forward(theta, p, supply)
+    r = transpose(None, unzip(f, supply) if pipeline == "tuf" else f, supply)
+    if simplify_output:
+        r = simplify(r)
+    ein = TangentCtx.and_type([(n, seq_tangent(e)) for n, e in enum])
+    out_e = primal_inner_type(p, dict(theta))
+    hty = seq_tangent(out_e)
+    values = {n: numtuple_to_primal_value(v) for (n, _), v in zip(theta, point)}
+
+    def one_run(cotangent):
+        z, g = supply.fresh("z"), supply.fresh("g")
+        pat = PTensor(PBang(z, out_e), para_pattern(PVar(g, Lolli(hty, ein))))
+        total = App(Abs(pat, TensorPair(BangVal(Var(z)),
+                                        App(Var(g), cotangent))), r)
+        out, flops = run(total, values)
+        by_name = dict(zip([n for n, _ in enum],
+                           _split_tangent(out.right, enum)))
+        return (value_to_numtuple(out.left.inner),
+                [by_name[n] for n, _ in theta], flops, workload_term(total))
+
+    runs = [one_run(b) for b in basis(hty)]
+    return (runs[-1][0] if runs else None, [row for _, row, _, _ in runs],
+            sum(fl for *_, fl, _ in runs), sum(wb for *_, wb in runs))
+
+
+def _rows_of(res):
+    return [res.gradient] if res.jacobian_t is None else res.jacobian_t
+
+
+def _same_as_reference(term, theta, point, supply, pipeline, simplify_output):
+    """Checks one run against the reference; returns (k, result, reference).
+    Where the output has no basis cotangent the reference never ran, and
+    only the linearized run has a primal and flops."""
+    ref = reference_run_grad(term, theta, point, pipeline, simplify_output,
+                             supply.clone())
+    res = run_grad(term, theta, point, pipeline,
+                   simplify_output=simplify_output, supply=supply.clone())
+    primal, rows, flops, bound = ref
+    assert repr(_rows_of(res)) == repr(rows)
+    assert res.flops <= res.workload_bound
+    if not rows:
+        assert primal is None and res.primal is not None
+    elif res.jacobian_t is None:
+        assert repr(res.primal) == repr(primal)
+        assert (res.flops, res.workload_bound) == (flops, bound)
+    else:
+        assert repr(res.primal) == repr(primal)
+        assert res.flops <= flops and res.workload_bound <= bound
+    return len(rows), res, ref
+
+
+# (lets, inputs, outputs); `simplify` is slow on long terms, so it gets the
+# short programs
+LADDER_SHAPES = {False: [(30, 2, 1), (15, 3, 2), (10, 2, 3), (30, 3, 6)],
+                 True: [(10, 2, 1), (10, 3, 2), (10, 2, 3), (12, 3, 6)]}
+
+
+@pytest.mark.parametrize("pipeline", ["tuf", "tf"])
+@pytest.mark.parametrize("simplify_output", [False, True])
+def test_run_grad_matches_the_per_cotangent_loop_on_ladder_programs(
+        pipeline, simplify_output):
+    for shape in LADDER_SHAPES[simplify_output]:
+        k, res, (_, _, flops, bound) = _same_as_reference(
+            *ladder_case(*shape), pipeline, simplify_output)
+        assert k == shape[2]
+        if k > 1:
+            # one primal run instead of k
+            assert res.flops < flops and res.workload_bound < bound
+
+
+@pytest.mark.parametrize("pipeline", ["tuf", "tf"])
+@pytest.mark.parametrize("simplify_output", [False, True])
+def test_run_grad_matches_the_per_cotangent_loop_on_tuple_outputs(
+        pipeline, simplify_output):
+    rng = random.Random(81)
+    jacobians = 0
+    for c in lll_p_cases(60, 81):
+        if primal_inner_type(c.term, dict(c.sigma)) is Real:
+            continue
+        point = [value_to_numtuple(random_value_of(e, rng)) for _, e in c.sigma]
+        try:
+            k, _, _ = _same_as_reference(c.term, c.sigma, point, c.supply,
+                                         pipeline, simplify_output)
+        except OverflowError:
+            continue
+        jacobians += k > 1
+    assert jacobians >= 15
+
+
+def test_run_grad_compiles_once_whatever_the_number_of_outputs(
+        monkeypatch):
+    calls = {"compile_term": 0, "workload_term": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    term, theta, point, supply = ladder_case(10, 2, 3)
+    res = run_grad(term, theta, point, supply=supply)
+    assert len(res.jacobian_t) == 3
+    assert calls["compile_term"] == 1 and calls["workload_term"] <= 2
