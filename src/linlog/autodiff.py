@@ -15,13 +15,13 @@ from __future__ import annotations
 from linlog.errors import EnumerationMismatch, LinlogError, SortViolation
 from linlog.fresh import NameSupply
 from linlog.lll.lets import LetKind, bind, let_kind, rebuild, spine, unbind
-from linlog.lll.reduce import _rename_free, uniquify
+from linlog.lll.reduce import uniquify
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, _children, all_names, bang_let, free_vars, let_, para,
+    WithPair, Zero, _children, bang_let, free_vars, let_, para,
     para_pattern, pattern_type, pattern_var_types, pattern_vars, prim_app,
-    with_pattern,
+    prim_args, with_pattern,
 )
 from linlog.lll.prims import partial_of
 from linlog.lll.types import Bang, LType, Lolli, One, Real, Tensor, Top, With
@@ -167,7 +167,10 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             return out, theta, Tensor(Bang(ea), Bang(eb))
 
         case App(PrimFn(fn), _) as ap:
-            args = _prim_arg_vars(ap.arg, fn.arity)
+            args = prim_args(ap.arg, fn.arity)
+            if args is None or any(not isinstance(a.inner, Var) for a in args):
+                raise SortViolation(f"primitive argument {ap.arg!r}")
+            args = [a.inner.name for a in args]
             enum = []
             for n in args:  # first-occurrence argument order
                 if n not in [m for m, _ in enum]:
@@ -205,21 +208,6 @@ def _tensor_pattern_leaves(pat: Pattern) -> list[tuple[str, LType]]:
         case PTensor(l, r):
             return _tensor_pattern_leaves(l) + _tensor_pattern_leaves(r)
     raise SortViolation(f"bad tensor pattern {pat!r}")
-
-
-def _prim_arg_vars(arg: Term, arity: int) -> list[str]:
-    out = []
-    cur = arg
-    for _ in range(arity - 1):
-        if not (isinstance(cur, TensorPair) and isinstance(cur.left, BangVal)
-                and isinstance(cur.left.inner, Var)):
-            raise SortViolation(f"primitive argument {arg!r}")
-        out.append(cur.left.inner.name)
-        cur = cur.right
-    if not (isinstance(cur, BangVal) and isinstance(cur.inner, Var)):
-        raise SortViolation(f"primitive argument {arg!r}")
-    out.append(cur.inner.name)
-    return out
 
 
 # ---------------------------------------------------------------- unzipping
@@ -270,10 +258,6 @@ class Renaming:
     def identity(names) -> "Renaming":
         return Renaming({n: n for n in names})
 
-    @staticmethod
-    def fresh_for(names, supply: NameSupply) -> "Renaming":
-        return Renaming({n: supply.fresh(n) for n in names})
-
     def dom(self):
         return self.map.keys()
 
@@ -284,15 +268,16 @@ class Renaming:
 EMPTY_RENAMING = Renaming()
 
 
-def rename_apply(alpha: Renaming, m: Term) -> Term:
-    """alpha[M]: replace free occurrences of the domain."""
-    ren = {a: b for a, b in alpha.map.items() if a != b}
-    if not ren:
-        return m
-    clash = set(ren.values()) & all_names(m)
-    if clash:
-        raise CaptureDetected(f"codomain names {sorted(clash)} occur in the term")
-    return _rename_free(m, ren)
+def _rename_apart(env: dict, fv, supply: NameSupply) -> tuple[Renaming, dict]:
+    """The fresh renaming of the pattern variables that the names in `fv`
+    stand for, in pattern order, and the environment of a component with
+    free names `fv` through it."""
+    alpha, sub = Renaming(), {}
+    for n, (v, ty) in env.items():
+        if n in fv:
+            w = alpha.map[v] = supply.fresh(v)
+            sub[n] = (w, ty)
+    return alpha, sub
 
 
 def _project(p: Pattern, ren: dict[str, str]) -> Pattern | None:
@@ -355,9 +340,12 @@ def nu(p: Pattern, a1: Renaming, a2: Renaming) -> Term:
 #
 # `phi` maps each section-bound function in scope to its cotangent sibling
 # and its type: one dict, extended at a section binder and restored on
-# leaving the binder's scope.  `occurs` holds every variable name occurring
-# in T's input: after `uniquify` a binder's name occurs only in its scope,
-# so a section binder whose name is not in it is dropped.
+# leaving the binder's scope.  `env` maps each name of a tangent term to
+# the pattern variable it stands for and that variable's type: T never
+# renames its input, it renames the environment.  `occurs` holds every
+# variable name occurring in T's input: after `uniquify` a binder's name
+# occurs only in its scope, so a section binder whose name is not in it is
+# dropped, and a fresh name in it would be captured.
 
 
 def _occurring(m: Term) -> set[str]:
@@ -370,60 +358,29 @@ def _occurring(m: Term) -> set[str]:
     return out
 
 
-def _f_type(f: Term, phi: dict, ptys: dict[str, LType]) -> LType:
-    frames, f = spine(f)
-    if any(let_kind(p, n) is not LetKind.SECTION for p, n in frames):
-        raise SortViolation(f"not a tangent-function let chain: {f!r}")
-    if frames:
-        ptys = ptys | {p.right.name: p.right.ty for p, _ in frames}
-    match f:
-        case Var(name):
-            if name in phi:
-                return phi[name][1]
-            return ptys[name]
-        case PlusDot():
-            return Lolli(With(Real, Real), Real)
-        case App(TimesDot(), _):
-            return Lolli(Real, Real)
-        case Abs(pat, body):
-            return Lolli(pattern_type(pat),
-                         _t_type(body, phi, ptys | pattern_var_types(pat)))
-    raise SortViolation(f"not a tangent-function term: {f!r}")
-
-
-def _t_type(u: Term, phi: dict, ptys) -> LType:
-    match u:
-        case Var(n):
-            return ptys[n]
-        case Zero():
-            return Real
-        case TopVal():
-            return Top
-        case WithPair(l, r):
-            return With(_t_type(l, phi, ptys), _t_type(r, phi, ptys))
-        case App(f, _):
-            ty = _f_type(f, phi, ptys)
-            return ty.cod
-    raise SortViolation(f"not a tangent-sort term: {u!r}")
+def _own_env(p: Pattern) -> dict:
+    """The environment in which each variable of `p` stands for itself."""
+    return {n: (n, ty) for n, ty in pattern_var_types(p).items()}
 
 
 def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
-                ptys: dict[str, LType], pvt: dict[str, LType] | None = None,
-                occurs: set[str] | None = None):
-    """Returns (cotangent pattern q, body, used p-variables).  `pvt` maps
-    the variables of `p` that may occur free in `u` to their types, in
-    pattern order (by default all of them); below a with-pair, `p` is
-    projected to the variables its component uses.  `occurs` holds the
-    names occurring in T's input (by default those occurring in `u`)."""
-    if pvt is None:
-        pvt = pattern_var_types(p)
+                env: dict | None = None, occurs: set[str] | None = None):
+    """Returns (cotangent pattern q, body, used p-variables).  `env` maps
+    the names that may occur free in `u` to the variables of `p` they
+    stand for and their types, in pattern order (by default each variable
+    of `p` stands for itself); below a with-pair, `p` is projected to the
+    variables its component uses.  `occurs` holds the names occurring in
+    T's input (by default those occurring in `u`)."""
+    if env is None:
+        env = _own_env(p)
     if occurs is None:
         occurs = _occurring(u)
 
     match u:
-        case Var(name) if name in pvt:
+        case Var(name) if name in env:
+            v, ty = env[name]
             q = supply.fresh("z")
-            return PVar(q, pvt[name]), Var(q), {name}
+            return PVar(q, ty), Var(q), {v}
 
         case Zero():
             return PVar(supply.fresh("z"), Real), TopVal(), set()
@@ -431,9 +388,12 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
             return PVar(supply.fresh("z"), Top), TopVal(), set()
 
         case WithPair(u1, u2):
-            fv1, fv2 = free_vars(u1), free_vars(u2)
-            a1 = Renaming.fresh_for([n for n in pvt if n in fv1], supply)
-            a2 = Renaming.fresh_for([n for n in pvt if n in fv2], supply)
+            a1, env1 = _rename_apart(env, free_vars(u1), supply)
+            a2, env2 = _rename_apart(env, free_vars(u2), supply)
+            clash = (a1.cod() | a2.cod()) & occurs
+            if clash:
+                raise CaptureDetected(
+                    f"codomain names {sorted(clash)} occur in the term")
             # Each component is transposed against p projected to the
             # variables it uses, renamed apart.  A component that uses none
             # keeps p (no variable of p occurs in it); the fresh T variable
@@ -441,11 +401,9 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
             # the order the fresh names have always been drawn.
             p1, p2 = _project(p, a1.map), _project(p, a2.map)
             q1, b1, used1 = transpose_t(
-                phi, p if p1 is None else p1, rename_apply(a1, u1), supply,
-                ptys, {b: pvt[a] for a, b in a1.map.items()}, occurs)
+                phi, p if p1 is None else p1, u1, supply, env1, occurs)
             q2, b2, used2 = transpose_t(
-                phi, p if p2 is None else p2, rename_apply(a2, u2), supply,
-                ptys, {b: pvt[a] for a, b in a2.map.items()}, occurs)
+                phi, p if p2 is None else p2, u2, supply, env2, occurs)
             assert used1 == a1.cod() and used2 == a2.cod()
             binder = PWith(_fresh_top(supply) if p1 is None else p1,
                            _fresh_top(supply) if p2 is None else p2)
@@ -458,9 +416,8 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
             return PWith(q1, q2), body, used
 
         case App(f, u1):
-            fc = transpose_f(phi, f, supply, ptys, occurs)
-            hty = _f_type(f, phi, ptys | pvt).cod
-            q1, b1, used1 = transpose_t(phi, p, u1, supply, ptys, pvt, occurs)
+            fc, hty = _transpose_f(phi, f, supply, occurs)
+            q1, b1, used1 = transpose_t(phi, p, u1, supply, env, occurs)
             q = supply.fresh("z")
             body = App(Abs(q1, b1), App(fc, Var(q)))
             return PVar(q, hty), body, used1
@@ -469,31 +426,37 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
 
 
 def transpose_f(phi: dict, f: Term, supply: NameSupply,
-                ptys: dict[str, LType], occurs: set[str] | None = None) -> Term:
+                occurs: set[str] | None = None) -> Term:
     """T of a tangent-function term; `occurs` is as for `transpose_t`."""
-    if occurs is None:
-        occurs = _occurring(f)
+    return _transpose_f(phi, f, supply,
+                        _occurring(f) if occurs is None else occurs)[0]
+
+
+def _transpose_f(phi: dict, f: Term, supply, occurs) -> tuple[Term, LType]:
+    """T of a tangent-function term and the term's codomain, the type of
+    the cotangent its transpose takes."""
     frames, f = spine(f)
     if frames:
-        return _transpose_lets(
-            phi, frames, (LetKind.SECTION,), supply, ptys, occurs,
-            lambda: transpose_f(phi, f, supply, ptys, occurs))
+        return _transpose_lets(phi, frames, (LetKind.SECTION,), supply,
+                               occurs, f, None)
     match f:
         case Var(name):
             if name not in phi:
                 raise SortViolation(f"function variable {name} not section-bound")
-            return Var(phi[name][0])
+            fc, ty = phi[name]
+            return Var(fc), ty.cod
         case PlusDot():
             u = supply.fresh("u")
-            return Abs(PVar(u, Real), WithPair(Var(u), Var(u)))
+            return Abs(PVar(u, Real), WithPair(Var(u), Var(u))), Real
         case App(TimesDot(), _):
-            return f
+            return f, Real
         case Abs(pat, body):
-            pvt = pattern_var_types(pat)
-            q, b, used = transpose_t(phi, pat, body, supply, ptys, pvt, occurs)
-            alpha = Renaming.identity([n for n in pvt if n in used])
-            return Abs(q, let_(rename_project(alpha, pat, supply), b,
-                               nu(pat, alpha, EMPTY_RENAMING)))
+            env = _own_env(pat)
+            q, b, used = transpose_t(phi, pat, body, supply, env, occurs)
+            alpha = Renaming.identity([n for n in env if n in used])
+            body = let_(rename_project(alpha, pat, supply), b,
+                        nu(pat, alpha, EMPTY_RENAMING))
+            return Abs(q, body), pattern_type(q)
     raise SortViolation(f"not a tangent-function term: {f!r}")
 
 
@@ -509,17 +472,17 @@ def _transpose_a(phi: dict, r: Term, supply, occurs) -> Term:
     frames, tail = spine(r)
     match tail:
         case TensorPair(p, WithPair(UnitVal(), f)):
-            return _transpose_lets(
-                phi, frames, tuple(LetKind), supply, {}, occurs, lambda:
-                TensorPair(p, para(transpose_f(phi, f, supply, {}, occurs))))
+            return _transpose_lets(phi, frames, tuple(LetKind), supply,
+                                   occurs, f, p)[0]
     raise SortViolation(f"not a mixed-sort term: {tail!r}")
 
 
-def _transpose_lets(phi, frames, kinds, supply, ptys, occurs, tail) -> Term:
-    """T of the let spine `frames` around the tail that `tail()`
-    transposes, in one loop: the section lets are entered in order, each
-    live one drawing its cotangent name; then the tail is transposed; then
-    the right-hand sides, innermost first, each in the scope of the lets
+def _transpose_lets(phi, frames, kinds, supply, occurs, tail, primal):
+    """T of the let spine `frames` around the tangent function `tail`,
+    paired with `primal` unless that is None, and the codomain of `tail`;
+    in one loop: the section lets are entered in order, each live one
+    drawing its cotangent name; then `tail` is transposed; then the
+    right-hand sides, innermost first, each in the scope of the lets
     before it.  Only right-hand sides recurse.  A dead section let is
     dropped, keeping the primal half of a bang-section let."""
     out, todo = [], []
@@ -541,12 +504,14 @@ def _transpose_lets(phi, frames, kinds, supply, ptys, occurs, tail) -> Term:
         elif kind is LetKind.BANG_SECTION:
             ctx, p1, _f1 = unzip_decompose(rhs)
             out.append((pat.left, rebuild(ctx, p1)))
-    inner = tail()
+    inner, cod = _transpose_f(phi, tail, supply, occurs)
+    if primal is not None:
+        inner = TensorPair(primal, para(inner))
     for i, kind, rhs, saved in reversed(todo):
         unbind(phi, saved)
         if kind is LetKind.SECTION:
-            rhs = para(transpose_f(phi, rhs.right, supply, ptys, occurs))
+            rhs = para(_transpose_f(phi, rhs.right, supply, occurs)[0])
         else:
             rhs = _transpose_a(phi, rhs, supply, occurs)
         out[i] = out[i][0], rhs
-    return rebuild(out, inner)
+    return rebuild(out, inner), cod

@@ -32,8 +32,9 @@ from linlog.lll.typecheck import TypingEnv, free_var_types, typecheck
 from linlog.lll.types import Bang, LType, One, Real, Tensor, workload_type
 from linlog.lll.workload import is_safe, workload_term
 from linlog.oracle import (
-    EquivConfig, equiv_check, finite_diff_grad, numtuple_to_primal_value,
-    numtuple_to_tangent_value, rows_disagree, run_grad, value_to_numtuple,
+    FD_TOL, EquivConfig, equiv_check, finite_diff_grad,
+    numtuple_to_primal_value, numtuple_to_tangent_value, rows_disagree,
+    run_grad, value_to_numtuple,
 )
 from linlog.translate import Enumeration, delta, delta_b_primal, primal_type
 
@@ -300,7 +301,7 @@ def cmd_compare(args, report: Report):
     report.put("flops.tf", r2.flops)
     if rows_disagree(g1, g2, args.tol):
         report.fail("TUF and TF gradients disagree")
-    if rows_disagree(g1, fd, 1e-5):
+    if rows_disagree(g1, fd, FD_TOL):
         report.fail("gradient disagrees with finite differences")
 
 
@@ -356,7 +357,7 @@ def cmd_check(args, report: Report):
             point = [Scalar(0.5 + 0.25 * i) for i in range(len(shapes))]
             res = run_grad(term, theta, point, "tuf", supply=supply)
             bad = rows_disagree(res.flat_rows(),
-                                finite_diff_grad(term, theta, point), 1e-5)
+                                finite_diff_grad(term, theta, point), FD_TOL)
             results.append(CheckResult("gradient-agreement", 1, int(bad)))
     for i, r in enumerate(results):
         report.say(r.line())

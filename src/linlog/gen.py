@@ -42,6 +42,13 @@ BINARY_PRIMS = [prim(n) for n in ("add2", "mul2", "sub2")]
 SMALL_JAX_TYPES = [JReal, JReal, JReal, JOne, JProd(JReal, JReal),
                    JProd(JReal, JOne)]
 
+# The size of the generated cases: the nesting depth of every corpus, the
+# tangent dimension of a Linear-A environment, and the largest summed
+# dimension of a tangent function's domain and codomain.
+DEPTH = 3
+TANGENT_DIM = 4
+MAX_FN_DIM = 8
+
 
 # ------------------------------------------------------- first-order layer
 
@@ -207,22 +214,21 @@ def gen_linear_b(rng, supply, penv, tenv: list, depth: int) -> Expr:
     return core
 
 
-def jax_cases(n: int, seed: int, kind: str = "linear-a",
-              tangent_dim: int = 4, depth: int = 3) -> list[JaxCase]:
+def jax_cases(n: int, seed: int, kind: str = "linear-a") -> list[JaxCase]:
     out = []
     rng = random.Random(seed)
     for i in range(n):
         supply = NameSupply()
-        penv, theta = _fresh_env(rng, supply, tangent_dim)
+        penv, theta = _fresh_env(rng, supply, TANGENT_DIM)
         if kind == "primal":
-            e = gen_primal(rng, supply, penv, depth)
+            e = gen_primal(rng, supply, penv, DEPTH)
             theta = []
         elif kind == "tangent":
-            e = gen_tangent(rng, supply, penv, theta, depth)
+            e = gen_tangent(rng, supply, penv, theta, DEPTH)
         elif kind == "linear-b":
-            e = gen_linear_b(rng, supply, penv, theta, depth)
+            e = gen_linear_b(rng, supply, penv, theta, DEPTH)
         else:
-            e = gen_linear_a(rng, supply, penv, theta, depth)
+            e = gen_linear_a(rng, supply, penv, theta, DEPTH)
         theta = [(t, ty) for t, ty in theta if t in fv_tangent(e)]
         out.append(JaxCase(penv, dict(theta), theta, e, supply))
     return out
@@ -303,7 +309,7 @@ def _prim_leaf(rng, scalars) -> Term:
                         BangVal(Var(rng.choice(scalars)))])
 
 
-def lll_p_cases(n: int, seed: int, depth: int = 3) -> list[PrimalCase]:
+def lll_p_cases(n: int, seed: int) -> list[PrimalCase]:
     out = []
     rng = random.Random(seed)
     for _ in range(n):
@@ -313,7 +319,7 @@ def lll_p_cases(n: int, seed: int, depth: int = 3) -> list[PrimalCase]:
         if rng.random() < 0.3:
             sigma.append((supply.fresh("x").replace("%", "s"),
                           Tensor(Bang(Real), Bang(Real))))
-        t = gen_lll_p(rng, supply, sigma, depth)
+        t = gen_lll_p(rng, supply, sigma, DEPTH)
         sigma = [(x, e) for x, e in sigma if x in free_vars(t)]
         out.append(PrimalCase(sigma, t, supply))
     return out
@@ -393,18 +399,18 @@ def gen_lll_f(rng, supply, sigma, dom: LType, cod: LType, depth: int) -> Term:
     return out
 
 
-def lll_f_cases(n: int, seed: int, max_dim: int = 8, depth: int = 3) -> list[FnCase]:
+def lll_f_cases(n: int, seed: int) -> list[FnCase]:
     out = []
     rng = random.Random(seed)
     while len(out) < n:
         supply = NameSupply()
         dom = rng.choice(SMALL_WITH_TYPES)
         cod = rng.choice(SMALL_WITH_TYPES)
-        if workload_type(dom) + workload_type(cod) > max_dim:
+        if workload_type(dom) + workload_type(cod) > MAX_FN_DIM:
             continue
         sigma = [(supply.fresh("x").replace("%", "s"), Real)
                  for _ in range(rng.randint(0, 2))]
-        t = gen_lll_f(rng, supply, sigma, dom, cod, depth)
+        t = gen_lll_f(rng, supply, sigma, dom, cod, DEPTH)
         sigma = [(x, e) for x, e in sigma if x in free_vars(t)]
         out.append(FnCase(sigma, dom, cod, t, supply))
     return out

@@ -13,7 +13,7 @@ from linlog.fresh import NameSupply
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, all_names, free_vars, pattern_vars,
+    WithPair, Zero, all_names, free_vars, pattern_vars, prim_args,
 )
 from linlog.lll.types import Lolli, is_with_seq
 
@@ -217,9 +217,11 @@ def _contract(m: Term):
         case App(Abs(p, body), v) if value_for_pattern(v, p):
             return substitute(body, p, v), False
         case App(PrimFn(f), arg):
-            vals = _numeral_bang_tuple(arg, f.arity)
-            if vals is not None:
-                return BangVal(Numeral(f.eval(*vals))), True
+            args = prim_args(arg, f.arity)
+            if args is not None:
+                vals = [numeral_value(a.inner) for a in args]
+                if None not in vals:
+                    return BangVal(Numeral(f.eval(*vals))), True
         case App(PlusDot(), WithPair(a, b)):
             if isinstance(a, Zero) and isinstance(b, Zero):
                 return Zero(), True
@@ -233,24 +235,6 @@ def _contract(m: Term):
                     return Zero(), True
                 return Numeral(x * y), True
     return None
-
-
-def _numeral_bang_tuple(arg: Term, arity: int):
-    vals = []
-
-    def go(t, n):
-        if n == 1:
-            if isinstance(t, BangVal):
-                v = numeral_value(t.inner)
-                if v is not None:
-                    vals.append(v)
-                    return True
-            return False
-        if isinstance(t, TensorPair):
-            return go(t.left, 1) and go(t.right, n - 1)
-        return False
-
-    return vals if go(arg, arity) else None
 
 
 def _children(m: Term):
@@ -432,28 +416,13 @@ def _simplify_once(m: Term, exp_vars: set[str]):
                     return App(Abs(inner.pat, App(Abs(p, body), inner.body)), v.arg)
         case App(PrimFn(f), arg):
             # projection / constant primitives fold on symbolic !-arguments
-            parts = _bang_tuple_parts(arg, f.arity)
+            parts = prim_args(arg, f.arity)
             if parts is not None:
                 if f.kind == "proj":
                     return parts[f.proj_index]
                 if f.kind == "const":
                     return BangVal(Numeral(f.const_value))
     return None
-
-
-def _bang_tuple_parts(arg: Term, arity: int):
-    parts = []
-
-    def go(t, n):
-        if n == 1:
-            if isinstance(t, BangVal):
-                parts.append(t)
-                return True
-            return False
-        return (isinstance(t, TensorPair) and go(t.left, 1)
-                and go(t.right, n - 1))
-
-    return parts if go(arg, arity) else None
 
 
 def simplify(term: Term, fuel: int = 50_000) -> Term:

@@ -17,7 +17,7 @@ from linlog.lll.lets import LetKind, bind, let_kind, spine, unbind
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, PBang, PTensor, PUnit, PVar, PlusDot, Pattern,
     PrimFn, TensorPair, Term, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
-    pattern_type, pattern_var_types,
+    pattern_type, pattern_var_types, prim_args,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, is_tensor_seq, is_with_seq,
@@ -53,19 +53,6 @@ def _is_tensor_seq_pattern(p: Pattern) -> bool:
             return _is_tensor_seq_pattern(l) and _is_tensor_seq_pattern(r)
         case _:
             return False
-
-
-def _prim_bang_var_args(arg: Term, arity: int, types) -> bool:
-    def leaf(t):
-        return (isinstance(t, BangVal) and isinstance(t.inner, Var)
-                and _tensor_seq_var(t.inner.name, types))
-
-    def go(t, n):
-        if n == 1:
-            return leaf(t)
-        return isinstance(t, TensorPair) and leaf(t.left) and go(t.right, n - 1)
-
-    return go(arg, arity)
 
 
 def primal_inner_type(p: Term, tys: dict[str, LType]) -> LType:
@@ -114,7 +101,10 @@ def _tail(sort: Sort, m: Term, types, todo) -> bool:
         case Sort.LLL_P, BangVal(TensorPair(p, q)):
             todo += ((P, p), (P, q))
         case Sort.LLL_P, App(PrimFn(f), arg):
-            return _prim_bang_var_args(arg, f.arity, types)
+            args = prim_args(arg, f.arity)
+            return args is not None and all(
+                isinstance(a.inner, Var)
+                and _tensor_seq_var(a.inner.name, types) for a in args)
         case Sort.LLL_T, Var(x):
             return (ty := types.get(x)) is not None and is_with_seq(ty)
         case Sort.LLL_T, Zero() | TopVal():

@@ -234,6 +234,21 @@ def prim_app(p: PrimId, args: list[Term]) -> Term:
     return App(PrimFn(p), arg)
 
 
+def prim_args(arg: Term, arity: int) -> list[Term] | None:
+    """The inverse of `prim_app` on bang values: the `arity` bang values of
+    the right-nested tensor `arg`, or None when it is not such a tensor."""
+    out = []
+    for _ in range(arity - 1):
+        if not (isinstance(arg, TensorPair) and isinstance(arg.left, BangVal)):
+            return None
+        out.append(arg.left)
+        arg = arg.right
+    if not isinstance(arg, BangVal):
+        return None
+    out.append(arg)
+    return out
+
+
 def prim_arg_type(arity: int) -> LType:
     out: LType = Bang(Real)
     for _ in range(arity - 1):

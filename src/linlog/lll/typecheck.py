@@ -248,27 +248,6 @@ def join(u1, s1, u2, s2, p: Pattern):
     raise AssertionError(p)
 
 
-def _only_exponential(u, p: Pattern) -> bool:
-    if u is None:
-        return True
-    if u == SAT:
-        return droppable(p)
-    match p:
-        case PBang(_, _):
-            return True
-        case PVar(_, _):
-            return False
-        case PUnit():
-            return True
-        case PTensor(l, r):
-            return _only_exponential(u[1], l) and _only_exponential(u[2], r)
-        case PWith(l, r):
-            if u[0] == "projL":
-                return _only_exponential(u[1], l)
-            return _only_exponential(u[1], r)
-    raise AssertionError(p)
-
-
 class _Scope:
     def __init__(self):
         self.entries: dict[int, Pattern] = {}
@@ -409,7 +388,7 @@ def _check(term: Term, scope: _Scope):
         case BangVal(inner):
             ty_i, u_i, _s = _check(inner, scope)
             for eid, u in u_i.items():
-                if not _only_exponential(u, scope.entries[eid]):
+                if not _weakenable(u, scope.entries[eid]):
                     raise PromotionViolation(
                         "promotion over a non-exponential free variable")
             return Bang(ty_i), u_i, False

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from linlog.autodiff import (
-    _t_type, forward, seq_tangent, transpose, unzip, unzip_decompose,
+    forward, seq_tangent, transpose, unzip, unzip_decompose,
 )
 from linlog.errors import NotWithSeq
 from linlog.fresh import NameSupply
@@ -28,7 +28,6 @@ from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
     Abs, App, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar, PWith,
     Term, TensorPair, TimesDot, TopVal, Var, WithPair, Zero, pattern_type,
-    pattern_var_types,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, Top, With, is_ground, is_with_seq,
@@ -38,11 +37,15 @@ from linlog.lll.workload import workload_term
 from linlog.translate import add_app, mk_zero, scale_app, with_tree
 
 
+# the relative tolerance of scalar comparisons in `equiv_check`, and the
+# absolute one of a gradient against finite differences
+SCALAR_REL_TOL = 1e-9
+FD_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class EquivConfig:
-    scalar_rel_tol: float = 1e-9
     fd_step: float = 1e-6
-    fd_tol: float = 1e-5
     sample_count: int = 16
     rng_seed: int = 2024
 
@@ -130,13 +133,13 @@ def mk_undual(h: LType, supply: NameSupply | None = None) -> Term:
     return Abs(PVar(f, Lolli(h, Real)), body)
 
 
-def naive_transpose(p: Pattern, u: Term,
+def naive_transpose(p: Pattern, u: Term, h: LType,
                     supply: NameSupply | None = None) -> tuple[Pattern, Term]:
-    """The reference transpose: undual_L (\\p. dual_H q U).  Returns the
-    fresh cotangent pattern q and the term, with q's variables free."""
+    """The reference transpose of \\p. U : L -o H, given its codomain H:
+    undual_L (\\p. dual_H q U).  Returns the fresh cotangent pattern q and
+    the term, with q's variables free."""
     supply = supply or NameSupply()
     l = pattern_type(p)
-    h = _t_type(u, {}, pattern_var_types(p))
     qpat, _, qterm = with_tree(h, supply, "q")
     functional = Abs(p, App(App(mk_dual(h, supply), qterm), u))
     return qpat, App(mk_undual(l, supply), functional)
@@ -281,10 +284,9 @@ def _close_env(env: TypingEnv, rng: random.Random, supply: NameSupply):
 def _compare(ty: LType, a: Value, b: Value, cfg: EquivConfig,
              rng: random.Random, flops: Flops, bases: dict):
     """`bases` caches `basis_values` by type across one `equiv_check`."""
-    tol = cfg.scalar_rel_tol
     match ty:
         case t if t in (Real, One, Top):
-            return values_close(a, b, tol), True
+            return values_close(a, b, SCALAR_REL_TOL), True
         case Bang(i):
             if not (isinstance(a, VBang) and isinstance(b, VBang)):
                 return False, True

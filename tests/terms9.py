@@ -6,8 +6,8 @@ term and the expected shapes after forward, unzipping and transpose
 """
 
 from linlog.lll import (
-    Abs, App, BangVal, Lolli, Numeral, PBang, PVar, PWith, PlusDot, PUnit,
-    Real, TensorPair, TimesDot, TypingEnv, UnitVal, Var, With, WithPair,
+    Abs, App, BangVal, Lolli, Numeral, PBang, PVar, PWith, PlusDot,
+    Real, TensorPair, TimesDot, TypingEnv, Var, With, WithPair,
     bang_let, let_, para, para_pattern, prim, prim_app,
 )
 

@@ -4,7 +4,7 @@ import pytest
 
 from linlog import NameSupply
 from linlog.autodiff import (
-    EMPTY_RENAMING, Renaming, forward, nu, rename_apply, rename_project,
+    EMPTY_RENAMING, CaptureDetected, Renaming, forward, nu, rename_project,
     transpose, transpose_f, transpose_t, unzip, unzip_decompose,
 )
 from linlog.lll import (
@@ -12,7 +12,7 @@ from linlog.lll import (
     TensorPair, TimesDot, Top, TopVal, TypingEnv, Var, With, WithPair, Zero,
     alpha_eq, para, typecheck, workload_term,
 )
-from linlog.lll.machine import Flops, apply_value, eval_term, run
+from linlog.lll.machine import Flops, apply_value, run
 from linlog.lll.reduce import _rename_pattern
 from linlog.oracle import basis_values, flatten_value
 
@@ -50,14 +50,6 @@ def test_rename_project_examples():
     assert isinstance(out, PVar) and out.ty == Top
 
 
-def test_rename_apply_preserves_workload():
-    m = App(PlusDot(), WithPair(Var("a"), Var("b")))
-    alpha = Renaming((("a", "c"),))
-    out = rename_apply(alpha, m)
-    assert out == App(PlusDot(), WithPair(Var("c"), Var("b")))
-    assert workload_term(out) == workload_term(m)
-
-
 def test_nu_examples():
     p = PWith(PWith(pvar("x"), pvar("y")), pvar("u"))
     a1 = Renaming((("x", "x1"), ("y", "y1")))
@@ -78,32 +70,32 @@ def test_nu_examples():
 
 def test_transpose_t_variable():
     s = NameSupply()
-    q, body, used = transpose_t({}, pvar("u"), Var("u"), s, {})
+    q, body, used = transpose_t({}, pvar("u"), Var("u"), s)
     assert used == {"u"}
     assert body == Var(q.name)
 
 
 def test_transpose_t_zero_and_top():
     s = NameSupply()
-    q, body, used = transpose_t({}, pvar("u"), Zero(), s, {})
+    q, body, used = transpose_t({}, pvar("u"), Zero(), s)
     assert body == TopVal() and used == set()
-    q2, body2, _ = transpose_t({}, pvar("u"), TopVal(), s, {})
+    q2, body2, _ = transpose_t({}, pvar("u"), TopVal(), s)
     assert body2 == TopVal()
 
 
 def test_transpose_f_plus_and_scale():
     s = NameSupply()
-    tp = transpose_f({}, PlusDot(), s, {})
+    tp = transpose_f({}, PlusDot(), s)
     assert isinstance(tp, Abs) and isinstance(tp.body, WithPair)
     scale = App(TimesDot(), Var("x"))
-    assert transpose_f({}, scale, s, {"x": Real}) == scale
+    assert transpose_f({}, scale, s) == scale
 
 
 def test_transpose_f_partial_use_inserts_zero():
     # T(\<x, y>. x) = \q. let x = q in <x, 0>
     s = NameSupply()
     f = Abs(PWith(pvar("x"), pvar("y")), Var("x"))
-    tf = transpose_f({}, f, s, {})
+    tf = transpose_f({}, f, s)
     env = TypingEnv()
     from linlog.lll import Lolli
     assert typecheck(env, tf) == Lolli(Real, RR)
@@ -116,7 +108,7 @@ def test_transpose_f_contraction_becomes_addition():
     s = NameSupply()
     f = Abs(PWith(pvar("u"), pvar("u2")),
             WithPair(WithPair(Var("u"), Var("u")), Var("u2")))
-    tf = transpose_f({}, f, s, {})
+    tf = transpose_f({}, f, s)
     vf, _ = run(tf)
     got = [flatten_value(apply_value(vf, b, Flops()))
            for b in basis_values(With(RR, Real))]
@@ -164,6 +156,16 @@ def test_nu_rejects_codomain_overlap():
         nu(p, a1, a2)
 
 
+def test_with_pair_renaming_detects_capture():
+    # T renames x apart in the two components of <x, *.(%x#2) x>; the
+    # second renaming draws %x#2, a name its component already uses
+    f = Abs(PWith(pvar("x"), pvar("y")),
+            WithPair(Var("x"), App(App(TimesDot(), Var("%x#2")), Var("x"))))
+    r = TensorPair(BangVal(Numeral(1.0)), para(f))
+    with pytest.raises(CaptureDetected):
+        transpose(None, r, NameSupply())
+
+
 def test_transpose_drops_dead_section_binding():
     # let par(f) = par(F) in G with f unused: the transpose removes F
     from linlog.lll import Lolli, para_pattern, let_
@@ -171,7 +173,7 @@ def test_transpose_drops_dead_section_binding():
     g = Abs(pvar("u"), Var("u"))
     f_term = Abs(pvar("w"), App(App(TimesDot(), Var("c")), Var("w")))
     t = let_(para_pattern(PVar("f", Lolli(Real, Real))), para(f_term), g)
-    out = transpose_f({}, t, s, {"c": Real})
+    out = transpose_f({}, t, s)
     # the dead binding is gone entirely
     from linlog.lll.terms import free_vars
     assert "c" not in free_vars(out)
@@ -183,7 +185,7 @@ def test_transpose_keeps_live_section_binding():
     g = Abs(pvar("u"), App(Var("f"), Var("u")))
     f_term = Abs(pvar("w"), App(App(TimesDot(), Var("c")), Var("w")))
     t = let_(para_pattern(PVar("f", Lolli(Real, Real))), para(f_term), g)
-    out = transpose_f({}, t, s, {"c": Real})
+    out = transpose_f({}, t, s)
     from linlog.lll.reduce import substitute
     from linlog.lll.terms import free_vars
     assert "c" in free_vars(out)

@@ -1,6 +1,5 @@
 import pytest
 
-from linlog import NameSupply
 from linlog.frontend import (
     ReservedName, SortError, SyntaxErrorAt, parse, parse_point, pretty,
 )

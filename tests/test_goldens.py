@@ -3,10 +3,9 @@
 import hashlib
 
 from linlog import NameSupply
-from linlog.autodiff import forward, transpose, unzip
+from linlog.autodiff import forward, transpose, transpose_f, unzip
 from linlog.frontend import parse
-from linlog.gen import lll_p_cases
-from linlog.linear_a import JReal
+from linlog.gen import lll_f_cases, lll_p_cases
 from linlog.lll import Bang, Real, alpha_eq, simplify, typecheck, workload_term
 from linlog.linear_a.expr import fv_primal
 from linlog.lll.sorts import Sort, classify_sort
@@ -110,3 +109,12 @@ def test_pipeline_text_is_pinned():
     chain = pipeline_text(theta, term, supply)
     assert (digest([fig9a]), digest(corpus), digest([chain])) == (
         "d052a96aac3c693a", "c9609353b20e33ac", "b986bb5be0211426")
+
+
+def test_transpose_f_text_is_pinned():
+    """T of the tangent functions of the matrix-transpose corpus (nested
+    lambdas, `*. x`, section lets), printed with the next fresh name."""
+    texts = ["\n".join([term_str(transpose_f({}, c.term, c.supply)),
+                        c.supply.fresh()])
+             for c in lll_f_cases(60, 41)]
+    assert digest(texts) == "1e8dcbf70975e9c4"

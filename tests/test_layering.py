@@ -3,9 +3,10 @@
 Every import of a `linlog` module sits at the top of its module, and the
 top-level imports form no cycle: the modules depend on each other in the
 order lll -> linear_a -> frontend/translate -> autodiff -> oracle -> gen ->
-checks -> cli.  The modules that read let spines recognise let shapes only
-through `lll.lets`.  The scan reads the source with `ast`, so it sees code
-that no test runs.
+checks -> cli.  No module of the package or of the tests imports a
+`linlog` or `tests` name it never reads.  The modules that read let spines
+recognise let shapes only through `lll.lets`.  The scan reads the source
+with `ast`, so it sees code that no test runs.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 import linlog
 
 SRC = Path(linlog.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def modules() -> dict[str, ast.Module]:
@@ -60,6 +62,40 @@ def test_top_level_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as e:
         raise AssertionError("import cycle: " + " -> ".join(e.args[1])) from None
+
+
+def imported_names(tree: ast.Module, lines: list[str]):
+    """(name, line) for each name an import of a `linlog` or `tests`
+    module binds, except on `# noqa` lines."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            ours = node.level or (node.module or "").split(".")[0] in (
+                "linlog", "tests")
+            bound = [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            ours = True
+            bound = [a.asname or a.name.split(".")[0] for a in node.names
+                     if a.name.split(".")[0] in ("linlog", "tests")]
+        else:
+            continue
+        if ours and "# noqa" not in lines[node.lineno - 1]:
+            yield from ((name, node.lineno) for name in bound)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """Re-exports in a package's `__init__` are exempt."""
+    paths = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(TESTS.glob("*.py"))
+    unused = []
+    for path in paths:
+        text = path.read_text()
+        tree = ast.parse(text, str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.relative_to(SRC.parent.parent)}:{line} {name}"
+                   for name, line in imported_names(tree, text.splitlines())
+                   if name not in read]
+    assert not unused, f"{len(unused)} unused imports: {unused}"
 
 
 LEVELS = {"linlog.lll": 0, "linlog.linear_a": 1, "linlog.frontend": 2,

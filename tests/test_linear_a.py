@@ -5,7 +5,7 @@ import pytest
 from linlog import NameSupply
 from linlog.linear_a import (
     AddDot, Drop, Dup, JOne, JProd, JReal, Lit, NPair, PrimApp, Scalar,
-    ScaleDot, TanTupIntro0, TangentLinearityViolation, UnitTup, VarPair,
+    ScaleDot, TangentLinearityViolation, UnitTup, VarPair,
     ZeroDot, decompose_linear_b, eval_primal, eval_tangent, fv_primal,
     fv_tangent, is_linear_b, is_primal_expr, is_tangent_expr, jax_forward,
     jax_transpose, jax_unzip, jax_workload, let_p, pair_pt, p_var, t_var,
@@ -165,7 +165,7 @@ def test_transpose_matrix_duality_random_tangent():
     # bases and compare as matrices
     s = NameSupply()
     #  let t = a +. b in <c *. t (x). a'>  with a' := dup etc: build simple
-    from linlog.linear_a import let_t, ttup_e
+    from linlog.linear_a import let_t
     et = let_t("t", AddDot("a", "b"),
                ScaleDot("c", "t"), s)
     d = pair_pt(Lit(0.0), et, s)

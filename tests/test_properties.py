@@ -11,9 +11,9 @@ from linlog.linear_a import (
     JReal, Scalar, eval_primal, eval_tangent, jax_forward, jax_transpose,
     jax_unzip, typecheck_jax,
 )
-from linlog.linear_a.expr import JProd, fv_primal, fv_tangent
+from linlog.linear_a.expr import JProd, fv_primal
 from linlog.linear_a.transform import infer_types
-from linlog.lll import PBang, Real, TypingEnv, alpha_eq, typecheck
+from linlog.lll import PBang, Real, typecheck
 from linlog.lll.types import with_tuple_type
 from linlog.oracle import EquivConfig, basis, equiv_check
 from linlog.translate import (
@@ -236,7 +236,6 @@ def test_equiv_oracle_catches_broken_transpose():
                    WithPair(Var(sw), Var(u)))
         z, g = case.supply.fresh("z"), case.supply.fresh("g")
         from linlog.lll import PBang, PTensor, para, para_pattern, let_, BangVal
-        from linlog.lll.types import Lolli
         pat = PTensor(PBang(z, ty.left.inner),
                       para_pattern(PVar(g, ty.right.right)))
         from linlog.lll.terms import Abs as _Abs

@@ -2,7 +2,7 @@ import pytest
 
 from linlog import NameSupply
 from linlog.lll import (
-    Abs, App, BangVal, Numeral, PBang, PTensor, PUnit, PVar, PWith, PlusDot,
+    Abs, App, BangVal, Numeral, PBang, PTensor, PVar, PWith, PlusDot,
     Real, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
     alpha_eq, bang_let, beta_step, is_progress_normal_form, is_strong_value,
     normalize, prim, prim_app, safe_reduce, simplify, substitute,

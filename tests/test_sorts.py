@@ -9,13 +9,13 @@ hand-built ill-sorted and unsafe terms.
 """
 
 from linlog.lll.sorts import (
-    Sort, _is_tan_fn_type, _is_tensor_seq_pattern, _prim_bang_var_args,
-    _tensor_seq_var, in_sort,
+    Sort, _is_tan_fn_type, _is_tensor_seq_pattern, _tensor_seq_var, in_sort,
 )
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, PBang, PlusDot, PrimFn, PTensor, PUnit, PVar,
     PWith, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero, free_vars,
     let_, para, para_pattern, pattern_type, pattern_var_types, prim_app,
+    prim_args,
 )
 from linlog.lll.lets import LetKind, let_kind
 from linlog.lll.prims import prim
@@ -46,7 +46,10 @@ def is_primal_sort(m, types):
         case BangVal(TensorPair(p, q)):
             return is_primal_sort(p, types) and is_primal_sort(q, types)
         case App(PrimFn(f), arg):
-            return _prim_bang_var_args(arg, f.arity, types)
+            args = prim_args(arg, f.arity)
+            return args is not None and all(
+                isinstance(a.inner, Var)
+                and _tensor_seq_var(a.inner.name, types) for a in args)
         case App(Abs(PBang(x, ty), body), q):
             return (is_primal_sort(q, types)
                     and is_primal_sort(body, types | {x: Bang(ty)}))

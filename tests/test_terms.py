@@ -77,8 +77,7 @@ def corpus():
         u = unzip(d, c.supply)
         out += [d, u, transpose(None, u, c.supply)]
     for c in lll_f_cases(20, 7):
-        tys = dict(c.sigma)
-        out += [c.term, transpose_f({}, c.term, c.supply, tys)]
+        out += [c.term, transpose_f({}, c.term, c.supply)]
     out += [c.term for c in safe_ground_cases(25, 8)]
     return out
 

@@ -2,7 +2,7 @@ import pytest
 
 from linlog import NameSupply
 from linlog.linear_a import (
-    AddDot, Dup, JOne, JProd, JReal, ScaleDot, TanTupIntro2, VarPair, ZeroDot,
+    Dup, JOne, JProd, JReal, ScaleDot, TanTupIntro2, VarPair, ZeroDot,
 )
 from linlog.lll import (
     Abs, App, Bang, BangVal, Lolli, Numeral, One, PBang, PVar, Real,

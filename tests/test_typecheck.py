@@ -2,10 +2,10 @@ import pytest
 
 from linlog.lll import (
     Abs, App, Bang, BangVal, LinearityViolation, Lolli, Numeral, PBang,
-    PTensor, PUnit, PVar, PWith, PlusDot, PrimFn, PromotionViolation, Real,
+    PTensor, PUnit, PVar, PWith, PlusDot, PromotionViolation, Real,
     TensorPair, TimesDot, Top, TopVal, TypeMismatch, TypingEnv, UnboundVariable,
     UnitVal, Var, With, WithPair, Zero, affine, para, prim, prim_app,
-    typecheck, with_tuple,
+    typecheck,
 )
 from tests.terms9 import fig9a_term, fig9a_env
 

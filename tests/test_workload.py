@@ -85,13 +85,12 @@ def test_prop3_pointwise_soundness():
     from linlog.lll.machine import apply_value, eval_term, Flops
     from linlog.oracle import (numtuple_to_primal_value,
                                numtuple_to_tangent_value, value_to_numtuple)
-    from linlog.linear_a.values import flatten, zero_of
+    from linlog.linear_a.values import flatten
     from linlog.translate import Enumeration, delta
 
     rng = random.Random(17)
     for c in jax_cases(40, 17, "linear-a"):
         d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
-        from linlog.linear_a.expr import fv_primal
         renv, values = {}, {}
         for x, ty in c.penv.items():
             nt = _random_numtuple(ty, rng)
@@ -136,7 +135,7 @@ def test_vector_space_laws():
     # associativity, commutativity, zero neutrality, scale distributivity
     import random
     from linlog.lll.machine import run, values_close
-    from linlog.oracle import random_value_of, term_to_value
+    from linlog.oracle import random_value_of
     from linlog.lll.machine import value_to_term
     from linlog.translate import add_app, mk_zero, scale_app
 
