@@ -19,7 +19,7 @@ from linlog.lll.reduce import uniquify
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, _children, bang_let, free_vars, let_, para,
+    WithPair, Zero, bang_let, children, free_vars, let_, para,
     para_pattern, pattern_type, pattern_var_types, pattern_vars, prim_app,
     prim_args, with_pattern,
 )
@@ -354,7 +354,7 @@ def _occurring(m: Term) -> set[str]:
         t = todo.pop()
         if t.__class__ is Var:
             out.add(t.name)
-        todo += _children(t)
+        todo += children(t)
     return out
 
 

@@ -15,14 +15,14 @@ from linlog.fresh import NameSupply
 from linlog.gen import (jax_cases, lll_f_cases, lll_p_cases,
                         safe_ground_cases)
 from linlog.linear_a.expr import JReal, fv_primal
-from linlog.linear_a.transform import infer_types, jax_forward, jax_transpose, jax_unzip
-from linlog.linear_a.typecheck import jax_workload
+from linlog.linear_a.transform import jax_forward, jax_transpose, jax_unzip
+from linlog.linear_a.typecheck import infer_types, jax_workload
 from linlog.linear_a.values import Scalar
 from linlog.lll.machine import Flops, apply_value, eval_term
 from linlog.lll.prims import prim
 from linlog.lll.reduce import (
-    _children, _rebuild, _safe_contract, _safe_step, beta_step,
-    is_progress_normal_form, normalize, safe_reduce,
+    beta_step, is_progress_normal_form, normalize, plug, redexes,
+    safe_contract, safe_reduce, safe_step,
 )
 from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
@@ -114,29 +114,11 @@ def _random_safe_reduce(term: Term, rng: random.Random, budget=30_000):
     """A maximal safe-reduction sequence choosing redexes at random."""
     numeric = 0
     for _ in range(budget):
-        spots = []
-
-        def collect(t, path):
-            c = _safe_contract(t)
-            if c is not None:
-                spots.append((path, c))
-            for slot, child in _children(t):
-                collect(child, path + (slot,))
-
-        collect(term, ())
+        spots = list(redexes(term, safe_contract))
         if not spots:
             return term, numeric
-        path, (new, is_num) = rng.choice(spots)
-
-        def rebuild(t, path, new):
-            if not path:
-                return new
-            for slot, child in _children(t):
-                if slot == path[0]:
-                    return _rebuild(t, slot, rebuild(child, path[1:], new))
-            raise AssertionError
-
-        term = rebuild(term, path, new)
+        ctx, (new, is_num) = rng.choice(spots)
+        term = plug(ctx, new)
         numeric += int(is_num)
     raise RuntimeError("random safe reduction did not terminate")
 
@@ -286,7 +268,7 @@ def check_commute_transpose(n: int = 200, seed: int = 33,
 
 # ----------------------------------------------------------- criterion 6
 
-def _matrix_of(fn_value, dom, cod, flops) -> list[list[float]]:
+def _matrix_of(fn_value, dom, flops) -> list[list[float]]:
     cols = [flatten_value(apply_value(fn_value, b, flops))
             for b in dimension_basis_values(dom)]
     rows = len(cols[0]) if cols else 0
@@ -295,7 +277,9 @@ def _matrix_of(fn_value, dom, cod, flops) -> list[list[float]]:
 
 def check_matrix_transpose(n: int = 200, seed: int = 41,
                            cfg: EquivConfig | None = None) -> CheckResult:
-    cfg = cfg or EquivConfig()
+    """The matrix of T(f) is the transpose of f's, entry by entry to a
+    relative 1e-9.  `cfg` is not read: it is accepted so that every
+    commutation-square check takes the same `EquivConfig` argument."""
     rng = random.Random(seed + 5)
     bad = 0
     cases = lll_f_cases(n, seed)
@@ -306,8 +290,8 @@ def check_matrix_transpose(n: int = 200, seed: int = 41,
         flops = Flops()
         fv_val = eval_term(c.term, dict(values), flops)
         tv_val = eval_term(tc, dict(values), flops)
-        m = _matrix_of(fv_val, c.dom, c.cod, flops)
-        mt = _matrix_of(tv_val, c.cod, c.dom, flops)
+        m = _matrix_of(fv_val, c.dom, flops)
+        mt = _matrix_of(tv_val, c.cod, flops)
         rows, cols = len(m), len(m[0]) if m else 0
         ok = len(mt) == cols and all(len(r) == rows for r in mt)
         if ok:
@@ -484,7 +468,7 @@ def check_metatheory(n: int = 120, seed: int = 61) -> CheckResult:
             if not is_safe(cur, {}):
                 bad += 1
                 break
-            nxt = _safe_step(cur)
+            nxt = safe_step(cur)
             if nxt is None:
                 break
             cur = nxt[0]

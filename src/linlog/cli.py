@@ -369,10 +369,6 @@ def cmd_check(args, report: Report):
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["human", "machine"], default="human")
-    common.add_argument("--seed", type=int,
-                        default=int(os.environ.get("LINLOG_SEED", "0")))
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--fd-step", type=float, default=1e-6)
 
     ap = argparse.ArgumentParser(
         prog="linlog",
@@ -409,11 +405,15 @@ def main(argv=None) -> int:
     p.add_argument("file", nargs="?")
     p.add_argument("--random", type=int, default=0,
                    help="generate this many cases instead of reading a file")
+    p.add_argument("--seed", type=int,
+                   default=int(os.environ.get("LINLOG_SEED", "0")))
 
     p = sub.add_parser("compare", parents=[common],
                        help="TUF vs TF vs finite differences")
     p.add_argument("file")
     p.add_argument("--point", required=True)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--fd-step", type=float, default=1e-6)
 
     try:
         args = ap.parse_args(argv)

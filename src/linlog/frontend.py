@@ -21,7 +21,7 @@ from linlog.linear_a.expr import (
 )
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup
 from linlog.lll.prims import REGISTRY
-from linlog.lll.reduce import _rename_free, _rename_pattern
+from linlog.lll.reduce import rename_pattern, subst
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PTensor, PUnit, PVar, PWith,
     PlusDot, PrimFn, Term, TensorPair, TimesDot, TopVal, UnitVal, Var,
@@ -585,8 +585,8 @@ def sanitize_lll(m: Term) -> Term:
             case Abs(p, body):
                 ren = {n: fresh_safe() for n in pattern_vars(p) if is_reserved(n)}
                 if ren:
-                    p = _rename_pattern(p, ren)
-                    body = _rename_free(body, ren)
+                    p = rename_pattern(p, ren)
+                    body = subst(body, {n: Var(g) for n, g in ren.items()})
                 return Abs(p, go(body))
             case App(f, a):
                 return App(go(f), go(a))

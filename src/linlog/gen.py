@@ -17,7 +17,7 @@ from linlog.linear_a.expr import (
     PrimApp, ScaleDot, TanTupElim2, VarPair, ZeroDot, fv_primal, fv_tangent,
     jax_workload_type, let_p, let_t, pair_pt, p_var, t_var, ttup_e, ttup_vars,
 )
-from linlog.linear_a.transform import infer_types
+from linlog.linear_a.typecheck import infer_types
 from linlog.lll.machine import value_to_term
 from linlog.lll.prims import REGISTRY, prim
 from linlog.lll.reduce import substitute

@@ -20,13 +20,8 @@ from linlog.linear_a.expr import (
     p_var, t_var, tan_elim_seq, ttup_vars, fuse_jax,
 )
 from linlog.linear_a.expr import JReal
-from linlog.linear_a.typecheck import _check
+from linlog.linear_a.typecheck import infer_types
 from linlog.lll.prims import partial_of
-
-
-def infer_types(e: Expr, penv, tenv) -> tuple[JaxType, JaxType]:
-    (ty, sg), _ = _check(e, dict(penv), dict(tenv))
-    return ty, sg
 
 
 # ---------------------------------------------------------------- forward

@@ -35,6 +35,13 @@ def typecheck_jax(primal_env: dict[str, JaxType], tangent_env: dict[str, JaxType
     return ty
 
 
+def infer_types(e: Expr, penv, tenv) -> tuple[JaxType, JaxType]:
+    """The (tau; sigma) of `e`, not asking that every tangent variable of
+    `tenv` be consumed."""
+    (ty, sg), _ = _check(e, dict(penv), dict(tenv))
+    return ty, sg
+
+
 def _lookup_p(env, x):
     if x not in env:
         raise JaxTypeError(f"unbound primal variable {x}")

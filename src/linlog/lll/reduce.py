@@ -13,7 +13,8 @@ from linlog.fresh import NameSupply
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, all_names, free_vars, pattern_vars, prim_args,
+    WithPair, Zero, all_names, children, free_vars, pattern_vars,
+    prim_args,
 )
 from linlog.lll.types import Lolli, is_with_seq
 
@@ -67,40 +68,6 @@ def value_for_pattern(value: Term, pat: Pattern) -> bool:
 
 # ------------------------------------------------------------ substitution
 
-def _subst_var(m: Term, name: str, v: Term, taken: set[str]) -> Term:
-    fv_v = free_vars(v)
-
-    def go(t):
-        match t:
-            case Var(n):
-                return v if n == name else t
-            case Abs(p, body):
-                if name not in free_vars(t):
-                    return t
-                clash = set(pattern_vars(p)) & fv_v
-                if clash:
-                    ren = {}
-                    for c in clash:
-                        fresh = _avoid(c, taken)
-                        taken.add(fresh)
-                        ren[c] = fresh
-                    p = _rename_pattern(p, ren)
-                    body = _rename_free(body, ren)
-                return Abs(p, go(body))
-            case App(f, a):
-                return App(go(f), go(a))
-            case TensorPair(l, r):
-                return TensorPair(go(l), go(r))
-            case WithPair(l, r):
-                return WithPair(go(l), go(r))
-            case BangVal(i):
-                return BangVal(go(i))
-            case _:
-                return t
-
-    return go(m)
-
-
 def _avoid(base: str, taken: set[str]) -> str:
     stem = base.split("#")[0]
     i = 1
@@ -109,7 +76,7 @@ def _avoid(base: str, taken: set[str]) -> str:
     return f"{stem}#r{i}"
 
 
-def _rename_pattern(p: Pattern, ren: dict[str, str]) -> Pattern:
+def rename_pattern(p: Pattern, ren: dict[str, str]) -> Pattern:
     match p:
         case PVar(n, ty):
             return PVar(ren.get(n, n), ty)
@@ -118,51 +85,74 @@ def _rename_pattern(p: Pattern, ren: dict[str, str]) -> Pattern:
         case PUnit():
             return p
         case PTensor(l, r):
-            return PTensor(_rename_pattern(l, ren), _rename_pattern(r, ren))
+            return PTensor(rename_pattern(l, ren), rename_pattern(r, ren))
         case PWith(l, r):
-            return PWith(_rename_pattern(l, ren), _rename_pattern(r, ren))
+            return PWith(rename_pattern(l, ren), rename_pattern(r, ren))
     raise AssertionError(p)
 
 
-def _rename_free(m: Term, ren: dict[str, str]) -> Term:
-    match m:
-        case Var(n):
-            return Var(ren[n]) if n in ren else m
-        case Abs(p, body):
-            inner = {k: v for k, v in ren.items() if k not in pattern_vars(p)}
-            return Abs(p, _rename_free(body, inner)) if inner else m
-        case App(f, a):
-            return App(_rename_free(f, ren), _rename_free(a, ren))
-        case TensorPair(l, r):
-            return TensorPair(_rename_free(l, ren), _rename_free(r, ren))
-        case WithPair(l, r):
-            return WithPair(_rename_free(l, ren), _rename_free(r, ren))
-        case BangVal(i):
-            return BangVal(_rename_free(i, ren))
-        case _:
+def subst(term: Term, sigma: dict[str, Term]) -> Term:
+    """`term` with each free occurrence of a name of `sigma` replaced by
+    its term, all names in one walk; a renaming is a `sigma` of variables.
+
+    A binder is renamed apart (`stem#rN`) only where it would capture a
+    free name of a term substituted below it; the names to avoid, every
+    name of `term` and of the substituted terms, are collected at the
+    first such capture.  A subterm in which no name of `sigma` is free is
+    returned as it is."""
+    taken: set[str] | None = None
+
+    def go(m: Term, env: dict[str, Term]) -> Term:
+        nonlocal taken
+        cls = m.__class__
+        if cls is Var:
+            return env.get(m.name, m)
+        fv = free_vars(m)
+        if fv.isdisjoint(env):
             return m
+        if cls is Abs:
+            # the names bound here are not free in m: this drops them too
+            env = {x: v for x, v in env.items() if x in fv}
+            p = m.pat
+            clash = [n for n in pattern_vars(p)
+                     if any(n in free_vars(v) for v in env.values())]
+            if clash:
+                if taken is None:
+                    taken = all_names(term).union(
+                        *map(all_names, sigma.values()))
+                ren = {}
+                for c in clash:
+                    ren[c] = fresh = _avoid(c, taken)
+                    taken.add(fresh)
+                    env[c] = Var(fresh)
+                p = rename_pattern(p, ren)
+            return Abs(p, go(m.body, env))
+        if cls is BangVal:
+            return BangVal(go(m.inner, env))
+        f, a = children(m)
+        return cls(go(f, env), go(a, env))
+
+    return go(term, sigma)
+
+
+def _components(p: Pattern, v: Term, out: dict[str, Term]) -> dict[str, Term]:
+    match p:
+        case PVar(n, _):
+            out[n] = v
+        case PBang(n, _):
+            out[n] = v.inner
+        case PTensor(pl, pr) | PWith(pl, pr):
+            _components(pl, v.left, out)
+            _components(pr, v.right, out)
+    return out
 
 
 def substitute(term: Term, pat: Pattern, value: Term) -> Term:
-    """M{V/p}, dispatching V's components to p's variables, capture-free."""
+    """M{V/p}: each variable of p is replaced by its component of V (for
+    `!x`, the term under the `!`), all at once and capture-free."""
     if not value_for_pattern(value, pat):
         raise NotAValueForPattern(f"{value!r} is not a value for {pat!r}")
-    taken = all_names(term) | all_names(value)
-
-    def go(m, p, v):
-        match p:
-            case PVar(n, _):
-                return _subst_var(m, n, v, taken)
-            case PBang(n, _):
-                assert isinstance(v, BangVal)
-                return _subst_var(m, n, v.inner, taken)
-            case PUnit():
-                return m
-            case PTensor(pl, pr) | PWith(pl, pr):
-                return go(go(m, pl, v.left), pr, v.right)
-        raise AssertionError(p)
-
-    return go(term, pat, value)
+    return subst(term, _components(pat, value, {}))
 
 
 # ------------------------------------------------------------ strong values
@@ -237,73 +227,90 @@ def _contract(m: Term):
     return None
 
 
-def _children(m: Term):
-    match m:
-        case Abs(p, body):
-            return [("body", body)]
-        case App(f, a):
-            return [("fn", f), ("arg", a)]
-        case TensorPair(l, r) | WithPair(l, r):
-            return [("left", l), ("right", r)]
-        case BangVal(i):
-            return [("inner", i)]
-        case _:
-            return []
-
-
-def _rebuild(m: Term, slot: str, child: Term) -> Term:
-    match m:
-        case Abs(p, _):
-            return Abs(p, child)
-        case App(f, a):
-            return App(child, a) if slot == "fn" else App(f, child)
-        case TensorPair(l, r):
-            return TensorPair(child, r) if slot == "left" else TensorPair(l, child)
-        case WithPair(l, r):
-            return WithPair(child, r) if slot == "left" else WithPair(l, child)
-        case BangVal(_):
-            return BangVal(child)
-    raise AssertionError(m)
-
-
-def beta_step(term: Term, strategy: str = "leftmost-outermost"):
-    """One step under the given strategy, or None at a beta-nf.
-    Returns (term', numeric)."""
-    if strategy == "leftmost-outermost":
-        c = _contract(term)
-        if c is not None:
-            return c
-        for slot, child in _children(term):
-            r = beta_step(child, strategy)
+def redexes(term: Term, contract, innermost: bool = False):
+    """The redexes of `contract` in `term`, lazily, as (context,
+    contraction) pairs, `contraction` being what `contract` returns for the
+    redex.  Leftmost-outermost first (pre-order, left to right), or with
+    `innermost` rightmost-innermost first (each node after its children,
+    right to left).  A context is the path from the redex up to the root,
+    nested (node, child index, context) triples ending in None; `plug`
+    fills it.  The walk keeps an explicit stack, whose entries say whether
+    a node's children are still to be pushed before it."""
+    todo: list = [(term, None, innermost)]
+    while todo:
+        m, ctx, expand = todo.pop()
+        if not expand:
+            r = contract(m)
             if r is not None:
-                return _rebuild(term, slot, r[0]), r[1]
-        return None
-    if strategy == "rightmost-innermost":
-        for slot, child in reversed(_children(term)):
-            r = beta_step(child, strategy)
-            if r is not None:
-                return _rebuild(term, slot, r[0]), r[1]
-        return _contract(term)
+                yield ctx, r
+            if innermost:
+                continue
+        kids = children(m)
+        if expand:
+            todo.append((m, ctx, False))
+            for i, c in enumerate(kids):
+                todo.append((c, (m, i, ctx), True))
+        else:
+            for i in range(len(kids) - 1, -1, -1):
+                todo.append((kids[i], (m, i, ctx), False))
+
+
+def plug(ctx, m: Term) -> Term:
+    """The whole term of a context from `redexes`, `m` in its hole."""
+    while ctx is not None:
+        node, i, ctx = ctx
+        cls = node.__class__
+        if cls is Abs:
+            m = Abs(node.pat, m)
+        elif cls is BangVal:
+            m = BangVal(m)
+        else:
+            f, a = children(node)
+            m = cls(m, a) if i == 0 else cls(f, m)
+    return m
+
+
+def _step(term: Term, contract, innermost: bool = False):
+    for ctx, (m, numeric) in redexes(term, contract, innermost):
+        return plug(ctx, m), numeric
+    return None
+
+
+def _innermost(strategy: str) -> bool:
+    if strategy in ("leftmost-outermost", "rightmost-innermost"):
+        return strategy == "rightmost-innermost"
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def normalize(term: Term, step_budget: int = 100_000,
-              strategy: str = "leftmost-outermost") -> ReductionOutcome:
+def _reduce(term: Term, contract, innermost: bool, step_budget: int,
+            what: str) -> ReductionOutcome:
     numeric = total = 0
     while True:
-        r = beta_step(term, strategy)
+        r = _step(term, contract, innermost)
         if r is None:
             return ReductionOutcome(term, numeric, total)
         term = r[0]
         total += 1
         numeric += int(r[1])
         if total > step_budget:
-            raise BudgetExhausted(f"no normal form within {step_budget} steps")
+            raise BudgetExhausted(f"no {what} within {step_budget} steps")
+
+
+def beta_step(term: Term, strategy: str = "leftmost-outermost"):
+    """One step under the given strategy, or None at a beta-nf.
+    Returns (term', numeric)."""
+    return _step(term, _contract, _innermost(strategy))
+
+
+def normalize(term: Term, step_budget: int = 100_000,
+              strategy: str = "leftmost-outermost") -> ReductionOutcome:
+    return _reduce(term, _contract, _innermost(strategy), step_budget,
+                   "normal form")
 
 
 # ------------------------------------------------------------ safe steps
 
-def _safe_contract(m: Term):
+def safe_contract(m: Term):
     match m:
         case App(Abs(p, body), v):
             if (value_for_pattern(v, p) and is_strong_value(v)
@@ -314,15 +321,9 @@ def _safe_contract(m: Term):
             return _contract(m)
 
 
-def _safe_step(term: Term):
-    c = _safe_contract(term)
-    if c is not None:
-        return c
-    for slot, child in _children(term):
-        r = _safe_step(child)
-        if r is not None:
-            return _rebuild(term, slot, r[0]), r[1]
-    return None
+def safe_step(term: Term):
+    """One leftmost-outermost safe step, or None."""
+    return _step(term, safe_contract)
 
 
 def safe_reduce(term: Term, step_budget: int = 100_000) -> ReductionOutcome:
@@ -330,16 +331,7 @@ def safe_reduce(term: Term, step_budget: int = 100_000) -> ReductionOutcome:
     numeric step count is bounded by the term workload."""
     if free_vars(term):
         raise StuckOpenTerm(f"free variables {sorted(free_vars(term))}")
-    numeric = total = 0
-    while True:
-        r = _safe_step(term)
-        if r is None:
-            return ReductionOutcome(term, numeric, total)
-        term = r[0]
-        total += 1
-        numeric += int(r[1])
-        if total > step_budget:
-            raise BudgetExhausted(f"no safe normal form within {step_budget} steps")
+    return _reduce(term, safe_contract, False, step_budget, "safe normal form")
 
 
 # ------------------------------------------------------------ simplifier
@@ -578,7 +570,7 @@ def uniquify(term: Term, supply: NameSupply) -> Term:
                 if ren:
                     seen.update(ren.values())
                     env = env | ren
-                    todo.append((m, _rename_pattern(p, ren)))
+                    todo.append((m, rename_pattern(p, ren)))
                 else:
                     todo.append((m, None))
                 todo.append((body, env))

@@ -273,7 +273,7 @@ def free_vars(m: Term) -> frozenset[str]:
         todo = [m]
         while todo:
             t = todo[-1]
-            missing = [c for c in _children(t)
+            missing = [c for c in children(t)
                        if isinstance(c, _COMPOSITE) and c._fv is None]
             if missing:
                 todo.extend(missing)
@@ -284,12 +284,18 @@ def free_vars(m: Term) -> frozenset[str]:
     return m._fv
 
 
-def _children(m: Term) -> tuple[Term, ...]:
-    match m:
-        case Abs(_, body) | BangVal(body):
-            return (body,)
-        case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-            return (f, a)
+def children(m: Term) -> tuple[Term, ...]:
+    # dispatch on the class, not with `match`: class patterns cost several
+    # times more, and the walks over whole terms call this at every node
+    cls = m.__class__
+    if cls is App:
+        return (m.fn, m.arg)
+    if cls is TensorPair or cls is WithPair:
+        return (m.left, m.right)
+    if cls is Abs:
+        return (m.body,)
+    if cls is BangVal:
+        return (m.inner,)
     return ()
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from linlog.lll.lets import bind, unbind
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, PlusDot, PrimFn, Term, TensorPair, TimesDot,
-    TopVal, UnitVal, Var, WithPair, Zero, _children, free_vars,
+    TopVal, UnitVal, Var, WithPair, Zero, children, free_vars,
     pattern_var_types,
 )
 from linlog.lll.types import LType, is_ground, workload_type
@@ -104,5 +104,5 @@ def is_safe(m: Term, var_types: dict[str, LType] | None = None) -> bool:
             todo.append(bind(types, pattern_var_types(t.pat)))
             todo.append(t.body)
         elif cls is App or cls is TensorPair:
-            todo += _children(t)
+            todo += children(t)
     return True

@@ -83,7 +83,7 @@ def basis_values(h: LType) -> list[Value]:
 
 def dimension_basis_values(h: LType) -> list[Value]:
     """One value per scalar dimension; empty at the top type.  Use this
-    for matrix materialization, `basis_values` for probing."""
+    for matrices and Jacobian rows, `basis_values` for probing."""
     return [term_to_value(b) for b in _basis0(h)]
 
 
@@ -261,7 +261,7 @@ class Verdict:
         return self.equivalent
 
 
-def _close_env(env: TypingEnv, rng: random.Random, supply: NameSupply):
+def _close_env(env: TypingEnv, rng: random.Random):
     """Sample one machine environment for the free patterns."""
     values: dict[str, Value] = {}
     exact = True
@@ -354,7 +354,7 @@ def equiv_check(ty: LType, m: Term, n: Term, env: TypingEnv,
     cm, cn = compile_term(m), compile_term(n)
     bases: dict[LType, list[Value]] = {}
     for _ in range(rounds):
-        values, env_exact = _close_env(env, rng, supply=None)
+        values, env_exact = _close_env(env, rng)
         flops = Flops()
         va = eval_compiled(cm, values, flops)
         vb = eval_compiled(cn, values, flops)
@@ -451,7 +451,8 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     """Gradient through the reverse pipeline, linearizing once.  The
     transposed term r evaluates once to `!primal ⊗ <(), g>`; row i of the
     transposed Jacobian is g applied to the i-th of the k basis cotangents
-    of the output (a scalar output is the case k = 1).
+    of the output (a scalar output is the case k = 1; an output with no
+    scalar component has k = 0 and no row).
 
     The bound is W(r) + max(k-1, 0)·W(map), the map being the linear part
     of r with its section lets (`unzip_decompose(r)[2]`): W(r) bounds the
@@ -474,7 +475,7 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     out = eval_compiled(compile_term(r), values, flops)
     g = out.right.right
     rows = []
-    for b in basis_values(hty):
+    for b in dimension_basis_values(hty):
         by_name = dict(zip([n for n, _ in enum],
                            _split_tangent(apply_value(g, b, flops), enum)))
         rows.append([by_name[n] for n, _ in theta])

@@ -25,7 +25,8 @@ from linlog.linear_a.expr import (
     TanTupIntro2, VarPair, ZeroDot, fv_tangent, match_let_p, match_let_t,
     match_p_var, match_t_var,
 )
-from linlog.linear_a.transform import decompose_linear_b, infer_types
+from linlog.linear_a.transform import decompose_linear_b
+from linlog.linear_a.typecheck import infer_types
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar,
     PWith, Term, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,

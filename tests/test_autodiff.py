@@ -13,7 +13,7 @@ from linlog.lll import (
     alpha_eq, para, typecheck, workload_term,
 )
 from linlog.lll.machine import Flops, apply_value, run
-from linlog.lll.reduce import _rename_pattern
+from linlog.lll.reduce import rename_pattern
 from linlog.oracle import basis_values, flatten_value
 
 RR = With(Real, Real)
@@ -43,7 +43,7 @@ def test_rename_project_examples():
     p = PWith(PWith(pvar("x"), pvar("y")), pvar("u"))
     alpha = Renaming((("x", "x1"), ("y", "y1")))
     assert rename_project(alpha, p) == PWith(pvar("x1"), pvar("y1"))
-    assert _rename_pattern(p, alpha.map) == \
+    assert rename_pattern(p, alpha.map) == \
         PWith(PWith(pvar("x1"), pvar("y1")), pvar("u"))
     # empty domain: a fresh top variable
     out = rename_project(EMPTY_RENAMING, p, NameSupply())

@@ -158,26 +158,34 @@ def test_grad_of_a_tuple_output_evaluates_the_primal_once():
     assert lines["flops"] == "13" and lines["workload_bound"] == "13"
 
 
-NO_SCALAR_OUTPUT = ("(linear-a (primal (x real)) "
-                    "(expr (let-p y (prim sin x) (ptup-e (ptup) (ptup)))))")
+# (output expression, printed primal): outputs of type ((), ()) and ()
+NO_SCALAR_OUTPUTS = [("(ptup-e (ptup) (ptup))", "((), ())"), ("(ptup)", "()")]
 
 
 def test_grad_and_compare_keep_the_primal_of_an_output_with_no_scalar_component(
         tmp_path):
-    # the output has no basis cotangent, yet the primal is still computed
-    src = tmp_path / "no_scalar.lina"
-    src.write_text(NO_SCALAR_OUTPUT)
-    code, out = run_cli("grad", str(src), "--point", "0.3")
-    assert code == 0 and "primal = ((), ())" in out
-    code, out = run_cli("grad", str(src), "--point", "0.3", "--format", "machine")
-    lines = dict(l.split("=", 1) for l in out.splitlines())
-    assert code == 0
-    assert lines["primal"] == "((), ())"
-    assert lines["flops"] == "2" and lines["workload_bound"] == "2"
-    _, out = run_cli("eval", str(src), "--point", "0.3", "--format", "machine")
-    assert "value=((), ())" in out.splitlines()
-    code, out = run_cli("compare", str(src), "--point", "0.3")
-    assert code == 0 and "primal          = ((), ())" in out
+    # the output has no basis cotangent, so no Jacobian row, yet the primal
+    # is still computed
+    for i, (expr, primal) in enumerate(NO_SCALAR_OUTPUTS):
+        src = tmp_path / f"no_scalar{i}.lina"
+        src.write_text("(linear-a (primal (x real)) "
+                       f"(expr (let-p y (prim sin x) {expr})))")
+        code, out = run_cli("grad", str(src), "--point", "0.3")
+        assert code == 0 and f"primal = {primal}" in out
+        assert "grad" not in out
+        code, out = run_cli("grad", str(src), "--point", "0.3",
+                            "--format", "machine")
+        lines = dict(l.split("=", 1) for l in out.splitlines())
+        assert code == 0
+        assert lines["primal"] == primal
+        assert lines["flops"] == "2" and lines["workload_bound"] == "2"
+        assert not [k for k in lines if k.startswith("grad")]
+        _, out = run_cli("eval", str(src), "--point", "0.3",
+                         "--format", "machine")
+        assert f"value={primal}" in out.splitlines()
+        code, out = run_cli("compare", str(src), "--point", "0.3")
+        assert code == 0 and f"primal          = {primal}" in out
+        assert "grad" not in out
 
 
 def test_compare_uses_fd_step():
@@ -188,6 +196,17 @@ def test_compare_uses_fd_step():
     fd_coarse = [l for l in coarse.splitlines() if l.startswith("grad.fd=")]
     assert fd != fd_coarse
     assert "status=fail" in coarse
+
+
+def test_an_option_of_another_command_is_rejected():
+    # --tol and --fd-step belong to compare, --seed to check
+    for args in (("check", G, "--fd-step", "0.1"),
+                 ("grad", G, "--point", "0.5 2.0", "--seed", "3"),
+                 ("eval", G, "--point", "0.5 2.0", "--tol", "1e-3")):
+        assert run_cli(*args)[0] == 2, args
+    assert run_cli("compare", G, "--point", "0.5 2.0", "--tol", "1e-6",
+                   "--fd-step", "1e-6")[0] == 0
+    assert run_cli("check", G, "--seed", "3")[0] == 0
 
 
 def test_check_random_machine_deterministic():

@@ -98,6 +98,19 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not unused, f"{len(unused)} unused imports: {unused}"
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A name with one leading underscore is its module's own: no module of
+    the package imports one from another `linlog` module."""
+    found = []
+    for name, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and linlog_targets(node):
+                found += [f"{name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_")
+                          and not a.name.startswith("__")]
+    assert not found, found
+
+
 LEVELS = {"linlog.lll": 0, "linlog.linear_a": 1, "linlog.frontend": 2,
           "linlog.translate": 2, "linlog.autodiff": 3, "linlog.oracle": 4,
           "linlog.gen": 5, "linlog.checks": 6, "linlog.cli": 7}

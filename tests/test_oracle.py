@@ -272,7 +272,9 @@ def reference_run_grad(p, theta, point, pipeline, simplify_output, supply):
         return (value_to_numtuple(out.left.inner),
                 [by_name[n] for n, _ in theta], flops, workload_term(total))
 
-    runs = [one_run(b) for b in basis(hty)]
+    # one cotangent per scalar dimension: a bare () output has none
+    # (`basis(Top)` keeps its single point only to probe maps out of it)
+    runs = [one_run(b) for b in ([] if hty is Top else basis(hty))]
     return (runs[-1][0] if runs else None, [row for _, row, _, _ in runs],
             sum(fl for *_, fl, _ in runs), sum(wb for *_, wb in runs))
 

@@ -12,7 +12,7 @@ from linlog.linear_a import (
     jax_unzip, typecheck_jax,
 )
 from linlog.linear_a.expr import JProd, fv_primal
-from linlog.linear_a.transform import infer_types
+from linlog.linear_a.typecheck import infer_types
 from linlog.lll import PBang, Real, typecheck
 from linlog.lll.types import with_tuple_type
 from linlog.oracle import EquivConfig, basis, equiv_check

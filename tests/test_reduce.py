@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from linlog import NameSupply
@@ -8,8 +10,11 @@ from linlog.lll import (
     normalize, prim, prim_app, safe_reduce, simplify, substitute,
     value_for_pattern, workload_term, StuckOpenTerm,
 )
-from linlog.lll.reduce import _rename_free, _rename_pattern, uniquify
-from linlog.lll.terms import free_vars, pattern_vars, term_str
+from linlog.gen import safe_ground_cases
+from linlog.lll.reduce import (
+    plug, redexes, rename_pattern, safe_contract, safe_step, subst, uniquify,
+)
+from linlog.lll.terms import children, free_vars, pattern_vars, term_str
 from tests.terms9 import fig9a_term
 
 
@@ -116,6 +121,108 @@ def test_capture_avoidance():
     assert Var("y") in (out.body.arg.left,)  # the substituted free y survives
 
 
+def test_components_are_substituted_at_once():
+    # the second component's name b is also a pattern variable: it must
+    # not be replaced again once a's component has brought it in
+    a, b, c = Var("a"), Var("b"), Var("c")
+    tensor = PTensor(PVar("a", Real), PVar("b", Real))
+    with_ = PWith(PVar("a", Real), PVar("b", Real))
+    for pat, pair in ((tensor, TensorPair), (with_, WithPair)):
+        body, value, want = pair(a, b), pair(b, c), pair(b, c)
+        assert substitute(body, pat, value) == want
+        redex = App(Abs(pat, body), value)
+        assert beta_step(redex) == (want, False)
+        assert normalize(redex).result == want
+        assert normalize(redex, strategy="rightmost-innermost").result == want
+        assert simplify(redex) == want
+
+
+def test_each_component_renames_the_binder_it_would_capture():
+    # (λb. (a, b), λc. (b, c)){(b, c)/(a ⊗ b)}: the component b would be
+    # captured by the first binder, the component c by the second
+    body = TensorPair(Abs(PVar("b", Real), TensorPair(Var("a"), Var("b"))),
+                      Abs(PVar("c", Real), TensorPair(Var("b"), Var("c"))))
+    out = substitute(body, PTensor(PVar("a", Real), PVar("b", Real)),
+                     TensorPair(Var("b"), Var("c")))
+    want = TensorPair(Abs(PVar("b1", Real), TensorPair(Var("b"), Var("b1"))),
+                      Abs(PVar("c1", Real), TensorPair(Var("c"), Var("c1"))))
+    assert alpha_eq(out, want)
+    assert free_vars(out) == {"b", "c"}
+    assert [out.left.pat.name, out.right.pat.name] == ["b#r1", "c#r1"]
+
+
+def test_a_renaming_substitutes_variables():
+    t = Abs(PVar("y", Real), TensorPair(Var("x"), Var("y")))
+    assert subst(t, {"x": Var("z")}) == \
+        Abs(PVar("y", Real), TensorPair(Var("z"), Var("y")))
+    assert subst(t, {"y": Var("z")}) is t  # y is bound, not free
+    # the binder shadows y for the whole substitution, not only alone
+    assert subst(t, {"x": Var("z"), "y": Var("w")}) == \
+        Abs(PVar("y", Real), TensorPair(Var("z"), Var("y")))
+    # renaming x to the bound name y renames the binder apart
+    out = subst(t, {"x": Var("y")})
+    assert out.pat == PVar("y#r1", Real)
+    assert alpha_eq(out, Abs(PVar("w", Real), TensorPair(Var("y"), Var("w"))))
+
+
+def ref_redexes(t, contract, path=()):
+    """The recursive definition: (path of child indices, contraction) of
+    every redex, in pre-order, left to right."""
+    c = contract(t)
+    out = [] if c is None else [(path, c)]
+    for i, child in enumerate(children(t)):
+        out += ref_redexes(child, contract, path + (i,))
+    return out
+
+
+def ref_plug(t, path, new):
+    if not path:
+        return new
+    kids = list(children(t))
+    kids[path[0]] = ref_plug(kids[path[0]], path[1:], new)
+    return Abs(t.pat, *kids) if isinstance(t, Abs) else type(t)(*kids)
+
+
+def path_of(ctx):
+    out = []
+    while ctx is not None:
+        _, i, ctx = ctx
+        out.append(i)
+    return tuple(reversed(out))
+
+
+def test_redexes_come_in_pre_order_and_its_reverse():
+    seen = 0
+    for c in safe_ground_cases(30, 5):
+        t = c.term
+        while t is not None:
+            want = ref_redexes(t, safe_contract)
+            got = list(redexes(t, safe_contract))
+            assert [(path_of(ctx), r) for ctx, r in got] == want
+            inner = [path_of(ctx) for ctx, _ in
+                     redexes(t, safe_contract, innermost=True)]
+            assert inner == [path for path, _ in reversed(want)]
+            for (ctx, (new, _)), (path, _) in zip(got, want):
+                assert plug(ctx, new) == ref_plug(t, path, new)
+            seen += len(got) > 1
+            step = safe_step(t)
+            assert step is None or step[0] == plug(got[0][0], got[0][1][0])
+            t = step and step[0]
+    assert seen > 20
+
+
+def test_reductions_of_safe_ground_cases_are_pinned():
+    """Step counts and results of safe reduction and of both normalizing
+    strategies, hashed; pinned before the rewriting engine was rebuilt."""
+    h = hashlib.sha256()
+    for c in safe_ground_cases(200, 11):
+        for out in (safe_reduce(c.term), normalize(c.term),
+                    normalize(c.term, strategy="rightmost-innermost")):
+            h.update(f"{out.numeric_steps} {out.total_steps} "
+                     f"{term_str(out.result)}\n".encode())
+    assert h.hexdigest()[:16] == "2c0bd2d272fa6a38"
+
+
 def test_fig9a_evaluates_at_point():
     t = fig9a_term()
     closed = substitute(substitute(t, PBang("x", Real), BangVal(num(0.0))),
@@ -204,8 +311,8 @@ def ref_uniquify(term, supply):
                     else:
                         seen.add(n)
                 if ren:
-                    p = _rename_pattern(p, ren)
-                    body = _rename_free(body, ren)
+                    p = rename_pattern(p, ren)
+                    body = subst(body, {n: Var(f) for n, f in ren.items()})
                     seen.update(ren.values())
                 return Abs(p, go(body))
             case App(f, a):
@@ -225,7 +332,7 @@ def ref_uniquify(term, supply):
 def uniquify_corpus():
     """(term, supply) pairs: the generated corpora and their F/U images."""
     from linlog.autodiff import forward, unzip
-    from linlog.gen import jax_cases, lll_f_cases, lll_p_cases, safe_ground_cases
+    from linlog.gen import jax_cases, lll_f_cases, lll_p_cases
     from linlog.translate import Enumeration, delta
     out = []
     for c in lll_p_cases(25, 5):

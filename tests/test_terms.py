@@ -56,7 +56,7 @@ def subterms(m):
     while todo:
         t = todo.pop()
         yield t
-        todo += terms._children(t)
+        todo += terms.children(t)
 
 
 def composite_nodes(*ms):
