@@ -20,7 +20,7 @@ from linlog.linear_a.expr import (
     pair_pt, ptup_e, p_var, ttup_e, t_var,
 )
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup
-from linlog.lll.prims import REGISTRY
+from linlog.lll.prims import PrimId, REGISTRY
 from linlog.lll.reduce import rename_pattern, subst
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PTensor, PUnit, PVar, PWith,
@@ -140,6 +140,20 @@ def _number(x) -> float:
 
 def _head(x):
     return x[0].text if isinstance(x, list) and x and isinstance(x[0], _Sym) else None
+
+
+def _primitive(x: list, n_args: int | None = None) -> PrimId:
+    """The primitive named in the form `x`, which applies it to `n_args`
+    arguments unless that is None."""
+    name = _sym(x[1])
+    p = REGISTRY.get(name)
+    if p is None:
+        raise SyntaxErrorAt(f"unknown primitive {name}", x[1].line, x[1].col)
+    if n_args is not None and n_args != p.arity:
+        raise SyntaxErrorAt(
+            f"{name} expects {p.arity} arguments, got {n_args}",
+            x[1].line, x[1].col)
+    return p
 
 
 # ---------------------------------------------------------------- types
@@ -274,15 +288,10 @@ def parse_lll_term(x) -> Term:
         case "num":
             return Numeral(_number(x[1]))
         case "prim":
-            name = _sym(x[1])
-            if name not in REGISTRY:
-                raise SyntaxErrorAt(f"unknown primitive {name}", x[1].line, x[1].col)
-            return PrimFn(REGISTRY[name])
+            return PrimFn(_primitive(x))
         case "papp":
-            name = _sym(x[1])
-            if name not in REGISTRY:
-                raise SyntaxErrorAt(f"unknown primitive {name}", x[1].line, x[1].col)
-            return prim_app(REGISTRY[name], [parse_lll_term(a) for a in x[2:]])
+            return prim_app(_primitive(x, len(x) - 2),
+                            [parse_lll_term(a) for a in x[2:]])
         case "lam":
             return Abs(parse_pattern(x[1]), parse_lll_term(x[2]))
         case "app":
@@ -390,11 +399,7 @@ class _LinaParser:
             case "lit":
                 return Lit(_number(x[1]))
             case "prim":
-                name = _sym(x[1])
-                if name not in REGISTRY:
-                    raise SyntaxErrorAt(f"unknown primitive {name}",
-                                        x[1].line, x[1].col)
-                return PrimApp(REGISTRY[name],
+                return PrimApp(_primitive(x, len(x) - 2),
                                tuple(_prim_name(a) for a in x[2:]))
             case "zerodot":
                 return ZeroDot(parse_jax_type(x[1]))

@@ -11,14 +11,14 @@ implementation, and tests/test_machine.py checks the two against each
 other.
 
 Compilation resolves every variable to a slot of a frame, a Python list.
-Applying a closure allocates one frame for its pattern, for every let in
-its body and for the values it captured; a closure captures the values of
-the outer variables its body uses when it is made, so frames never refer
-to one another.  A let (``App(Abs(p, M), N)``) binds into the current
-frame without building a closure, and a chain of lets runs as a loop, so
-long let-spines need no Python stack.  The free variables of the whole
-term are read from the caller's environment once per run; one that the
-environment lacks fails only when it is evaluated.
+Applying a closure allocates one frame for its argument, for every let in
+its body, for its constants and for the values it captured; a closure
+captures the values of the outer variables its body uses when it is made,
+so frames never refer to one another.  A let (``App(Abs(p, M), N)``) binds
+into the current frame without building a closure, and a chain of lets
+runs as a loop, so long let-spines need no Python stack.  The free
+variables of the whole term are read from the caller's environment once
+per run; one that the environment lacks fails only when it is evaluated.
 
 Let right-hand sides are flattened at compile time on an explicit stack
 ("Let-floating", Peyton Jones, Partain & Santos, 1996): a with- or
@@ -26,9 +26,29 @@ tensor-pattern against a pair of its kind binds component by component
 without building the pair, and a right-hand side that is a let spine adds
 its lets to the same loop.  So the lets that the transposition nests
 through right-hand sides compile and run at a host depth independent of
-their number.  Flops are unchanged; a split pattern's shape error is
-raised before its later components run.  Values are slotted dataclasses,
-never changed in place (tests/test_layering.py checks this).
+their number.
+
+Codes are specialised on the shapes of their operands, so that the common
+nodes cost no Python call of their own (superoperators: Proebsting,
+"Optimizing an ANSI C interpreter with superoperators", POPL 1995):
+
+- a bound variable or a constant is a slot operand, which the code of its
+  parent reads itself; constants live in the frame's template;
+- a let of a variable to a bound variable or a constant (also a component
+  of a split pair) aliases the name to that slot and runs nothing, since
+  each slot is written once per activation of its frame;
+- a variable binder is a store, a pair pattern one shape check and two
+  stores, and a closure's entry runs its body's let loop itself, so that
+  applying a closure costs two host frames (its application and the
+  entry);
+- `+.` on a with-pair, `*.` on two arguments and a primitive on its
+  argument are one code each, building no intermediate pair or partial
+  application.
+
+Flops, evaluation order and every error message are those of applying the
+nodes one by one; a split pattern's shape error is raised before its later
+components run.  Values are slotted dataclasses, never changed in place
+(tests/test_layering.py checks this).
 """
 
 from __future__ import annotations
@@ -172,11 +192,15 @@ def apply_value(f: Value, a: Value, flops: Flops) -> Value:
 # ------------------------------------------------------------ compilation
 #
 # The code for a term is a function ``code(frame, flops) -> Value`` made by
-# a factory from its operands: sub-codes, slots and constants.  Operands are
-# default arguments, which CPython reads as fast locals and which cost fewer
-# objects than closure cells.  Code depends on nothing but its operands, so
-# one compilation makes each distinct factory call once (`_Scope.share`):
-# the same read or pair of reads in many abstractions is one function.
+# a factory from its operands.  An operand is a slot or a code: a bound
+# variable is its slot, and so is a constant, which is written into the
+# frame's template; anything else is the code that computes it.  A factory
+# picks its body by the kinds of its operands and reads ``fr[i]`` itself
+# where an operand is a slot.  Operands are default arguments, which
+# CPython reads as fast locals and which cost fewer objects than closure
+# cells.  Code depends on nothing but its operands, so one compilation
+# makes each distinct factory call once (`_Scope.share`): the same pair of
+# slots in many abstractions is one function.
 
 _UNBOUND = object()  # a free variable the environment does not bind
 
@@ -185,15 +209,18 @@ class _Scope:
     """Compile-time map from variable names to frame slots.
 
     One frame is open per enclosing abstraction.  A frame holds the
-    abstraction's own variables (pattern and lets) at slots 0, 1, ... and,
-    at slots -1, -2, ..., the values of the outer variables its body
-    uses, copied when the closure is made.  `sizes[k]` counts frame k's own
-    slots so far and `caps[k]` maps its captured names to their order of
-    capture.  The outermost frame also holds the term's free variables."""
+    abstraction's argument, its own variables (pattern and lets) and its
+    constants at slots 0, 1, ... and, at slots -1, -2, ..., the values of
+    the outer variables its body uses, copied when the closure is made.
+    `sizes[k]` counts frame k's own slots so far, `caps[k]` maps its
+    captured names to their order of capture and `consts[k]` lists the
+    (slot, value) of its constants.  The outermost frame also holds the
+    term's free variables."""
 
     def __init__(self):
         self.sizes = [0]
         self.caps: list[dict[str, int]] = [{}]
+        self.consts: list[list[tuple[int, Value]]] = [[]]
         self.bound: dict[str, list[tuple[int, int]]] = {}
         self.trail: list[str] = []
         self.free: dict[str, int] = {}  # free name -> slot in frame 0
@@ -210,17 +237,37 @@ class _Scope:
     def open(self):
         self.sizes.append(0)
         self.caps.append({})
+        self.consts.append([])
 
-    def close(self) -> tuple[int, list[str]]:
-        """Close the innermost frame: (own slots, captured names in order)."""
-        return self.sizes.pop(), list(self.caps.pop())
+    def close(self) -> tuple[list, list[str]]:
+        """Close the innermost frame: (the template of its own slots, which
+        holds its constants, and its captured names in order)."""
+        template = [None] * self.sizes.pop()
+        for slot, v in self.consts.pop():
+            template[slot] = v
+        return template, list(self.caps.pop())
 
-    def bind(self, name: str) -> int:
+    def slot(self) -> int:
+        """A new slot of the innermost frame."""
         level = len(self.sizes) - 1
         slot = self.sizes[level]
         self.sizes[level] = slot + 1
-        self.bound.setdefault(name, []).append((level, slot))
+        return slot
+
+    def alias(self, name: str, slot: int):
+        """Bind `name` to `slot` of the innermost frame."""
+        self.bound.setdefault(name, []).append((len(self.sizes) - 1, slot))
         self.trail.append(name)
+
+    def bind(self, name: str) -> int:
+        slot = self.slot()
+        self.alias(name, slot)
+        return slot
+
+    def const(self, v: Value) -> int:
+        """A new slot of the innermost frame, holding `v`."""
+        slot = self.slot()
+        self.consts[-1].append((slot, v))
         return slot
 
     def unwind(self, mark: int):
@@ -238,8 +285,7 @@ class _Scope:
         if level == 0:
             slot = self.free.get(name)
             if slot is None:
-                slot = self.free[name] = self.sizes[0]
-                self.sizes[0] += 1
+                slot = self.free[name] = self.slot()
             return slot, True
         caps = self.caps[level]
         j = caps.setdefault(name, len(caps))
@@ -248,20 +294,15 @@ class _Scope:
 
 # ---- code factories
 
-def _const(v: Value):
-    def const(fr, fl, v=v):
-        return v
-    return const
-
-
-_UNIT, _TOP, _PLUS, _TIMES, _ZERO = map(
-    _const, (VUnit(), VTop(), VPlus(), VTimes(), VNum(0.0)))
-
-
 def _var(i: int):
     def var(fr, fl, i=i):
         return fr[i]
     return var
+
+
+def _code(x, sc: _Scope):
+    """The operand `x` as a code."""
+    return sc.share(_var, x) if type(x) is int else x
 
 
 def _free_var(i: int, name: str):
@@ -288,57 +329,150 @@ def _closure(pat: Pattern, body: Term, enter, srcs: list[int]):
     return closure
 
 
-def _enter(size: int, bind, code):
-    def enter(env, arg, fl, template=[None] * size, bind=bind, code=code):
-        fr = [*template, *env]
-        bind(fr, arg)
-        return code(fr, fl)
+# A let step is a triple (bind, rhs, i): with no binder it stores the value
+# of the code `rhs` at slot `i`; with no code it binds the value at slot
+# `i`; with both it binds the value of `rhs`.  A body that is a code is one
+# more step, storing its value at the slot that `_enter` or `_lets`
+# returns.  Each runs the steps in its own loop, so that a right-hand side
+# applying a closure costs two host frames: its `app` and the callee's
+# `enter`.
+
+def _enter(rest: tuple, steps: tuple, result: int):
+    """A closure's code: a frame of the argument at slot 0, the template
+    `rest` of its other own slots and the captured values `env`; then the
+    let steps of its body."""
+    def enter(env, arg, fl, rest=rest, steps=steps, result=result):
+        fr = [arg, *rest, *env]
+        for bind, rhs, i in steps:
+            if bind is None:
+                fr[i] = rhs(fr, fl)
+            elif rhs is None:
+                bind(fr, fr[i])
+            else:
+                bind(fr, rhs(fr, fl))
+        return fr[result]
     return enter
 
 
-def _lets(steps: tuple, body):
-    def lets(fr, fl, steps=steps, body=body):
-        for bind, rhs in steps:
-            bind(fr, rhs(fr, fl))
-        return body(fr, fl)
+def _lets(steps: tuple, result: int):
+    def lets(fr, fl, steps=steps, result=result):
+        for bind, rhs, i in steps:
+            if bind is None:
+                fr[i] = rhs(fr, fl)
+            elif rhs is None:
+                bind(fr, fr[i])
+            else:
+                bind(fr, rhs(fr, fl))
+        return fr[result]
     return lets
 
 
 def _app(f, a):
-    def app(fr, fl, f=f, a=a):
-        fv = f(fr, fl)
-        av = a(fr, fl)
-        if type(fv) is VClosure:
-            return fv.code(fv.env, av, fl)
-        return apply_value(fv, av, fl)
+    """Applies `f` to `a`; `a` is a slot only if `f` is."""
+    if type(f) is not int:
+        def app(fr, fl, f=f, a=a):
+            fv = f(fr, fl)
+            av = a(fr, fl)
+            if type(fv) is VClosure:
+                return fv.code(fv.env, av, fl)
+            return apply_value(fv, av, fl)
+    elif type(a) is int:
+        def app(fr, fl, f=f, a=a):
+            fv = fr[f]
+            if type(fv) is VClosure:
+                return fv.code(fv.env, fr[a], fl)
+            return apply_value(fv, fr[a], fl)
+    else:
+        def app(fr, fl, f=f, a=a):
+            fv = fr[f]
+            av = a(fr, fl)
+            if type(fv) is VClosure:
+                return fv.code(fv.env, av, fl)
+            return apply_value(fv, av, fl)
     return app
 
 
-def _tensor_pair(l, r):
-    def pair(fr, fl, l=l, r=r):
-        return VPair(l(fr, fl), r(fr, fl))
+def _pair(cls, l, r):
+    """The `cls` pair (`VPair` or `VWith`) of `l` and `r`."""
+    if type(l) is int:
+        if type(r) is int:
+            def pair(fr, fl, cls=cls, l=l, r=r):
+                return cls(fr[l], fr[r])
+        else:
+            def pair(fr, fl, cls=cls, l=l, r=r):
+                return cls(fr[l], r(fr, fl))
+    elif type(r) is int:
+        def pair(fr, fl, cls=cls, l=l, r=r):
+            return cls(l(fr, fl), fr[r])
+    else:
+        def pair(fr, fl, cls=cls, l=l, r=r):
+            return cls(l(fr, fl), r(fr, fl))
     return pair
 
 
-def _with_pair(l, r):
-    def pair(fr, fl, l=l, r=r):
-        return VWith(l(fr, fl), r(fr, fl))
-    return pair
-
-
-def _bang(i):
-    def bang(fr, fl, i=i):
-        return VBang(i(fr, fl))
+def _bang(x):
+    if type(x) is int:
+        def bang(fr, fl, x=x):
+            return VBang(fr[x])
+    else:
+        def bang(fr, fl, x=x):
+            return VBang(x(fr, fl))
     return bang
 
 
-# ---- binder factories: ``bind(frame, value)`` stores into slots
+# Saturated arithmetic: `+.` on a with-pair, `*.` on two arguments and a
+# primitive on its argument, each without the intermediate pair or partial
+# application.  Both operands are slots or both are codes.  The flop is
+# counted and a non-number rejected in the order `apply_value` does.
 
-def _bind_var(i: int):
-    def bind(fr, v, i=i):
-        fr[i] = v
-    return bind
+def _plus(l, r):
+    if type(l) is int:
+        def plus(fr, fl, l=l, r=r):
+            x = fr[l]
+            y = fr[r]
+            fl.count += 1
+            if type(x) is VNum and type(y) is VNum:
+                return VNum(x.value + y.value)
+            return VNum(_num(x) + _num(y))
+    else:
+        def plus(fr, fl, l=l, r=r):
+            x = l(fr, fl)
+            y = r(fr, fl)
+            fl.count += 1
+            return VNum(_num(x) + _num(y))
+    return plus
 
+
+def _times(a, b):
+    if type(a) is int:
+        def times(fr, fl, a=a, b=b):
+            x = fr[a]
+            y = fr[b]
+            if type(x) is VNum and type(y) is VNum:
+                fl.count += 1
+                return VNum(x.value * y.value)
+            p = _num(x)
+            fl.count += 1
+            return VNum(p * _num(y))
+    else:
+        def times(fr, fl, a=a, b=b):
+            p = _num(a(fr, fl))
+            y = b(fr, fl)
+            fl.count += 1
+            return VNum(p * _num(y))
+    return times
+
+
+def _prim(fn: PrimId, a):
+    def prim(fr, fl, f=fn.fn, arity=fn.arity, a=a):
+        args = _prim_args(a(fr, fl), arity)
+        fl.count += 1
+        return VBang(VNum(f(*args)))
+    return prim
+
+
+# ---- binder factories: ``bind(frame, value)`` checks the value's shape
+# and stores into slots
 
 def _bind_bang(i: int, n: str):
     def bind(fr, v, i=i, n=n):
@@ -353,83 +487,117 @@ def _bind_unit(fr, v):
         raise MachineError(f"unit pattern against {v!r}")
 
 
-def _bind_tensor(bl, br):
-    def bind(fr, v, bl=bl, br=br):
-        if type(v) is not VPair:
-            raise MachineError(f"tensor pattern against {v!r}")
-        bl(fr, v.left)
-        br(fr, v.right)
-    return bind
-
-
-def _bind_with(bl, br):
-    def bind(fr, v, bl=bl, br=br):
-        if type(v) is not VWith:
-            raise MachineError(f"with pattern against {v!r}")
-        bl(fr, v.left)
-        br(fr, v.right)
+def _bind_pair(cls, kind: str, i: int, j: int):
+    """Stores the components of a `cls` pair at slots `i` and `j`."""
+    def bind(fr, v, cls=cls, kind=kind, i=i, j=j):
+        if type(v) is not cls:
+            raise MachineError(f"{kind} pattern against {v!r}")
+        fr[i] = v.left
+        fr[j] = v.right
     return bind
 
 
 # ---- the compiler
 
-def _compile_pattern(p: Pattern, sc: _Scope):
-    """The binder for `p`; binds its variables in `sc`."""
+_PAIRS = {PTensor: (VPair, "tensor"), PWith: (VWith, "with")}
+
+
+def _bind_steps(p: Pattern, rhs, sc: _Scope, steps: list):
+    """Append to `steps` the steps that bind `p` to the operand `rhs`, and
+    bind `p`'s names in `sc`, left to right.  A variable is an alias of the
+    slot that holds its value, so a variable over a slot makes no step: a
+    slot is written once per activation of its frame.  The components of a
+    pair pattern go to slots of their own, which its subpatterns then bind,
+    so shapes are checked in the order of a walk of `p` from the root."""
     t = type(p)
     if t is PVar:
-        return sc.share(_bind_var, sc.bind(p.name))
+        sc.alias(p.name, _result(steps, rhs, sc))
+        return
     if t is PBang:
-        return sc.share(_bind_bang, sc.bind(p.name), p.name)
-    if t is PUnit:
-        return _bind_unit
-    if t is not PTensor and t is not PWith:
+        bind = sc.share(_bind_bang, sc.bind(p.name), p.name)
+    elif t is PUnit:
+        bind = _bind_unit
+    elif t is PTensor or t is PWith:
+        i, j = sc.slot(), sc.slot()
+        bind = sc.share(_bind_pair, *_PAIRS[t], i, j)
+    else:
         raise AssertionError(p)
-    bl = _compile_pattern(p.left, sc)
-    return sc.share(_bind_tensor if t is PTensor else _bind_with, bl,
-                    _compile_pattern(p.right, sc))
+    steps.append((bind, None, rhs) if type(rhs) is int else (bind, rhs, 0))
+    if t is PTensor or t is PWith:
+        _bind_steps(p.left, i, sc, steps)
+        _bind_steps(p.right, j, sc, steps)
 
 
 def _compile_var(m: Var, sc: _Scope):
+    """A bound variable is its slot; a free one is read by a code that
+    checks the environment bound it."""
     slot, free = sc.lookup(m.name)
-    return sc.share(_free_var, slot, m.name) if free else sc.share(_var, slot)
+    return sc.share(_free_var, slot, m.name) if free else slot
 
 
 def _compile_abs(m: Abs, sc: _Scope):
     sc.open()
     mark = len(sc.trail)
-    bind = _compile_pattern(m.pat, sc)
-    code = _compile(m.body, sc)
+    steps = []
+    _bind_steps(m.pat, sc.slot(), sc, steps)  # the argument is slot 0
+    frames, body = spine(m.body)
+    steps += _let_steps(frames, sc)
+    result = _result(steps, _compile(body, sc), sc)
     sc.unwind(mark)
-    size, captured = sc.close()
-    enter = sc.share(_enter, size, bind, code)
+    template, captured = sc.close()
+    enter = _enter(tuple(template[1:]), tuple(steps), result)
     # reversed, so that the value of capture j lands at slot -1-j
     srcs = [sc.lookup(name)[0] for name in reversed(captured)]
     return _closure(m.pat, m.body, enter, srcs)
 
 
+def _result(steps: list, x, sc: _Scope) -> int:
+    """The slot of the operand `x` once `steps` have run: a code becomes
+    one more step, which stores its value."""
+    if type(x) is int:
+        return x
+    steps.append((None, x, sc.slot()))
+    return steps[-1][2]
+
+
 def _compile_app(m: App, sc: _Scope):
     """A let-spine ``let p1 = N1 in ... let pk = Nk in M`` binds into the
-    current frame, without a closure, and runs as a loop."""
+    current frame, without a closure, and runs as a loop.  Saturated
+    arithmetic is one code."""
     frames, body = spine(m)
-    if not frames:
-        f = _compile(m.fn, sc)
-        return sc.share(_app, f, _compile(m.arg, sc))
-    mark = len(sc.trail)
-    steps = _let_steps(frames, sc)
-    body = _compile(body, sc)
-    sc.unwind(mark)
-    return sc.share(_lets, steps, body)
+    if frames:
+        mark = len(sc.trail)
+        steps = _let_steps(frames, sc)
+        result = _result(steps, _compile(body, sc), sc)
+        sc.unwind(mark)
+        return sc.share(_lets, tuple(steps), result) if steps else result
+    f, a = m.fn, m.arg
+    if type(f) is PlusDot and type(a) is WithPair:
+        return _arith(_plus, _compile(a.left, sc), _compile(a.right, sc), sc)
+    if type(f) is App and type(f.fn) is TimesDot:
+        return _arith(_times, _compile(f.arg, sc), _compile(a, sc), sc)
+    if type(f) is PrimFn:
+        return sc.share(_prim, f.fn, _code(_compile(a, sc), sc))
+    f = _compile(f, sc)
+    a = _compile(a, sc)
+    return sc.share(_app, f, a if type(f) is int else _code(a, sc))
+
+
+def _arith(make, l, r, sc: _Scope):
+    if type(l) is not int or type(r) is not int:
+        l, r = _code(l, sc), _code(r, sc)
+    return sc.share(make, l, r)
 
 
 _SPLITS = {(PWith, WithPair), (PTensor, TensorPair)}
 _BIND, _UNWIND = object(), object()
 
 
-def _let_steps(frames, sc: _Scope) -> tuple:
-    """The (binder, code) steps of the lets `frames`, their right-hand
-    sides flattened; binds their patterns in `sc`.  A pattern is bound once
-    its whole right-hand side is compiled and the names of the lets inside
-    it are forgotten, so each right-hand side sees the scope before its let."""
+def _let_steps(frames, sc: _Scope) -> list:
+    """The steps of the lets `frames`, their right-hand sides flattened;
+    binds their patterns in `sc`.  A pattern is bound once its whole
+    right-hand side is compiled and the names of the lets inside it are
+    forgotten, so each right-hand side sees the scope before its let."""
     steps, open_ = [], []  # open_: steps whose pattern is not bound yet
     todo = []
 
@@ -442,8 +610,9 @@ def _let_steps(frames, sc: _Scope) -> tuple:
         p, n = todo.pop()
         if p is _BIND:
             for i in open_[n:]:
-                pat, code = steps[i]
-                steps[i] = (_compile_pattern(pat, sc), code)
+                pat, rhs = steps[i]
+                steps[i] = []
+                _bind_steps(pat, rhs, sc, steps[i])
             del open_[n:]
         elif p is _UNWIND:
             sc.unwind(n)
@@ -457,35 +626,39 @@ def _let_steps(frames, sc: _Scope) -> tuple:
             else:
                 open_.append(len(steps))
                 steps.append((p, _compile(n, sc)))
-    return tuple(steps)
+    return [step for bound in steps for step in bound]
 
 
-def _compile_pair(make):
+def _compile_pair(cls):
     def compile_pair(m, sc):
         l = _compile(m.left, sc)
-        return sc.share(make, l, _compile(m.right, sc))
+        return sc.share(_pair, cls, l, _compile(m.right, sc))
     return compile_pair
+
+
+_CONSTANTS = {Zero: VNum(0.0), PlusDot: VPlus(), TimesDot: VTimes(),
+              UnitVal: VUnit(), TopVal: VTop()}
+
+
+def _compile_const(m, sc: _Scope):
+    return sc.const(_CONSTANTS[type(m)])
 
 
 _COMPILERS = {
     Var: _compile_var,
-    Numeral: lambda m, sc: _const(VNum(m.value)),
-    Zero: lambda m, sc: _ZERO,
-    PrimFn: lambda m, sc: _const(VPrim(m.fn)),
-    PlusDot: lambda m, sc: _PLUS,
-    TimesDot: lambda m, sc: _TIMES,
-    UnitVal: lambda m, sc: _UNIT,
-    TopVal: lambda m, sc: _TOP,
+    Numeral: lambda m, sc: sc.const(VNum(m.value)),
+    PrimFn: lambda m, sc: sc.const(VPrim(m.fn)),
+    **dict.fromkeys(_CONSTANTS, _compile_const),
     Abs: _compile_abs,
     App: _compile_app,
-    TensorPair: _compile_pair(_tensor_pair),
-    WithPair: _compile_pair(_with_pair),
+    TensorPair: _compile_pair(VPair),
+    WithPair: _compile_pair(VWith),
     BangVal: lambda m, sc: sc.share(_bang, _compile(m.inner, sc)),
 }
 
 
 def _compile(m: Term, sc: _Scope):
-    """The code of `m` in scope `sc`."""
+    """The operand of `m` in scope `sc`: a slot or a code."""
     return _COMPILERS[type(m)](m, sc)
 
 
@@ -493,25 +666,28 @@ def _compile(m: Term, sc: _Scope):
 
 class Compiled:
     """A term compiled once, to be run by `eval_compiled` any number of
-    times.  `free` lists the term's free names with their frame slots."""
+    times.  `template` holds the outermost frame's constants and `free`
+    lists the term's free names with their frame slots."""
 
-    __slots__ = ("code", "size", "free")
+    __slots__ = ("code", "template", "free")
 
-    def __init__(self, code, size: int, free: tuple[tuple[str, int], ...]):
+    def __init__(self, code, template: tuple,
+                 free: tuple[tuple[str, int], ...]):
         self.code = code
-        self.size = size
+        self.template = template
         self.free = free
 
 
 def compile_term(m: Term) -> Compiled:
     sc = _Scope()
-    code = _compile(m, sc)
-    return Compiled(code, sc.sizes[0], tuple(sc.free.items()))
+    code = _code(_compile(m, sc), sc)
+    template, _ = sc.close()
+    return Compiled(code, tuple(template), tuple(sc.free.items()))
 
 
 def eval_compiled(c: Compiled, env: dict, flops: Flops) -> Value:
     """Run a compiled term; `env` maps its free names to values."""
-    fr = [None] * c.size
+    fr = [*c.template]
     for name, slot in c.free:
         fr[slot] = env.get(name, _UNBOUND)
     return c.code(fr, flops)

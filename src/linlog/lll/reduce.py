@@ -310,15 +310,28 @@ def normalize(term: Term, step_budget: int = 100_000,
 
 # ------------------------------------------------------------ safe steps
 
+def _safe_beta(p: Pattern, v: Term) -> bool:
+    return value_for_pattern(v, p) and is_strong_value(v) and not free_vars(v)
+
+
 def safe_contract(m: Term):
     match m:
         case App(Abs(p, body), v):
-            if (value_for_pattern(v, p) and is_strong_value(v)
-                    and not free_vars(v)):
+            if _safe_beta(p, v):
                 return substitute(body, p, v), False
             return None
         case _:
             return _contract(m)
+
+
+def safe_redex(m: Term) -> Term | None:
+    """`m` if `safe_contract` contracts it, else None; a beta redex is
+    recognised without substituting."""
+    match m:
+        case App(Abs(p, _), v):
+            return m if _safe_beta(p, v) else None
+        case _:
+            return m if _contract(m) is not None else None
 
 
 def safe_step(term: Term):

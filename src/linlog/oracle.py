@@ -255,6 +255,7 @@ def random_linear_map(l: LType, h: LType, rng: random.Random,
 class Verdict:
     equivalent: bool
     exact: bool
+    ty: LType  # the type of both sides
     counterexample: tuple | None = None
 
     def __bool__(self):
@@ -338,16 +339,17 @@ def _compare(ty: LType, a: Value, b: Value, cfg: EquivConfig,
     raise NotWithSeq(f"cannot compare values at {ty!r}")
 
 
-def equiv_check(ty: LType, m: Term, n: Term, env: TypingEnv,
+def equiv_check(m: Term, n: Term, env: TypingEnv,
                 cfg: EquivConfig | None = None) -> Verdict:
-    """Test-based approximation of extensional equivalence.  A reported
+    """Test-based approximation of extensional equivalence of `m` and `n`,
+    which must have one type; the verdict carries it.  A reported
     counterexample is definitive; 'equivalent' is exact for sequence
     types and basis-tested linear maps, probabilistic otherwise."""
     cfg = cfg or EquivConfig()
-    tm = typecheck(env, m)
+    ty = typecheck(env, m)
     tn = typecheck(env, n)
-    if tm != ty or tn != ty:
-        raise TypeMismatch(f"{tm!r} / {tn!r} do not match {ty!r}")
+    if tn != ty:
+        raise TypeMismatch(f"{tn!r} does not match {ty!r}")
     rng = random.Random(cfg.rng_seed)
     rounds = cfg.sample_count if env.entries else 1
     all_exact = True
@@ -361,10 +363,10 @@ def equiv_check(ty: LType, m: Term, n: Term, env: TypingEnv,
         ok, exact = _compare(ty, va, vb, cfg, rng, flops, bases)
         all_exact = all_exact and exact and (env_exact or not env.entries)
         if not ok:
-            return Verdict(False, True, (values, va, vb))
+            return Verdict(False, True, ty, (values, va, vb))
     if env.entries:
         all_exact = False
-    return Verdict(True, all_exact)
+    return Verdict(True, all_exact, ty)
 
 
 # --------------------------------------------------------- finite difference

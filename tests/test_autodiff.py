@@ -144,7 +144,8 @@ def test_transpose_equiv_with_and_without_unzip():
         env = TypingEnv.of(*[PBang(x, e) for x, e in c.sigma])
         ty = typecheck(env, t1)
         assert typecheck(env, t2) == ty
-        assert equiv_check(ty, t1, t2, env, cfg).equivalent
+        v = equiv_check(t1, t2, env, cfg)
+        assert v.equivalent and v.ty == ty
 
 
 def test_nu_rejects_codomain_overlap():

@@ -225,6 +225,28 @@ def test_rejected_input_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: SyntaxErrorAt")
 
 
+ADD2_OF_ONE = {
+    "lina": "(linear-a (primal (x real)) (expr (prim add2 x)))",
+    "lll": "(lll (env (bang x real)) (term (papp add2 (bangv x))))",
+}
+
+
+@pytest.mark.parametrize("dialect, args", [
+    ("lina", ["check"]),
+    ("lina", ["eval", "--point", "0.5"]),
+    ("lll", ["typecheck"]),
+])
+def test_a_primitive_of_the_wrong_arity_exit_2(tmp_path, capsys, dialect,
+                                               args):
+    src = tmp_path / f"add2.{dialect}"
+    src.write_text(ADD2_OF_ONE[dialect])
+    code, out = run_cli(args[0], str(src), *args[1:])
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: SyntaxErrorAt: 1:")
+    assert "add2 expects 2 arguments, got 1" in err
+
+
 def test_linlog_error_in_a_command_exit_2(monkeypatch, capsys):
     from linlog import cli
     from linlog.errors import SortViolation

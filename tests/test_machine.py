@@ -15,15 +15,17 @@ from linlog.autodiff import forward, transpose, unzip
 from linlog.frontend import parse
 from linlog.gen import safe_ground_cases
 from linlog.linear_a.expr import fv_primal
+from linlog.linear_a import Scalar
 from linlog.lll import (
-    Abs, App, BangVal, Lolli, Numeral, PBang, PTensor, PVar, PWith, Real,
-    TensorPair, TimesDot, Var, WithPair, let_, prim, safe_reduce,
-    workload_term,
+    Abs, App, BangVal, Lolli, Numeral, PBang, PlusDot, PTensor, PVar, PWith,
+    Real, TensorPair, TimesDot, UnitVal, Var, WithPair, let_, prim,
+    safe_reduce, workload_term,
 )
 from linlog.lll.machine import (
     Flops, MachineError, VBang, VNum, VPair, VPlus, VPrim, VTimes, VTop,
     VUnit, VWith, apply_value, compile_term, eval_compiled, run, values_close,
 )
+from linlog.oracle import finite_diff_grad, run_grad
 from linlog.translate import delta_b_primal, primal_type
 from tests.test_oracle import chain_program
 
@@ -171,6 +173,89 @@ def test_binder_mismatch_inside_a_split_keeps_its_message():
                    Var("y"))
         with pytest.raises(MachineError, match=message):
             run(bad)
+
+
+# ---- specialised codes: slot operands, aliased lets, fused arithmetic
+
+def plus(a, b):
+    return App(PlusDot(), WithPair(a, b))
+
+
+def test_an_alias_keeps_its_value_under_shadowing():
+    # let x = 2 in let y = x in let x = 3 in y *. x
+    m = let_(real("x"), num(2), let_(real("y"), Var("x"), let_(
+        real("x"), num(3), times(Var("y"), Var("x")))))
+    assert agrees_with_safe_reduce(m) == VNum(6.0)
+    # the same under an abstraction, whose argument is aliased
+    f = Abs(real("x"), let_(real("y"), Var("x"), let_(
+        real("x"), num(3), times(Var("y"), Var("x")))))
+    assert agrees_with_safe_reduce(App(f, num(2))) == VNum(6.0)
+
+
+def test_an_aliased_split():
+    # let x = 2 in let y = 5 in let <a, b> = <x, y> in
+    # let <x, y> = <b, a> in <a *. y, x +. b>
+    m = let_(real("x"), num(2), let_(real("y"), num(5), let_(
+        PWith(real("a"), real("b")), WithPair(Var("x"), Var("y")), let_(
+            PWith(real("x"), real("y")), WithPair(Var("b"), Var("a")),
+            WithPair(times(Var("a"), Var("y")), plus(Var("x"), Var("b")))))))
+    assert agrees_with_safe_reduce(m) == VWith(VNum(4.0), VNum(10.0))
+
+
+@pytest.mark.parametrize("m, flops, bad", [
+    (plus(BangVal(num(1)), num(2)), 1, "VBang(inner=VNum(value=1.0))"),
+    (let_(real("u"), UnitVal(), plus(num(1), Var("u"))), 1, "VUnit()"),
+    (let_(real("u"), UnitVal(), plus(times(num(1), num(2)), Var("u"))), 2,
+     "VUnit()"),
+    (let_(real("u"), UnitVal(), times(num(2), Var("u"))), 1, "VUnit()"),
+    (times(let_(real("u"), UnitVal(), Var("u")), num(2)), 0, "VUnit()"),
+])
+def test_fused_arithmetic_rejects_a_non_number_after_its_flop(m, flops, bad):
+    """The flop is counted, and the first non-number rejected, as applying
+    `+.` or `*.` as a value does."""
+    fl = Flops()
+    with pytest.raises(MachineError, match=re.escape(
+            f"expected a number, got {bad}")):
+        eval_compiled(compile_term(m), {}, fl)
+    assert fl.count == flops
+
+
+def test_an_unsaturated_product_is_a_value():
+    # let x = 2 in let f = *. x in (\g. <g 3, g 5>) f
+    g = Abs(PVar("g", Lolli(Real, Real)),
+            WithPair(App(Var("g"), num(3)), App(Var("g"), num(5))))
+    m = let_(real("x"), num(2), let_(PVar("f", Lolli(Real, Real)),
+                                     App(TimesDot(), Var("x")), App(g, Var("f"))))
+    assert agrees_with_safe_reduce(m) == VWith(VNum(6.0), VNum(10.0))
+    v, flops = run(App(TimesDot(), num(4)))
+    assert v == VTimes(4.0) and flops == 0
+
+
+def test_a_let_of_an_unbound_variable_still_fails():
+    with pytest.raises(MachineError, match="unbound ghost"):
+        run(let_(real("y"), Var("ghost"), num(1)))
+    lam, _ = run(Abs(real("z"), let_(real("y"), Var("ghost"), Var("z"))))
+    with pytest.raises(MachineError, match="unbound ghost"):
+        apply_value(lam, VNum(1.0), Flops())
+
+
+def test_gradient_of_a_400_let_chain_at_the_default_recursion_limit():
+    """Each level of the transposed map costs the evaluator two host
+    frames, its application and the callee's entry."""
+    assert sys.getrecursionlimit() <= 1000
+    sf = parse(chain_program(400))
+    supply = NameSupply()
+    term = delta_b_primal(dict(sf.primal), sf.body, supply)
+    theta = [(x, primal_type(t)) for x, t in sf.primal
+             if x in fv_primal(sf.body)]
+    point = [Scalar(0.7), Scalar(-0.4)]
+    res = run_grad(term, theta, point, pipeline="tuf", supply=supply)
+    [fd] = finite_diff_grad(term, theta, point)
+    got = [g.value for g in res.gradient]
+    assert len(got) == len(fd) == 2
+    assert all(abs(g) > 0.1 for g in got), got
+    assert got == pytest.approx(fd, rel=1e-5, abs=1e-5)
+    assert 0 < res.flops <= res.workload_bound
 
 
 # ---- host stack depth

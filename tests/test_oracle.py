@@ -14,8 +14,8 @@ from linlog.gen import lll_p_cases
 from linlog.linear_a import Scalar
 from linlog.linear_a.expr import fv_primal
 from linlog.lll import (
-    Abs, App, Numeral, PVar, PWith, PlusDot, Real, Top, TopVal, TypingEnv,
-    Var, With, WithPair, Zero, normalize, workload_type,
+    Abs, App, Numeral, PVar, PWith, PlusDot, Real, Top, TopVal, TypeMismatch,
+    TypingEnv, Var, With, WithPair, Zero, normalize, workload_type,
 )
 from linlog.lll.machine import run
 from linlog.lll.reduce import simplify
@@ -79,10 +79,14 @@ def test_equiv_reflexive_and_distinguishing():
             App(PlusDot(), WithPair(Var("u"), Zero())))
     k = Abs(PVar("u", Real), App(PlusDot(), WithPair(Var("u"), Var("u"))))
     ty = Lolli(Real, Real)
-    assert equiv_check(ty, m, m, TypingEnv())
-    assert equiv_check(ty, m, n, TypingEnv())  # u + 0 == u, exact on basis
-    bad = equiv_check(ty, m, k, TypingEnv())
+    for v in (equiv_check(m, m, TypingEnv()),
+              equiv_check(m, n, TypingEnv())):  # u + 0 == u, exact on basis
+        assert v and v.ty == ty
+    bad = equiv_check(m, k, TypingEnv())
     assert not bad.equivalent and bad.counterexample is not None
+    assert bad.ty == ty
+    with pytest.raises(TypeMismatch, match="does not match"):
+        equiv_check(m, Numeral(1.0), TypingEnv())
 
 
 def test_naive_transpose_identity():

@@ -90,8 +90,8 @@ def test_delta_and_delta_b_extensionally_equivalent():
         env = _jax_lll_env(c.penv)
         ty = typecheck(env, lhs)
         assert typecheck(env, rhs) == ty
-        v = equiv_check(ty, lhs, rhs, env, CFG)
-        assert v.equivalent, c.expr
+        v = equiv_check(lhs, rhs, env, CFG)
+        assert v.equivalent and v.ty == ty, c.expr
 
 
 def test_split_fuse_retraction_random():
@@ -158,7 +158,8 @@ def test_simplify_preserves_pipeline_semantics():
         ty = typecheck(env, t)
         ts = simplify(t)
         assert typecheck(env, ts) == ty
-        assert equiv_check(ty, t, ts, env, CFG).equivalent
+        v = equiv_check(t, ts, env, CFG)
+        assert v.equivalent and v.ty == ty
 
 
 def test_grad_simplify_flag_agrees():
@@ -204,8 +205,9 @@ def test_equiv_oracle_catches_wrong_enumeration_order():
     d_bad = _delta(penv, th_good, e2, NameSupply())
     env = _jax_lll_env(penv)
     ty = typecheck(env, d_good)
-    v = equiv_check(ty, d_good, d_bad, env, CFG)
+    v = equiv_check(d_good, d_bad, env, CFG)
     assert not v.equivalent and v.counterexample is not None
+    assert v.ty == ty
 
 
 def test_equiv_oracle_catches_broken_transpose():
@@ -245,7 +247,8 @@ def test_equiv_oracle_catches_broken_transpose():
                           para(_Abs(PVar(uu, dom),
                                     App(swap, App(Var(g), Var(uu)))))))
         assert typecheck(env, mangled) == ty
-        v = equiv_check(ty, t, mangled, env, CFG)
+        v = equiv_check(t, mangled, env, CFG)
+        assert v.ty == ty
         # equivalence may hold by accident only if the map is symmetric;
         # require at least one detected counterexample across the sample
         if not v.equivalent:

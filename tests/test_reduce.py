@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -10,9 +11,11 @@ from linlog.lll import (
     normalize, prim, prim_app, safe_reduce, simplify, substitute,
     value_for_pattern, workload_term, StuckOpenTerm,
 )
+from linlog.checks import RANDOM_STRATEGY_FRACTION, _random_safe_reduce
 from linlog.gen import safe_ground_cases
 from linlog.lll.reduce import (
-    plug, redexes, rename_pattern, safe_contract, safe_step, subst, uniquify,
+    plug, redexes, rename_pattern, safe_contract, safe_redex, safe_step, subst,
+    uniquify,
 )
 from linlog.lll.terms import children, free_vars, pattern_vars, term_str
 from tests.terms9 import fig9a_term
@@ -202,6 +205,9 @@ def test_redexes_come_in_pre_order_and_its_reverse():
             inner = [path_of(ctx) for ctx, _ in
                      redexes(t, safe_contract, innermost=True)]
             assert inner == [path for path, _ in reversed(want)]
+            picked = list(redexes(t, safe_redex))
+            assert [(path_of(ctx), safe_contract(m)) for ctx, m in picked] \
+                == want
             for (ctx, (new, _)), (path, _) in zip(got, want):
                 assert plug(ctx, new) == ref_plug(t, path, new)
             seen += len(got) > 1
@@ -221,6 +227,19 @@ def test_reductions_of_safe_ground_cases_are_pinned():
             h.update(f"{out.numeric_steps} {out.total_steps} "
                      f"{term_str(out.result)}\n".encode())
     assert h.hexdigest()[:16] == "2c0bd2d272fa6a38"
+
+
+def test_random_safe_reductions_of_the_flop_bound_check_are_pinned():
+    """The (numeric steps, result) pairs of `check_flop_bound`'s random
+    reductions on `safe_ground_cases(100, 11)`, hashed; pinned while every
+    redex was contracted before one was chosen."""
+    n, seed = 100, 11
+    rng = random.Random(seed * 7 + 1)  # as check_flop_bound seeds it
+    h = hashlib.sha256()
+    for c in safe_ground_cases(n, seed)[:int(n * RANDOM_STRATEGY_FRACTION)]:
+        term, numeric = _random_safe_reduce(c.term, rng)
+        h.update(f"{numeric} {term_str(term)}\n".encode())
+    assert h.hexdigest()[:16] == "3013e545e93e65a0"
 
 
 def test_fig9a_evaluates_at_point():
