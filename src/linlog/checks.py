@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from linlog.autodiff import forward, seq_tangent, transpose, transpose_f, unzip
 from linlog.fresh import NameSupply
@@ -46,8 +46,7 @@ class CheckResult:
     name: str
     cases: int
     violations: int
-    detail: str = ""
-    notes: list = field(default_factory=list)
+    detail: str = ""  # what failed, printed after the counts
 
     @property
     def passed(self) -> bool:
@@ -342,8 +341,11 @@ def check_skip_unzip(n: int = 100, seed: int = 51,
         tuf = transpose(None, unzip(f, supply), supply)
         tf = transpose(None, f, supply)
         env = _sigma_env(c.sigma)
+        try:
+            v = equiv_check(tuf, tf, env, cfg)
+        except OverflowError:
+            continue
         total += 1
-        v = equiv_check(tuf, tf, env, cfg)
         if not v.equivalent:
             bad += 1
             continue

@@ -4,11 +4,18 @@ A source file declares its dialect, a typed free-variable header and a
 body expression.  Identifiers starting with "%" are reserved for
 generated names and rejected.  Tangent identifiers end with an
 apostrophe; primal identifiers must not.
+
+Every fixed-shape form is one row of its category's grammar below: the
+node class or sugar builder it makes, and a template naming the kind of
+each subform.  Reading, printing and renaming all walk those rows, so a
+form's shape is stated once (after Rendel & Ostermann, "Invertible syntax
+descriptions: unifying parsing and pretty printing", Haskell 2010).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from linlog.errors import LinlogError
 from linlog.fresh import NameSupply, is_reserved
@@ -21,11 +28,10 @@ from linlog.linear_a.expr import (
 )
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup
 from linlog.lll.prims import PrimId, REGISTRY
-from linlog.lll.reduce import rename_pattern, subst
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PTensor, PUnit, PVar, PWith,
     PlusDot, PrimFn, Term, TensorPair, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, all_names, pattern_vars, prim_app,
+    WithPair, Zero, let_, para, para_pattern, pattern_vars, prim_app,
 )
 from linlog.lll.types import (
     Bang, LType, Lolli, One, Real, Tensor, Top, With, affine,
@@ -56,6 +62,14 @@ class _Sym:
 
     def __repr__(self):
         return self.text
+
+
+class _Form(list):
+    """A parenthesised form, with the position of its opening parenthesis."""
+    __slots__ = ("line", "col")
+
+    def __repr__(self):
+        return "(" + " ".join(map(repr, self)) + ")"
 
 
 def _tokenize(text: str):
@@ -93,7 +107,8 @@ def _read(tokens, pos):
         raise SyntaxErrorAt("unexpected end of input")
     t = tokens[pos]
     if t.text == "(":
-        items = []
+        items = _Form()
+        items.line, items.col = t.line, t.col
         pos += 1
         while True:
             if pos >= len(tokens):
@@ -117,9 +132,15 @@ def read_sexprs(text: str):
     return out
 
 
+def _head(x):
+    return x[0].text if x and isinstance(x[0], _Sym) else None
+
+
+# ------------------------------------------------------------------ leaves
+
 def _sym(x, what="identifier") -> str:
     if not isinstance(x, _Sym):
-        raise SyntaxErrorAt(f"expected {what}, got a list")
+        raise SyntaxErrorAt(f"expected {what}, got {x!r}", x.line, x.col)
     return x.text
 
 
@@ -129,227 +150,6 @@ def _ident(x, what="identifier") -> str:
         raise ReservedName(name)
     return name
 
-
-def _number(x) -> float:
-    try:
-        return float(_sym(x, "number"))
-    except ValueError:
-        raise SyntaxErrorAt(f"expected a number, got {x!r}",
-                            x.line, x.col) from None
-
-
-def _head(x):
-    return x[0].text if isinstance(x, list) and x and isinstance(x[0], _Sym) else None
-
-
-def _primitive(x: list, n_args: int | None = None) -> PrimId:
-    """The primitive named in the form `x`, which applies it to `n_args`
-    arguments unless that is None."""
-    name = _sym(x[1])
-    p = REGISTRY.get(name)
-    if p is None:
-        raise SyntaxErrorAt(f"unknown primitive {name}", x[1].line, x[1].col)
-    if n_args is not None and n_args != p.arity:
-        raise SyntaxErrorAt(
-            f"{name} expects {p.arity} arguments, got {n_args}",
-            x[1].line, x[1].col)
-    return p
-
-
-# ---------------------------------------------------------------- types
-
-def parse_ltype(x) -> LType:
-    if isinstance(x, _Sym):
-        match x.text:
-            case "real":
-                return Real
-            case "one":
-                return One
-            case "top":
-                return Top
-        raise SyntaxErrorAt(f"unknown type {x.text}", x.line, x.col)
-    match _head(x):
-        case "tensor" | "otimes":
-            return Tensor(parse_ltype(x[1]), parse_ltype(x[2]))
-        case "with" | "amp":
-            return With(parse_ltype(x[1]), parse_ltype(x[2]))
-        case "lolli":
-            return Lolli(parse_ltype(x[1]), parse_ltype(x[2]))
-        case "bang":
-            return Bang(parse_ltype(x[1]))
-        case "para":
-            return affine(parse_ltype(x[1]))
-    raise SyntaxErrorAt(f"bad type {x!r}")
-
-
-def print_ltype(t: LType) -> str:
-    match t:
-        case x if x is Real:
-            return "real"
-        case x if x is One:
-            return "one"
-        case x if x is Top:
-            return "top"
-        case Tensor(l, r):
-            return f"(tensor {print_ltype(l)} {print_ltype(r)})"
-        case With(l, r):
-            return f"(with {print_ltype(l)} {print_ltype(r)})"
-        case Lolli(l, r):
-            return f"(lolli {print_ltype(l)} {print_ltype(r)})"
-        case Bang(i):
-            return f"(bang {print_ltype(i)})"
-    raise AssertionError(t)
-
-
-def parse_jax_type(x) -> JaxType:
-    if isinstance(x, _Sym):
-        match x.text:
-            case "real":
-                return JReal
-            case "one":
-                return JOne
-        raise SyntaxErrorAt(f"unknown type {x.text}", x.line, x.col)
-    if _head(x) in ("tensor", "otimes"):
-        return JProd(parse_jax_type(x[1]), parse_jax_type(x[2]))
-    raise SyntaxErrorAt(f"bad type {x!r}")
-
-
-def print_jax_type(t: JaxType) -> str:
-    match t:
-        case x if x is JReal:
-            return "real"
-        case x if x is JOne:
-            return "one"
-        case JProd(l, r):
-            return f"(tensor {print_jax_type(l)} {print_jax_type(r)})"
-    raise AssertionError(t)
-
-
-# ---------------------------------------------------------------- patterns
-
-def parse_pattern(x) -> Pattern:
-    if isinstance(x, _Sym) and x.text == "unit":
-        return PUnit()
-    if not isinstance(x, list):
-        raise SyntaxErrorAt(f"bad pattern {x!r}", x.line, x.col)
-    match _head(x):
-        case "bang":
-            return PBang(_ident(x[1]), parse_ltype(x[2]))
-        case "tpair":
-            return PTensor(parse_pattern(x[1]), parse_pattern(x[2]))
-        case "wpair":
-            return PWith(parse_pattern(x[1]), parse_pattern(x[2]))
-        case "para":
-            return PWith(PUnit(), parse_pattern(x[1]))
-        case _:
-            if len(x) == 2:
-                return PVar(_ident(x[0]), parse_ltype(x[1]))
-    raise SyntaxErrorAt(f"bad pattern {x!r}")
-
-
-def print_pattern(p: Pattern) -> str:
-    match p:
-        case PVar(n, t):
-            return f"({n} {print_ltype(t)})"
-        case PBang(n, t):
-            return f"(bang {n} {print_ltype(t)})"
-        case PUnit():
-            return "unit"
-        case PTensor(l, r):
-            return f"(tpair {print_pattern(l)} {print_pattern(r)})"
-        case PWith(PUnit(), r):
-            return f"(para {print_pattern(r)})"
-        case PWith(l, r):
-            return f"(wpair {print_pattern(l)} {print_pattern(r)})"
-    raise AssertionError(p)
-
-
-# ---------------------------------------------------------------- lll terms
-
-def parse_lll_term(x) -> Term:
-    if isinstance(x, _Sym):
-        match x.text:
-            case "zero":
-                return Zero()
-            case "plus":
-                return PlusDot()
-            case "times":
-                return TimesDot()
-            case "unit":
-                return UnitVal()
-            case "topv":
-                return TopVal()
-        try:
-            return Numeral(float(x.text))
-        except ValueError:
-            pass
-        return Var(_ident(x))
-    match _head(x):
-        case "num":
-            return Numeral(_number(x[1]))
-        case "prim":
-            return PrimFn(_primitive(x))
-        case "papp":
-            return prim_app(_primitive(x, len(x) - 2),
-                            [parse_lll_term(a) for a in x[2:]])
-        case "lam":
-            return Abs(parse_pattern(x[1]), parse_lll_term(x[2]))
-        case "app":
-            out = parse_lll_term(x[1])
-            for a in x[2:]:
-                out = App(out, parse_lll_term(a))
-            return out
-        case "bangv":
-            return BangVal(parse_lll_term(x[1]))
-        case "tpair":
-            return TensorPair(parse_lll_term(x[1]), parse_lll_term(x[2]))
-        case "wpair":
-            return WithPair(parse_lll_term(x[1]), parse_lll_term(x[2]))
-        case "para":
-            return WithPair(UnitVal(), parse_lll_term(x[1]))
-        case "let":
-            return App(Abs(parse_pattern(x[1]), parse_lll_term(x[3])),
-                       parse_lll_term(x[2]))
-    raise SyntaxErrorAt(f"bad term {x!r}")
-
-
-def print_lll_term(m: Term, sugared: bool = True) -> str:
-    p = lambda t: print_lll_term(t, sugared)  # noqa: E731
-    match m:
-        case Var(n):
-            return n
-        case Numeral(v):
-            return f"(num {v!r})"
-        case Zero():
-            return "zero"
-        case PlusDot():
-            return "plus"
-        case TimesDot():
-            return "times"
-        case UnitVal():
-            return "unit"
-        case TopVal():
-            return "topv"
-        case PrimFn(f):
-            return f"(prim {f.name})"
-        case App(Abs(pat, body), rhs) if sugared:
-            return f"(let {print_pattern(pat)} {p(rhs)} {p(body)})"
-        case Abs(pat, body):
-            return f"(lam {print_pattern(pat)} {p(body)})"
-        case App(f, a):
-            return f"(app {p(f)} {p(a)})"
-        case BangVal(i):
-            return f"(bangv {p(i)})"
-        case TensorPair(l, r):
-            return f"(tpair {p(l)} {p(r)})"
-        case WithPair(UnitVal(), r) if sugared:
-            return f"(para {p(r)})"
-        case WithPair(l, r):
-            return f"(wpair {p(l)} {p(r)})"
-    raise AssertionError(m)
-
-
-# ------------------------------------------------------------- linear a
 
 def _tan_name(x) -> str:
     n = _ident(x, "tangent identifier")
@@ -365,246 +165,341 @@ def _prim_name(x) -> str:
     return n
 
 
-class _LinaParser:
+def _number(x) -> float:
+    try:
+        return float(_sym(x, "number"))
+    except ValueError:
+        raise SyntaxErrorAt(f"expected a number, got {x!r}",
+                            x.line, x.col) from None
+
+
+def _primitive(x) -> PrimId:
+    p = REGISTRY.get(_sym(x, "primitive"))
+    if p is None:
+        raise SyntaxErrorAt(f"unknown primitive {x!r}", x.line, x.col)
+    return p
+
+
+# the kinds of subform that hold no subforms of their own
+_LEAVES = {"name": _ident, "pname": _prim_name, "tname": _tan_name,
+           "number": _number, "primitive": _primitive}
+
+
+# ---------------------------------------------------------------- grammars
+
+class _Row:
+    """One form: the keyword it starts with (None when it starts with a
+    name, as the pattern `(x real)` does), the node class or sugar builder
+    that makes it, and the kind of each subform after the keyword.  A
+    tuple kind is a parenthesised group of names."""
+    __slots__ = ("head", "build", "kinds", "fresh", "template")
+
+    def __init__(self, head, build, kinds, fresh=False, template=""):
+        self.head, self.build, self.kinds = head, build, kinds
+        self.fresh = fresh  # its builder takes the name supply last
+        self.template = template
+
+    def fits(self, subs) -> bool:
+        if len(subs) != len(self.kinds):
+            return False
+        for k, s in zip(self.kinds, subs):
+            if isinstance(k, tuple) and not (isinstance(s, list)
+                                             and len(s) == len(k)):
+                return False
+        return True
+
+    def flat(self) -> list[str]:
+        """The kinds of the subforms with each group spread out, one per
+        field of the node class."""
+        return [k for g in self.kinds
+                for k in (g if isinstance(g, tuple) else (g,))]
+
+
+@dataclass
+class _Grammar:
+    """The forms of one syntactic category."""
+    what: str
+    atoms: dict                    # symbol -> node
+    symbol: Callable | None = None  # reads a symbol that is no atom
+    variadic: dict = field(default_factory=dict)  # head -> (form -> _Row)
+    by_head: dict = field(default_factory=dict)   # keyword -> rows
+    headless: list = field(default_factory=list)  # rows with no keyword
+
+    def row(self, x: _Form) -> tuple[_Row, list]:
+        """The row whose shape the form `x` has, and the subforms it reads."""
+        head = _head(x)
+        if head in self.variadic:
+            return self.variadic[head](x), x[1:]
+        rows, subs = self.by_head.get(head), x[1:]
+        if rows is None:
+            rows, subs = self.headless, x
+        for row in rows:
+            if row.fits(subs):
+                return row, subs
+        expected = " or ".join(row.template for row in rows)
+        raise SyntaxErrorAt(f"bad {self.what} {x!r}"
+                            + (f", expected {expected}" if rows else ""),
+                            x.line, x.col)
+
+
+_GRAMMARS: dict[str, _Grammar] = {}
+# node class or builder -> its first row, which printing uses; atom class ->
+# its symbol
+_ROW_OF: dict = {}
+
+
+def _grammar(kind, what, atoms, rows, symbol=None, variadic=None,
+             fresh=False):
+    """Declare the category `kind`: `rows` pairs each node class or sugar
+    builder with a template of its form, which has no keyword when it
+    starts with a leaf kind; the sugar builders of a `fresh` category draw
+    names from the supply."""
+    g = _GRAMMARS[kind] = _Grammar(what, atoms, symbol, variadic or {})
+    for build, template in rows:
+        [t] = read_sexprs(template)
+        head = None if t[0].text in _LEAVES else t[0].text
+        kinds = tuple(tuple(s.text for s in k) if isinstance(k, list)
+                      else k.text for k in t[head is not None:])
+        row = _Row(head, build, kinds, fresh and not isinstance(build, type),
+                   template)
+        assert not isinstance(build, type) or \
+            len(build.__match_args__) == len(row.flat()), template
+        if head is None:
+            g.headless.append(row)
+        else:
+            g.by_head.setdefault(head, []).append(row)
+        _ROW_OF.setdefault(build, row)
+    for text, node in atoms.items():
+        _ROW_OF[type(node)] = text
+
+
+def _prim_row(head, arg, build):
+    """The reader of `(head f a1 ... an)`, a primitive f applied to n
+    arguments of kind `arg`, where n must be the arity of f."""
+    rows = {p.arity: _Row(head, build, ("primitive",) + (arg,) * p.arity)
+            for p in REGISTRY.values()}
+
+    def row(x):
+        if len(x) < 2:
+            raise SyntaxErrorAt(f"expected ({head} primitive {arg} ...)",
+                                x.line, x.col)
+        p, n = _primitive(x[1]), len(x) - 2
+        if n != p.arity:
+            raise SyntaxErrorAt(f"{p.name} expects {p.arity} arguments, "
+                                f"got {n}", x[1].line, x[1].col)
+        return rows[n]
+    return row
+
+
+def _apps(f, *args) -> Term:
+    for a in args:
+        f = App(f, a)
+    return f
+
+
+def _app_row(x):
+    """`(app f a1 ... an)` applies f to each argument in turn."""
+    if len(x) < 3:
+        raise SyntaxErrorAt(f"expected (app term term ...), got {x!r}",
+                            x.line, x.col)
+    return _Row("app", _apps, ("term",) * (len(x) - 1))
+
+
+def _term_symbol(x) -> Term:
+    try:
+        return Numeral(float(x.text))
+    except ValueError:
+        return Var(_ident(x))
+
+
+def _decl(name, ty):
+    return name, ty
+
+
+_grammar("type", "type", {"real": Real, "one": One, "top": Top}, [
+    (Tensor, "(tensor type type)"), (Tensor, "(otimes type type)"),
+    (With, "(with type type)"), (With, "(amp type type)"),
+    (Lolli, "(lolli type type)"), (Bang, "(bang type)"),
+    (affine, "(para type)"),
+])
+_grammar("jtype", "type", {"real": JReal, "one": JOne}, [
+    (JProd, "(tensor jtype jtype)"), (JProd, "(otimes jtype jtype)"),
+])
+_grammar("pattern", "pattern", {"unit": PUnit()}, [
+    (PVar, "(name type)"), (PBang, "(bang name type)"),
+    (PTensor, "(tpair pattern pattern)"), (PWith, "(wpair pattern pattern)"),
+    (para_pattern, "(para pattern)"),
+])
+_grammar("term", "term", {"zero": Zero(), "plus": PlusDot(),
+                          "times": TimesDot(), "unit": UnitVal(),
+                          "topv": TopVal()}, [
+    (Numeral, "(num number)"), (PrimFn, "(prim primitive)"),
+    (Abs, "(lam pattern term)"), (App, "(app term term)"),
+    (BangVal, "(bangv term)"), (TensorPair, "(tpair term term)"),
+    (WithPair, "(wpair term term)"), (para, "(para term)"),
+    (let_, "(let pattern term term)"),
+], symbol=_term_symbol, variadic={
+    "app": _app_row,
+    "papp": _prim_row("papp", "term", lambda p, *args: prim_app(p, list(args))),
+})
+_grammar("expr", "expression", {}, [
+    (VarPair, "(pair pname tname)"),
+    (LetPair, "(let-pair pname tname expr expr)"),
+    (PrimTupIntro0, "(ptup)"), (PrimTupIntro2, "(ptup pname pname)"),
+    (PrimTupElim0, "(let-ptup () pname expr)"),
+    (PrimTupElim2, "(let-ptup (pname pname) pname expr)"),
+    (TanTupIntro0, "(ttup)"), (TanTupIntro2, "(ttup tname tname)"),
+    (TanTupElim0, "(let-ttup () tname expr)"),
+    (TanTupElim2, "(let-ttup (tname tname) tname expr)"),
+    (Lit, "(lit number)"), (ZeroDot, "(zerodot jtype)"),
+    (AddDot, "(adddot tname tname)"), (ScaleDot, "(scaledot pname tname)"),
+    (Dup, "(dup tname)"), (Drop, "(drop expr)"),
+    (let_p, "(let-p pname expr expr)"), (let_t, "(let-t tname expr expr)"),
+    (p_var, "(var-p pname)"), (t_var, "(var-t tname)"),
+    (pair_pt, "(pair-e expr expr)"), (ptup_e, "(ptup-e expr expr)"),
+    (ttup_e, "(ttup-e expr expr)"),
+], fresh=True, variadic={
+    "prim": _prim_row("prim", "pname", lambda p, *args: PrimApp(p, args)),
+})
+# header declarations: the primal and tangent sections of Linear-A
+_grammar("pdecl", "declaration", {}, [(_decl, "(pname jtype)")])
+_grammar("tdecl", "declaration", {}, [(_decl, "(tname jtype)")])
+
+
+class _Reader:
     def __init__(self, supply: NameSupply):
         self.supply = supply
 
-    def expr(self, x) -> Expr:
+    def read(self, kind: str, x):
+        """The node of the given kind that `x` denotes.  Each subform that
+        is not a leaf is read by a call to `read` itself, so nesting costs
+        one host frame per level."""
+        g = _GRAMMARS[kind]
         if isinstance(x, _Sym):
-            raise SyntaxErrorAt(f"bad expression {x.text}", x.line, x.col)
-        match _head(x):
-            case "pair":
-                return VarPair(_prim_name(x[1]), _tan_name(x[2]))
-            case "let-pair":
-                return LetPair(_prim_name(x[1]), _tan_name(x[2]),
-                               self.expr(x[3]), self.expr(x[4]))
-            case "ptup":
-                if len(x) == 1:
-                    return PrimTupIntro0()
-                return PrimTupIntro2(_prim_name(x[1]), _prim_name(x[2]))
-            case "let-ptup":
-                if isinstance(x[1], list) and not x[1]:
-                    return PrimTupElim0(_prim_name(x[2]), self.expr(x[3]))
-                return PrimTupElim2(_prim_name(x[1][0]), _prim_name(x[1][1]),
-                                    _prim_name(x[2]), self.expr(x[3]))
-            case "ttup":
-                if len(x) == 1:
-                    return TanTupIntro0()
-                return TanTupIntro2(_tan_name(x[1]), _tan_name(x[2]))
-            case "let-ttup":
-                if isinstance(x[1], list) and not x[1]:
-                    return TanTupElim0(_tan_name(x[2]), self.expr(x[3]))
-                return TanTupElim2(_tan_name(x[1][0]), _tan_name(x[1][1]),
-                                   _tan_name(x[2]), self.expr(x[3]))
-            case "lit":
-                return Lit(_number(x[1]))
-            case "prim":
-                return PrimApp(_primitive(x, len(x) - 2),
-                               tuple(_prim_name(a) for a in x[2:]))
-            case "zerodot":
-                return ZeroDot(parse_jax_type(x[1]))
-            case "adddot":
-                return AddDot(_tan_name(x[1]), _tan_name(x[2]))
-            case "scaledot":
-                return ScaleDot(_prim_name(x[1]), _tan_name(x[2]))
-            case "dup":
-                return Dup(_tan_name(x[1]))
-            case "drop":
-                return Drop(self.expr(x[1]))
-            case "let-p":
-                return let_p(_prim_name(x[1]), self.expr(x[2]),
-                             self.expr(x[3]), self.supply)
-            case "let-t":
-                return let_t(_tan_name(x[1]), self.expr(x[2]),
-                             self.expr(x[3]), self.supply)
-            case "var-p":
-                return p_var(_prim_name(x[1]), self.supply)
-            case "var-t":
-                return t_var(_tan_name(x[1]), self.supply)
-            case "pair-e":
-                return pair_pt(self.expr(x[1]), self.expr(x[2]), self.supply)
-            case "ptup-e":
-                return ptup_e(self.expr(x[1]), self.expr(x[2]), self.supply)
-            case "ttup-e":
-                return ttup_e(self.expr(x[1]), self.expr(x[2]), self.supply)
-        raise SyntaxErrorAt(f"bad expression {x!r}")
+            if x.text in g.atoms:
+                return g.atoms[x.text]
+            if g.symbol is None:
+                raise SyntaxErrorAt(f"bad {g.what} {x!r}", x.line, x.col)
+            return g.symbol(x)
+        row, subs = g.row(x)
+        args = []
+        for k, sub in zip(row.kinds, subs):
+            leaf = _LEAVES.get(k)
+            if leaf is not None:
+                args.append(leaf(sub))
+            elif isinstance(k, tuple):
+                for name_kind, name in zip(k, sub):
+                    args.append(_LEAVES[name_kind](name))
+            else:
+                args.append(self.read(k, sub))
+        if row.fresh:
+            args.append(self.supply)
+        return row.build(*args)
+
+
+# ---------------------------------------------------------------- printing
+
+def _fields(node) -> list:
+    return [getattr(node, f) for f in type(node).__match_args__]
+
+
+def _print_node(node, sugared: bool = True, row: _Row | None = None) -> str:
+    """`node` printed by the row of its class, or, given `row`, the
+    subforms `node` lists printed by that row."""
+    if row is None:
+        row = _ROW_OF[type(node)]
+        if isinstance(row, str):
+            return row
+        node = _fields(node)
+    parts = [row.head] if row.head else []
+    values = iter(node)
+    for k in row.kinds:
+        if isinstance(k, tuple):
+            parts.append("(" + " ".join([next(values) for _ in k]) + ")")
+        else:
+            show = _PRINTERS.get(k)
+            v = next(values)
+            parts.append(v if show is None else show(v, sugared))
+    return "(" + " ".join(parts) + ")"
+
+
+def print_ltype(t: LType) -> str:
+    return _print_node(t)
+
+
+def print_jax_type(t: JaxType) -> str:
+    return _print_node(t)
+
+
+def print_pattern(p: Pattern) -> str:
+    if isinstance(p, PWith) and isinstance(p.left, PUnit):
+        return _print_node([p.right], row=_ROW_OF[para_pattern])
+    return _print_node(p)
+
+
+def print_lll_term(m: Term, sugared: bool = True) -> str:
+    match m:
+        case Var(n):
+            return n
+        case App(Abs(pat, body), rhs) if sugared:
+            return _print_node([pat, rhs, body], sugared, _ROW_OF[let_])
+        case WithPair(UnitVal(), r) if sugared:
+            return _print_node([r], sugared, _ROW_OF[para])
+    return _print_node(m, sugared)
+
+
+# the sugar that printing recognises: matcher, and the builder of its row
+_LINA_SUGAR = [(match_p_var, p_var), (match_t_var, t_var),
+               (match_let_p, let_p), (match_let_t, let_t)]
 
 
 def print_lina_expr(e: Expr, sugared: bool = True) -> str:
-    p = lambda t: print_lina_expr(t, sugared)  # noqa: E731
     if sugared:
-        x = match_p_var(e)
-        if x is not None:
-            return f"(var-p {x})"
-        t = match_t_var(e)
-        if t is not None:
-            return f"(var-t {t})"
-        m = match_let_p(e)
-        if m is not None:
-            return f"(let-p {m[0]} {p(m[1])} {p(m[2])})"
-        m = match_let_t(e)
-        if m is not None:
-            return f"(let-t {m[0]} {p(m[1])} {p(m[2])})"
-    match e:
-        case VarPair(x, t):
-            return f"(pair {x} {t})"
-        case LetPair(x, t, b, body):
-            return f"(let-pair {x} {t} {p(b)} {p(body)})"
-        case PrimTupIntro0():
-            return "(ptup)"
-        case PrimTupIntro2(a, b):
-            return f"(ptup {a} {b})"
-        case PrimTupElim0(z, body):
-            return f"(let-ptup () {z} {p(body)})"
-        case PrimTupElim2(a, b, z, body):
-            return f"(let-ptup ({a} {b}) {z} {p(body)})"
-        case TanTupIntro0():
-            return "(ttup)"
-        case TanTupIntro2(a, b):
-            return f"(ttup {a} {b})"
-        case TanTupElim0(z, body):
-            return f"(let-ttup () {z} {p(body)})"
-        case TanTupElim2(a, b, z, body):
-            return f"(let-ttup ({a} {b}) {z} {p(body)})"
-        case Lit(v):
-            return f"(lit {v!r})"
+        for match, build in _LINA_SUGAR:
+            m = match(e)
+            if m is not None:
+                return _print_node(m if isinstance(m, tuple) else [m],
+                                   sugared, _ROW_OF[build])
+    if isinstance(e, PrimApp):
+        return f"(prim {' '.join([e.fn.name, *e.args])})"
+    return _print_node(e, sugared)
+
+
+def _print_decl(kind):
+    [row] = _GRAMMARS[kind].headless
+    return lambda d, sugared: _print_node(d, sugared, row)
+
+
+# kind -> printer; a name prints as itself
+_PRINTERS = {
+    "type": _print_node, "jtype": _print_node,
+    "pattern": lambda p, _: print_pattern(p),
+    "term": print_lll_term, "expr": print_lina_expr,
+    "number": lambda v, _: repr(v), "primitive": lambda p, _: p.name,
+    "pdecl": _print_decl("pdecl"), "tdecl": _print_decl("tdecl"),
+}
+
+
+# ---------------------------------------------------------------- renaming
+
+def _rename(node, r):
+    """`node` with each name n of kind k in it replaced by r(k, n)."""
+    match node:
+        case Var(n):
+            return Var(r("name", n))
         case PrimApp(f, args):
-            return f"(prim {f.name} {' '.join(args)})"
-        case ZeroDot(t):
-            return f"(zerodot {print_jax_type(t)})"
-        case AddDot(a, b):
-            return f"(adddot {a} {b})"
-        case ScaleDot(x, t):
-            return f"(scaledot {x} {t})"
-        case Dup(t):
-            return f"(dup {t})"
-        case Drop(body):
-            return f"(drop {p(body)})"
-    raise AssertionError(e)
-
-
-# ------------------------------------------------------- name sanitization
-
-def _rename_lina(e: Expr, ren: dict[str, str]) -> Expr:
-    r = lambda n: ren.get(n, n)  # noqa: E731
-    match e:
-        case VarPair(x, t):
-            return VarPair(r(x), r(t))
-        case LetPair(x, t, b, body):
-            return LetPair(r(x), r(t), _rename_lina(b, ren), _rename_lina(body, ren))
-        case PrimTupIntro2(a, b):
-            return PrimTupIntro2(r(a), r(b))
-        case PrimTupElim0(z, body):
-            return PrimTupElim0(r(z), _rename_lina(body, ren))
-        case PrimTupElim2(a, b, z, body):
-            return PrimTupElim2(r(a), r(b), r(z), _rename_lina(body, ren))
-        case TanTupIntro2(a, b):
-            return TanTupIntro2(r(a), r(b))
-        case TanTupElim0(z, body):
-            return TanTupElim0(r(z), _rename_lina(body, ren))
-        case TanTupElim2(a, b, z, body):
-            return TanTupElim2(r(a), r(b), r(z), _rename_lina(body, ren))
-        case PrimApp(f, args):
-            return PrimApp(f, tuple(r(a) for a in args))
-        case AddDot(a, b):
-            return AddDot(r(a), r(b))
-        case ScaleDot(x, t):
-            return ScaleDot(r(x), r(t))
-        case Dup(t):
-            return Dup(r(t))
-        case Drop(body):
-            return Drop(_rename_lina(body, ren))
-        case _:
-            return e
-
-
-def _lina_names(e: Expr, prim: set, tan: set):
-    match e:
-        case VarPair(x, t) | ScaleDot(x, t):
-            prim.add(x)
-            tan.add(t)
-        case LetPair(x, t, b, body):
-            prim.add(x)
-            tan.add(t)
-            _lina_names(b, prim, tan)
-            _lina_names(body, prim, tan)
-        case PrimTupIntro2(a, b):
-            prim |= {a, b}
-        case TanTupIntro2(a, b) | AddDot(a, b):
-            tan |= {a, b}
-        case PrimTupElim0(z, body):
-            prim.add(z)
-            _lina_names(body, prim, tan)
-        case TanTupElim0(z, body):
-            tan.add(z)
-            _lina_names(body, prim, tan)
-        case PrimTupElim2(a, b, z, body):
-            prim |= {a, b, z}
-            _lina_names(body, prim, tan)
-        case TanTupElim2(a, b, z, body):
-            tan |= {a, b, z}
-            _lina_names(body, prim, tan)
-        case PrimApp(_, args):
-            prim |= set(args)
-        case Dup(t):
-            tan.add(t)
-        case Drop(body):
-            _lina_names(body, prim, tan)
-
-
-def sanitize_lina(e: Expr) -> Expr:
-    """Rename generated (reserved-prefix) names so output reparses;
-    positions determine sorts, tangent names get a trailing apostrophe."""
-    prim: set[str] = set()
-    tan: set[str] = set()
-    _lina_names(e, prim, tan)
-    names = prim | tan
-    ren = {}
-    i = 0
-    for n in sorted(names):
-        if not is_reserved(n):
-            continue
-        while True:
-            i += 1
-            cand = f"g{i}'" if n in tan else f"g{i}"
-            if cand not in names:
-                break
-        ren[n] = cand
-    return _rename_lina(e, ren) if ren else e
-
-
-def sanitize_lll(m: Term) -> Term:
-    names = set(all_names(m))
-    counter = [0]
-
-    def fresh_safe():
-        while True:
-            counter[0] += 1
-            cand = f"g{counter[0]}"
-            if cand not in names:
-                names.add(cand)
-                return cand
-
-    def go(t):
-        match t:
-            case Abs(p, body):
-                ren = {n: fresh_safe() for n in pattern_vars(p) if is_reserved(n)}
-                if ren:
-                    p = rename_pattern(p, ren)
-                    body = subst(body, {n: Var(g) for n, g in ren.items()})
-                return Abs(p, go(body))
-            case App(f, a):
-                return App(go(f), go(a))
-            case TensorPair(l, r):
-                return TensorPair(go(l), go(r))
-            case WithPair(l, r):
-                return WithPair(go(l), go(r))
-            case BangVal(i):
-                return BangVal(go(i))
-            case _:
-                return t
-
-    return go(m)
+            return PrimApp(f, tuple([r("pname", a) for a in args]))
+    row = _ROW_OF[type(node)]
+    if isinstance(row, str):
+        return node
+    args = []
+    for k, v in zip(row.flat(), _fields(node)):
+        if k in ("name", "pname", "tname"):
+            v = r(k, v)
+        elif k in ("pattern", "term", "expr"):
+            v = _rename(v, r)
+        args.append(v)
+    return row.build(*args)
 
 
 # ------------------------------------------------------------ source files
@@ -618,66 +513,100 @@ class SourceFile:
     body: object = None
 
 
+# dialect -> its header sections (section -> kind of each declaration) and
+# the kind of its body, whose section is named after that kind
+_DIALECTS = {"linear-a": ({"primal": "pdecl", "tangent": "tdecl"}, "expr"),
+             "lll": ({"env": "pattern"}, "term")}
+
+
 def parse(text: str, supply: NameSupply | None = None) -> SourceFile:
-    supply = supply or NameSupply()
     forms = read_sexprs(text)
     if len(forms) != 1 or not isinstance(forms[0], list):
         raise SyntaxErrorAt("expected a single top-level form")
     top = forms[0]
-    head = _head(top)
-    if head == "linear-a":
-        sf = SourceFile("linear-a")
-        parser = _LinaParser(supply)
-        for section in top[1:]:
-            match _head(section):
-                case "primal":
-                    sf.primal = [(_prim_name(d[0]), parse_jax_type(d[1]))
-                                 for d in section[1:]]
-                case "tangent":
-                    sf.tangent = [(_tan_name(d[0]), parse_jax_type(d[1]))
-                                  for d in section[1:]]
-                case "expr":
-                    sf.body = parser.expr(section[1])
-                case other:
-                    raise SyntaxErrorAt(f"unknown section {other}")
-        if sf.body is None:
-            raise SyntaxErrorAt("missing (expr ...) section")
-        return sf
-    if head == "lll":
-        sf = SourceFile("lll")
-        for section in top[1:]:
-            match _head(section):
-                case "env":
-                    sf.env = [parse_pattern(d) for d in section[1:]]
-                case "term":
-                    sf.body = parse_lll_term(section[1])
-                case other:
-                    raise SyntaxErrorAt(f"unknown section {other}")
-        if sf.body is None:
-            raise SyntaxErrorAt("missing (term ...) section")
-        return sf
-    raise SyntaxErrorAt(f"unknown dialect {head}")
+    dialect = _head(top)
+    if dialect not in _DIALECTS:
+        raise SyntaxErrorAt(f"unknown dialect {dialect}", top.line, top.col)
+    header, body = _DIALECTS[dialect]
+    reader = _Reader(supply or NameSupply())
+    sf = SourceFile(dialect)
+    seen: set[str] = set()
+    declared: set[str] = set()
+    for section in top[1:]:
+        name = _head(section) if isinstance(section, list) else None
+        if name not in header and name != body:
+            raise SyntaxErrorAt(f"unknown section {section!r}",
+                                section.line, section.col)
+        if name in seen:
+            raise SyntaxErrorAt(f"second ({name} ...) section",
+                                section.line, section.col)
+        seen.add(name)
+        if name == body:
+            if len(section) != 2:
+                raise SyntaxErrorAt(f"expected ({body} {body}), got "
+                                    f"{section!r}", section.line, section.col)
+            sf.body = reader.read(body, section[1])
+            continue
+        decls = []
+        for d in section[1:]:
+            decl = reader.read(header[name], d)
+            for n in pattern_vars(decl) if dialect == "lll" else decl[:1]:
+                if n in declared:
+                    raise SyntaxErrorAt(f"{n} is declared twice",
+                                        d.line, d.col)
+                declared.add(n)
+            decls.append(decl)
+        setattr(sf, name, decls)
+    if sf.body is None:
+        raise SyntaxErrorAt(f"missing ({body} ...) section")
+    return sf
+
+
+def _rename_file(sf: SourceFile, r) -> SourceFile:
+    return SourceFile(sf.dialect, [(r("pname", n), t) for n, t in sf.primal],
+                      [(r("tname", n), t) for n, t in sf.tangent],
+                      [_rename(p, r) for p in sf.env], _rename(sf.body, r))
+
+
+def _sanitized(sf: SourceFile) -> SourceFile:
+    """`sf` with its names renamed so that it reparses: each reserved name,
+    and in Linear-A each name whose apostrophe contradicts its sort, becomes
+    a fresh g1, g2, ... (g1', ... for a tangent)."""
+    names: set[str] = set()
+    tan: set[str] = set()
+
+    def collect(kind, n):
+        names.add(n)
+        if kind == "tname":
+            tan.add(n)
+        return n
+
+    _rename_file(sf, collect)
+    lina = sf.dialect == "linear-a"
+    ren: dict[str, str] = {}
+    i = 0
+    for n in sorted(names):
+        if is_reserved(n) or lina and n.endswith("'") != (n in tan):
+            while True:
+                i += 1
+                cand = f"g{i}'" if n in tan else f"g{i}"
+                if cand not in names:
+                    break
+            ren[n] = cand
+    return _rename_file(sf, lambda _, n: ren.get(n, n)) if ren else sf
 
 
 def pretty(sf: SourceFile, mode: str = "sugared") -> str:
     sugared = mode == "sugared"
-    if sf.dialect == "linear-a":
-        body = sanitize_lina(sf.body)
-        lines = ["(linear-a"]
-        if sf.primal:
-            decls = " ".join(f"({n} {print_jax_type(t)})" for n, t in sf.primal)
-            lines.append(f"  (primal {decls})")
-        if sf.tangent:
-            decls = " ".join(f"({n} {print_jax_type(t)})" for n, t in sf.tangent)
-            lines.append(f"  (tangent {decls})")
-        lines.append(f"  (expr {print_lina_expr(body, sugared)}))")
-        return "\n".join(lines) + "\n"
-    body = sanitize_lll(sf.body)
-    lines = ["(lll"]
-    if sf.env:
-        decls = " ".join(print_pattern(p) for p in sf.env)
-        lines.append(f"  (env {decls})")
-    lines.append(f"  (term {print_lll_term(body, sugared)}))")
+    sf = _sanitized(sf)
+    header, body = _DIALECTS[sf.dialect]
+    lines = [f"({sf.dialect}"]
+    for name, kind in header.items():
+        decls = getattr(sf, name)
+        if decls:
+            printed = " ".join([_PRINTERS[kind](d, sugared) for d in decls])
+            lines.append(f"  ({name} {printed})")
+    lines.append(f"  ({body} {_PRINTERS[body](sf.body, sugared)}))")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ from linlog.linear_a.expr import (
     match_p_var, match_t_var, match_let_p, match_let_t,
     is_primal_expr, is_tangent_expr, is_linear_b, SortViolation,
 )
-from linlog.linear_a.values import NumTuple, Scalar, UnitTup, NPair, zero_of, shape_matches, ShapeMismatch
+from linlog.linear_a.values import NumTuple, Scalar, UnitTup, NPair, zero_of, ShapeMismatch
 from linlog.linear_a.typecheck import (
     typecheck_jax, TangentLinearityViolation, JaxTypeError, jax_workload,
 )

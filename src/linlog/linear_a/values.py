@@ -45,17 +45,6 @@ class NPair(NumTuple):
 UnitTup = _UnitTup()
 
 
-def shape_matches(v: NumTuple, t: JaxType) -> bool:
-    match v, t:
-        case (Scalar(_), x) if x is JReal:
-            return True
-        case (_UnitTup(), x) if x is JOne:
-            return True
-        case (NPair(l, r), JProd(tl, tr)):
-            return shape_matches(l, tl) and shape_matches(r, tr)
-    return False
-
-
 def zero_of(t: JaxType) -> NumTuple:
     match t:
         case x if x is JReal:

@@ -63,12 +63,6 @@ class TypingEnv:
     def of(*patterns: Pattern) -> "TypingEnv":
         return TypingEnv(tuple(patterns))
 
-    def exponential_part(self):
-        return tuple(p for p in self.entries if isinstance(p, PBang))
-
-    def general_part(self):
-        return tuple(p for p in self.entries if not isinstance(p, PBang))
-
 
 # Usage trees: None untouched, "used" leaf, "sat" completely consumed,
 # ("pair", l, r), ("projL", u), ("projR", u).

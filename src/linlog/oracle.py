@@ -4,7 +4,7 @@ With-sequence types are finite-dimensional vector spaces; their
 canonical bases make linear maps comparable exactly.  The equivalence
 tester approximates the extensional relation between terms: exact at
 sequence types and for linear maps (by basis application), sampled at
-everything else, and it reports which of the two it did.
+everything else.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from linlog.lll.machine import (
 from linlog.lll.reduce import simplify
 from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
-    Abs, App, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar, PWith,
+    Abs, App, Numeral, Pattern, PBang, PlusDot, PTensor, PVar, PWith,
     Term, TensorPair, TimesDot, TopVal, Var, WithPair, Zero, pattern_type,
 )
 from linlog.lll.types import (
@@ -222,39 +222,11 @@ def random_value_of(ty: LType, rng: random.Random) -> Value:
     raise NotWithSeq(f"cannot sample a value of {ty!r}")
 
 
-def random_linear_map(l: LType, h: LType, rng: random.Random,
-                      supply: NameSupply | None = None) -> Term:
-    """A random matrix encoded as a term of type L -o H."""
-    supply = supply or NameSupply()
-    pat, leaves, _ = with_tree(l, supply, "i")
-    ins = [n for n, t in leaves if t is Real]
-
-    def build(ty):
-        match ty:
-            case t if t is Real:
-                terms = [App(App(TimesDot(), Numeral(rng.uniform(-2.0, 2.0))),
-                             Var(n)) for n in ins]
-                if not terms:
-                    return Zero()
-                out = terms[0]
-                for t2 in terms[1:]:
-                    out = App(PlusDot(), WithPair(out, t2))
-                return out
-            case t if t is Top:
-                return TopVal()
-            case With(a, b):
-                return WithPair(build(a), build(b))
-        raise AssertionError(ty)
-
-    return Abs(pat, build(h))
-
-
 # ------------------------------------------------------------- equivalence
 
 @dataclass
 class Verdict:
     equivalent: bool
-    exact: bool
     ty: LType  # the type of both sides
     counterexample: tuple | None = None
 
@@ -262,80 +234,54 @@ class Verdict:
         return self.equivalent
 
 
-def _close_env(env: TypingEnv, rng: random.Random):
+def _close_env(env: TypingEnv, rng: random.Random) -> dict[str, Value]:
     """Sample one machine environment for the free patterns."""
     values: dict[str, Value] = {}
-    exact = True
     for p in env.entries:
         match p:
             case PBang(x, ty):
                 values[x] = random_value_of(ty, rng)
             case PVar(x, ty) if is_ground(ty):
                 values[x] = random_value_of(ty, rng)
-            case PWith(PUnit(), PVar(f, Lolli(dl, dh))) \
-                    if is_with_seq(dl) and is_with_seq(dh):
-                tm = random_linear_map(dl, dh, rng)
-                values[f] = term_to_value(tm)
-                exact = False
             case _:
                 raise NotWithSeq(f"cannot close environment entry {p!r}")
-    return values, exact
+    return values
 
 
 def _compare(ty: LType, a: Value, b: Value, cfg: EquivConfig,
-             rng: random.Random, flops: Flops, bases: dict):
+             rng: random.Random, flops: Flops, bases: dict) -> bool:
     """`bases` caches `basis_values` by type across one `equiv_check`."""
     match ty:
         case t if t in (Real, One, Top):
-            return values_close(a, b, SCALAR_REL_TOL), True
+            return values_close(a, b, SCALAR_REL_TOL)
         case Bang(i):
-            if not (isinstance(a, VBang) and isinstance(b, VBang)):
-                return False, True
-            return _compare(i, a.inner, b.inner, cfg, rng, flops, bases)
+            return isinstance(a, VBang) and isinstance(b, VBang) and \
+                _compare(i, a.inner, b.inner, cfg, rng, flops, bases)
         case Tensor(l, r):
-            if not (isinstance(a, VPair) and isinstance(b, VPair)):
-                return False, True
-            ok1, e1 = _compare(l, a.left, b.left, cfg, rng, flops, bases)
-            if not ok1:
-                return False, e1
-            ok2, e2 = _compare(r, a.right, b.right, cfg, rng, flops, bases)
-            return ok2, e1 and e2
+            return isinstance(a, VPair) and isinstance(b, VPair) and \
+                _compare(l, a.left, b.left, cfg, rng, flops, bases) and \
+                _compare(r, a.right, b.right, cfg, rng, flops, bases)
         case With(l, r):
-            if not (isinstance(a, VWith) and isinstance(b, VWith)):
-                return False, True
-            ok1, e1 = _compare(l, a.left, b.left, cfg, rng, flops, bases)
-            if not ok1:
-                return False, e1
-            ok2, e2 = _compare(r, a.right, b.right, cfg, rng, flops, bases)
-            return ok2, e1 and e2
+            return isinstance(a, VWith) and isinstance(b, VWith) and \
+                _compare(l, a.left, b.left, cfg, rng, flops, bases) and \
+                _compare(r, a.right, b.right, cfg, rng, flops, bases)
         case Lolli(dom, cod) if is_with_seq(dom):
             # exact on the canonical basis for linear maps, plus samples
             dom_basis = bases.get(dom)
             if dom_basis is None:
                 dom_basis = bases[dom] = basis_values(dom)
             for v in dom_basis:
-                ra = apply_value(a, v, flops)
-                rb = apply_value(b, v, flops)
-                ok, _ = _compare(cod, ra, rb, cfg, rng, flops, bases)
-                if not ok:
-                    return False, True
+                if not _compare(cod, apply_value(a, v, flops),
+                                apply_value(b, v, flops), cfg, rng, flops,
+                                bases):
+                    return False
             for _ in range(cfg.sample_count):
                 v = random_value_of(dom, rng)
-                ok, _ = _compare(cod, apply_value(a, v, flops),
-                                 apply_value(b, v, flops), cfg, rng, flops,
-                                 bases)
-                if not ok:
-                    return False, True
-            return True, True
-        case Lolli(dom, cod) if is_ground(dom):
-            for _ in range(cfg.sample_count):
-                v = random_value_of(dom, rng)
-                ok, _ = _compare(cod, apply_value(a, v, flops),
-                                 apply_value(b, v, flops), cfg, rng, flops,
-                                 bases)
-                if not ok:
-                    return False, False
-            return True, False
+                if not _compare(cod, apply_value(a, v, flops),
+                                apply_value(b, v, flops), cfg, rng, flops,
+                                bases):
+                    return False
+            return True
     raise NotWithSeq(f"cannot compare values at {ty!r}")
 
 
@@ -352,21 +298,16 @@ def equiv_check(m: Term, n: Term, env: TypingEnv,
         raise TypeMismatch(f"{tn!r} does not match {ty!r}")
     rng = random.Random(cfg.rng_seed)
     rounds = cfg.sample_count if env.entries else 1
-    all_exact = True
     cm, cn = compile_term(m), compile_term(n)
     bases: dict[LType, list[Value]] = {}
     for _ in range(rounds):
-        values, env_exact = _close_env(env, rng)
+        values = _close_env(env, rng)
         flops = Flops()
         va = eval_compiled(cm, values, flops)
         vb = eval_compiled(cn, values, flops)
-        ok, exact = _compare(ty, va, vb, cfg, rng, flops, bases)
-        all_exact = all_exact and exact and (env_exact or not env.entries)
-        if not ok:
-            return Verdict(False, True, ty, (values, va, vb))
-    if env.entries:
-        all_exact = False
-    return Verdict(True, all_exact, ty)
+        if not _compare(ty, va, vb, cfg, rng, flops, bases):
+            return Verdict(False, ty, (values, va, vb))
+    return Verdict(True, ty)
 
 
 # --------------------------------------------------------- finite difference

@@ -225,6 +225,55 @@ def test_rejected_input_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: SyntaxErrorAt")
 
 
+
+def lina(expr, header="(primal (x real))"):
+    return f"(linear-a {header} (expr {expr}))"
+
+
+def lll(term, env="(env (bang x real))"):
+    return f"(lll {env} (term {term}))"
+
+
+MALFORMED = [
+    # a subform missing
+    lina("(prim)"), lina("(let-p y)"), lina("(var-p)"), lina("(pair x)"),
+    lina("(let-ptup (a) x (var-p x))"), lina("(lit)"), lina("(drop)"),
+    lina("(var-p x)", "(primal (x (tensor real)))"),
+    lina("(var-p x)", "(primal (x))"),
+    "(linear-a (primal (x real)) (expr))",
+    lll("(tpair x)"), lll("(lam (x real))"), lll("(let (bang a real) (bangv x))"),
+    lll("(num)"), lll("(bangv)"), lll("(app f)"),
+    lll("f", "(env (f (lolli real)))"), lll("x", "(env (bang x))"),
+    # a subform too many, a name declared twice, a section given twice
+    lina("(var-p x y)"), lll("(bangv x y)"),
+    lina("(var-p x)", "(primal (x real) (x real))"),
+    lll("x", "(env (bang x real) (x real))"),
+    "(linear-a (primal (x real)) (expr (var-p x)) (expr (var-p x)))",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_a_malformed_form_exit_2(tmp_path, capsys, text):
+    src = tmp_path / "bad.src"
+    src.write_text(text)
+    code, out = run_cli("typecheck", str(src))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: SyntaxErrorAt")
+
+
+def test_check_and_workload_of_a_tangent_program():
+    """A program with free tangents takes the general Linear-A branch of
+    `check`: its encoding typechecks, is safe and keeps the workload."""
+    demo = "programs/tangent_demo.lina"
+    code, out = run_cli("check", demo)
+    assert code == 0
+    for name in ("encoding-typechecks", "encoding-workload", "encoding-safe"):
+        assert f"PASS {name}: 1 cases, 0 violations" in out
+    code, out = run_cli("workload", demo, "--format", "machine")
+    assert code == 0
+    assert "workload.src=2" in out.splitlines()
+    assert "workload.delta=2" in out.splitlines()
+
 ADD2_OF_ONE = {
     "lina": "(linear-a (primal (x real)) (expr (prim add2 x)))",
     "lll": "(lll (env (bang x real)) (term (papp add2 (bangv x))))",
