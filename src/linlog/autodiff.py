@@ -25,7 +25,7 @@ from linlog.lll.terms import (
 )
 from linlog.lll.prims import partial_of
 from linlog.lll.types import Bang, LType, Lolli, One, Real, Tensor, Top, With
-from linlog.translate import TangentCtx, add_app, mk_zero
+from linlog.translate import TangentCtx, add_app, mk_zero, names, restrict
 
 
 class CaptureDetected(LinlogError):
@@ -65,21 +65,12 @@ def forward(theta: list[tuple[str, LType]], p: Term,
     enumeration actually used: a primitive application at the root fixes
     argument order, otherwise the given order is kept."""
     supply = supply or NameSupply()
-    names = [n for n, _ in theta]
-    if set(names) != set(free_vars(p)) or len(names) != len(set(names)):
+    ns = names(theta)
+    if set(ns) != set(free_vars(p)) or len(ns) != len(set(ns)):
         raise EnumerationMismatch(
-            f"enumeration {names} vs free variables {sorted(free_vars(p))}")
+            f"enumeration {ns} vs free variables {sorted(free_vars(p))}")
     f, enum, _ = _fwd(theta, p, {n: e for n, e in theta}, supply)
     return f, enum
-
-
-def _restrict(theta, names) -> list:
-    keep = set(names)
-    return [(n, e) for n, e in theta if n in keep]
-
-
-def _names(theta) -> list[str]:
-    return [n for n, _ in theta]
 
 
 def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
@@ -89,8 +80,8 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
         kind = let_kind(pat, q)
         if kind is LetKind.BANG:
             x, xty = pat.name, pat.ty
-            fq_t, thq, _ = _fwd(_restrict(theta, free_vars(q)), q, tys, supply)
-            thp = _restrict(theta, free_vars(pb) - {x})
+            fq_t, thq, _ = _fwd(restrict(theta, free_vars(q)), q, tys, supply)
+            thp = restrict(theta, free_vars(pb) - {x})
             live = x in free_vars(pb)
             hint = ([(x, xty)] if live else []) + thp
             fp_t, thg, ey = _fwd(hint, pb, tys | {x: xty}, supply)
@@ -98,8 +89,8 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             ctx = TangentCtx(_tangents(theta), supply)
             comps = {}
             if live:
-                comps[x] = App(Var(f), ctx.tuple_of(_names(thq)))
-            body = ctx.lam(App(Var(g), ctx.tuple_of(_names(thg), comps=comps)))
+                comps[x] = App(Var(f), ctx.tuple_of(names(thq)))
+            body = ctx.lam(App(Var(g), ctx.tuple_of(names(thg), comps=comps)))
             out = TensorPair(BangVal(Var(y)), para(body))
             out = let_(_bang_section_pat(y, ey, g, _fn_ty(thg, ey)), fp_t, out)
             return let_(_bang_section_pat(x, xty, f, _fn_ty(thq, xty)),
@@ -110,7 +101,7 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             leaves = _tensor_pattern_leaves(pat)
             inner_tys = tys | {n: e for n, e in leaves}
             live = [(n, e) for n, e in leaves if n in free_vars(pb)]
-            thp = _restrict(theta, free_vars(pb) - {n for n, _ in leaves})
+            thp = restrict(theta, free_vars(pb) - {n for n, _ in leaves})
             fp_t, thg, ey = _fwd(live + thp, pb, inner_tys, supply)
             y, g = supply.fresh("y"), supply.fresh("g")
             ctx = TangentCtx(_tangents(theta), supply)
@@ -133,7 +124,7 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             zslot, zterm = expand(pat)
             comps = {n: Var(tanvars[n]) for n, _ in live}
             comps[z] = zterm
-            garg = ctx.tuple_of(_names(thg), comps=comps)
+            garg = ctx.tuple_of(names(thg), comps=comps)
             body = ctx.lam_split(z, zslot, App(Var(g), garg))
             out = TensorPair(BangVal(Var(y)), para(body))
             out = let_(_bang_section_pat(y, ey, g, _fn_ty(thg, ey)), fp_t, out)
@@ -152,13 +143,13 @@ def _fwd(theta, p: Term, tys, supply) -> tuple[Term, list, LType]:
             return TensorPair(p, para(Abs(PVar(u, Top), TopVal()))), theta, One
 
         case BangVal(TensorPair(pa, pb)):
-            fa_t, tha, ea = _fwd(_restrict(theta, free_vars(pa)), pa, tys, supply)
-            fb_t, thb, eb = _fwd(_restrict(theta, free_vars(pb)), pb, tys, supply)
+            fa_t, tha, ea = _fwd(restrict(theta, free_vars(pa)), pa, tys, supply)
+            fb_t, thb, eb = _fwd(restrict(theta, free_vars(pb)), pb, tys, supply)
             a, f = supply.fresh("x"), supply.fresh("f")
             b, g = supply.fresh("x"), supply.fresh("g")
             ctx = TangentCtx(_tangents(theta), supply)
-            fa = App(Var(f), ctx.tuple_of(_names(tha)))
-            gb = App(Var(g), ctx.tuple_of(_names(thb)))
+            fa = App(Var(f), ctx.tuple_of(names(tha)))
+            gb = App(Var(g), ctx.tuple_of(names(thb)))
             body = ctx.lam(WithPair(fa, gb))
             out = TensorPair(BangVal(TensorPair(BangVal(Var(a)), BangVal(Var(b)))),
                              para(body))

@@ -37,7 +37,7 @@ from linlog.oracle import (
     rows_disagree, run_grad, value_to_numtuple,
 )
 from linlog.translate import (
-    Enumeration, TangentCtx, delta, delta_b_primal, primal_type,
+    TangentCtx, delta, delta_b_primal, primal_type,
 )
 
 
@@ -149,7 +149,7 @@ def check_workload_delta(n: int = 500, seed: int = 21) -> CheckResult:
     bad = 0
     cases = jax_cases(n, seed, "linear-a")
     for c in cases:
-        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        d = delta(c.penv, c.theta, c.expr, c.supply)
         w_jax = jax_workload(c.penv, c.tenv, c.expr)
         if workload_term(d) > w_jax:
             bad += 1
@@ -176,7 +176,7 @@ def _mixed_corpus(n: int, seed: int):
         f, _ = forward(c.sigma, c.term, c.supply)
         out.append((_sigma_env(c.sigma), f, c.supply))
     for c in jax_cases(n // 2, seed + 1, "linear-a"):
-        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        d = delta(c.penv, c.theta, c.expr, c.supply)
         out.append((_jax_lll_env(c.penv), d, c.supply))
     return out[:n]
 
@@ -219,7 +219,7 @@ def check_commute_forward(n: int = 200, seed: int = 31,
         theta = [(x, primal_type(c.penv[x])) for x in fv]
         lhs, used = forward(theta, lhs_src, supply)
         rhs_jax = jax_forward(phi, c.expr, supply)
-        theta2 = Enumeration(tuple((phi[x], c.penv[x]) for x, _ in used))
+        theta2 = [(phi[x], c.penv[x]) for x, _ in used]
         rhs = delta({k: v for k, v in c.penv.items()}, theta2, rhs_jax, supply)
         env = _jax_lll_env({k: v for k, v in c.penv.items() if k in fv})
         if not equiv_check(lhs, rhs, env, cfg).equivalent:
@@ -234,9 +234,8 @@ def check_commute_unzip(n: int = 200, seed: int = 32,
     cases = jax_cases(n, seed, "linear-a")
     for c in cases:
         supply = c.supply
-        th = Enumeration(tuple(c.theta))
-        lhs = unzip(delta(c.penv, th, c.expr, supply), supply)
-        rhs = delta(c.penv, th, jax_unzip(c.expr, supply), supply)
+        lhs = unzip(delta(c.penv, c.theta, c.expr, supply), supply)
+        rhs = delta(c.penv, c.theta, jax_unzip(c.expr, supply), supply)
         env = _jax_lll_env(c.penv)
         if not equiv_check(lhs, rhs, env, cfg).equivalent:
             bad += 1
@@ -250,12 +249,11 @@ def check_commute_transpose(n: int = 200, seed: int = 33,
     cases = jax_cases(n, seed, "linear-b")
     for c in cases:
         supply = c.supply
-        th = Enumeration(tuple(c.theta))
         _, sg = infer_types(c.expr, c.penv, c.tenv)
-        lhs = transpose(None, delta(c.penv, th, c.expr, supply), supply)
+        lhs = transpose(None, delta(c.penv, c.theta, c.expr, supply), supply)
         udot = "u'"
         rhs_jax = jax_transpose(c.penv, c.theta, udot, sg, c.expr, supply)
-        rhs = delta(c.penv, Enumeration.of((udot, sg)), rhs_jax, supply)
+        rhs = delta(c.penv, [(udot, sg)], rhs_jax, supply)
         env = _jax_lll_env(c.penv)
         if not equiv_check(lhs, rhs, env, cfg).equivalent:
             bad += 1

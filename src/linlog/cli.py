@@ -36,7 +36,7 @@ from linlog.oracle import (
     numtuple_to_primal_value, numtuple_to_tangent_value, rows_disagree,
     run_grad, value_to_numtuple,
 )
-from linlog.translate import Enumeration, delta, delta_b_primal, primal_type
+from linlog.translate import delta, delta_b_primal, primal_type
 
 
 class Report:
@@ -102,10 +102,9 @@ def _lina_primal_setup(sf: SourceFile, supply: NameSupply):
     """Lower a purely primal program to the linear calculus."""
     penv = dict(sf.primal)
     term = delta_b_primal(penv, sf.body, supply)
-    theta = [(x, primal_type(t)) for x, t in sf.primal
-             if x in fv_primal(sf.body)]
-    point_shapes = [t for x, t in sf.primal if x in fv_primal(sf.body)]
-    return term, theta, point_shapes
+    fv = fv_primal(sf.body)
+    shapes = [(x, t) for x, t in sf.primal if x in fv]
+    return term, [(x, primal_type(t)) for x, t in shapes], [t for _, t in shapes]
 
 
 def _grad_setup(sf: SourceFile, supply: NameSupply):
@@ -223,34 +222,28 @@ def cmd_workload(args, report: Report):
     supply = NameSupply()
     stages = {}
     if sf.dialect == "linear-a":
-        tenv = dict(sf.tangent)
-        w_src = jax_workload(dict(sf.primal), tenv, sf.body)
+        w_src = jax_workload(dict(sf.primal), dict(sf.tangent), sf.body)
         stages["src"] = w_src
         report.say(f"W(source)   = {w_src}")
-        theta = Enumeration(tuple((x, t) for x, t in sf.tangent
-                                  if x in fv_tangent(sf.body)))
+        theta = [(x, t) for x, t in sf.tangent if x in fv_tangent(sf.body)]
         d = delta(dict(sf.primal), theta, sf.body, supply)
         stages["delta"] = workload_term(d)
         report.say(f"W(delta)    = {stages['delta']}"
                    f"   [<= W(source): {'PASS' if stages['delta'] <= w_src else 'FAIL'}]")
         if stages["delta"] > w_src:
             report.fail("delta workload bound")
-        term, theta_l = d, None
+        term = None
+        if fv_tangent(sf.body):
+            report.say("(forward/unzip/transpose stages need a purely "
+                       "primal program; skipped)")
+        else:
+            term, theta_l, _ = _lina_primal_setup(sf, supply)
     else:
         term = sf.body
         stages["src"] = workload_term(term)
         report.say(f"W(term)     = {stages['src']}")
-    if args.stage in ("F", "U", "T") or args.stage == "all":
-        if sf.dialect == "linear-a":
-            if fv_tangent(sf.body):
-                report.say("(forward/unzip/transpose stages need a purely "
-                           "primal program; skipped)")
-                for k, v in stages.items():
-                    report.put(f"workload.{k}", v)
-                return
-            term, theta_l, _ = _lina_primal_setup(sf, supply)
-        else:
-            _, theta_l, _ = _grad_setup(sf, supply)
+        _, theta_l, _ = _grad_setup(sf, supply)
+    if term is not None:
         w_p = workload_term(term)
         f, enum = forward(theta_l, term, supply)
         stages["F"] = workload_term(f)
@@ -318,8 +311,8 @@ def cmd_check(args, report: Report):
             # a general program: check its typing, encoding and workload
             ty = typecheck_jax(dict(sf.primal), dict(sf.tangent), sf.body)
             report.say(f"typecheck: ok at ({ty[0]!r}; {ty[1]!r})")
-            theta_j = Enumeration(tuple(
-                (x, t) for x, t in sf.tangent if x in fv_tangent(sf.body)))
+            theta_j = [(x, t) for x, t in sf.tangent
+                       if x in fv_tangent(sf.body)]
             d = delta(dict(sf.primal), theta_j, sf.body, supply)
             env = TypingEnv.of(*[PBang(x, primal_type(t))
                                  for x, t in sf.primal
@@ -333,31 +326,24 @@ def cmd_check(args, report: Report):
             results.append(CheckResult(
                 "encoding-safe", 1,
                 0 if is_safe(d, free_var_types(env)) else 1))
-            for i, r in enumerate(results):
-                report.say(r.line())
-                report.put(f"check.{i:02d}.{r.name}",
-                           "pass" if r.passed else "fail")
-                if not r.passed:
-                    report.failed = True
-            return
-        term, theta, shapes = _grad_setup(sf, supply)
-        env = TypingEnv.of(*[PBang(x, e) for x, e in theta])
-        typecheck(env, term)
-        report.say("typecheck: ok")
-        f, enum = forward(theta, term, supply)
-        tuf = transpose(None, unzip(f, supply), supply)
-        tf = transpose(None, f, supply)
-        v = equiv_check(tuf, tf, env, cfg)
-        results.append(CheckResult("skip-unzipping", 1, 0 if v else 1))
-        ok_safe = is_safe(term, free_var_types(env)) and \
-            is_safe(f, free_var_types(env)) and is_safe(tuf, free_var_types(env))
-        results.append(CheckResult("safety-closure", 1, 0 if ok_safe else 1))
-        if all(e is JReal for e in shapes):
-            point = [Scalar(0.5 + 0.25 * i) for i in range(len(shapes))]
-            res = run_grad(term, theta, point, "tuf", supply=supply)
-            bad = rows_disagree(res.flat_rows(),
-                                finite_diff_grad(term, theta, point), FD_TOL)
-            results.append(CheckResult("gradient-agreement", 1, int(bad)))
+        else:
+            term, theta, shapes = _grad_setup(sf, supply)
+            env = TypingEnv.of(*[PBang(x, e) for x, e in theta])
+            typecheck(env, term)
+            report.say("typecheck: ok")
+            f, enum = forward(theta, term, supply)
+            tuf = transpose(None, unzip(f, supply), supply)
+            tf = transpose(None, f, supply)
+            v = equiv_check(tuf, tf, env, cfg)
+            results.append(CheckResult("skip-unzipping", 1, 0 if v else 1))
+            ok_safe = all(is_safe(m, free_var_types(env)) for m in (term, f, tuf))
+            results.append(CheckResult("safety-closure", 1, 0 if ok_safe else 1))
+            if all(e is JReal for e in shapes):
+                point = [Scalar(0.5 + 0.25 * i) for i in range(len(shapes))]
+                res = run_grad(term, theta, point, "tuf", supply=supply)
+                bad = rows_disagree(res.flat_rows(),
+                                    finite_diff_grad(term, theta, point), FD_TOL)
+                results.append(CheckResult("gradient-agreement", 1, int(bad)))
     for i, r in enumerate(results):
         report.say(r.line())
         report.put(f"check.{i:02d}.{r.name}", "pass" if r.passed else "fail")
@@ -397,8 +383,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("workload", parents=[common],
                        help="workload at each pipeline stage")
     p.add_argument("file")
-    p.add_argument("--stage", choices=["src", "delta", "F", "U", "T", "all"],
-                   default="all")
 
     p = sub.add_parser("check", parents=[common], help="run the property suite")
     p.add_argument("file", nargs="?")

@@ -34,7 +34,7 @@ from linlog.lll.terms import (
     WithPair, Zero, let_, para, para_pattern, pattern_vars, prim_app,
 )
 from linlog.lll.types import (
-    Bang, LType, Lolli, One, Real, Tensor, Top, With, affine,
+    Bang, Lolli, One, Real, Tensor, Top, With, affine,
 )
 
 
@@ -148,7 +148,11 @@ def _ident(x, what="identifier") -> str:
     name = _sym(x, what)
     if is_reserved(name):
         raise ReservedName(name)
-    return name
+    try:
+        float(name)
+    except ValueError:
+        return name
+    raise SyntaxErrorAt(f"{name} reads as a number, not a name", x.line, x.col)
 
 
 def _tan_name(x) -> str:
@@ -421,14 +425,6 @@ def _print_node(node, sugared: bool = True, row: _Row | None = None) -> str:
             v = next(values)
             parts.append(v if show is None else show(v, sugared))
     return "(" + " ".join(parts) + ")"
-
-
-def print_ltype(t: LType) -> str:
-    return _print_node(t)
-
-
-def print_jax_type(t: JaxType) -> str:
-    return _print_node(t)
 
 
 def print_pattern(p: Pattern) -> str:

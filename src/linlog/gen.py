@@ -32,7 +32,7 @@ from linlog.lll.types import (
 )
 from linlog.oracle import random_value_of
 from linlog.translate import (
-    Enumeration, TangentCtx, delta, mk_zero, primal_type, tangent_type,
+    TangentCtx, delta, mk_zero, primal_type, tangent_type, tangents,
     with_tree,
 )
 
@@ -436,15 +436,14 @@ def safe_ground_cases(n: int, seed: int) -> list[GroundCase]:
         penv, theta = _fresh_env(rng, supply, 3)
         e = gen_linear_a(rng, supply, penv, theta, 2)
         theta = [(t, ty) for t, ty in theta if t in fv_tangent(e)]
-        th = Enumeration(tuple(theta))
-        d = delta(penv, th, e, supply)
+        d = delta(penv, theta, e, supply)
         # close the primal environment with numerals
         term = d
         for x in sorted(fv_primal(e)):
             term = _subst_bang_numeral(term, x, rng)
         # apply the tangent map to a sampled tuple
         z, g = supply.fresh("z"), supply.fresh("g")
-        ltype = TangentCtx.and_type(th.tangents())
+        ltype = TangentCtx.and_type(tangents(theta))
         ty, sg = infer_types(e, penv, dict(theta))
         svec = value_to_term(random_value_of(ltype, rng))
         pat = PTensor(PBang(z, primal_type(ty)),

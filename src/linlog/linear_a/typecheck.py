@@ -3,7 +3,8 @@
 Judgments are G; Gd |- e : (tau; sigma).  Primal variables admit
 sharing and weakening; tangent variables are consumed exactly once.
 The checker returns which tangent variables a subexpression consumed
-and enforces disjointness at every two-premise rule.
+and enforces disjointness at every two-premise rule; the same walk
+counts the static workload.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class TangentLinearityViolation(JaxTypeError):
 
 def typecheck_jax(primal_env: dict[str, JaxType], tangent_env: dict[str, JaxType],
                   e: Expr) -> tuple[JaxType, JaxType]:
-    ty, used = _check(e, dict(primal_env), dict(tangent_env))
+    ty, used, _ = _check(e, dict(primal_env), dict(tangent_env))
     missing = set(tangent_env) - used
     if missing:
         raise TangentLinearityViolation(
@@ -38,8 +39,14 @@ def typecheck_jax(primal_env: dict[str, JaxType], tangent_env: dict[str, JaxType
 def infer_types(e: Expr, penv, tenv) -> tuple[JaxType, JaxType]:
     """The (tau; sigma) of `e`, not asking that every tangent variable of
     `tenv` be consumed."""
-    (ty, sg), _ = _check(e, dict(penv), dict(tenv))
-    return ty, sg
+    return _check(e, dict(penv), dict(tenv))[0]
+
+
+def jax_workload(primal_env, tangent_env, e: Expr) -> int:
+    """Static flop count: primitives and literals cost 1, dotted addition
+    and scaling cost the scalar count of their result, zeros one more,
+    drop additionally pays for both erased outputs."""
+    return _check(e, dict(primal_env), dict(tangent_env))[2]
 
 
 def _lookup_p(env, x):
@@ -68,22 +75,23 @@ def _consume(used: set, t: str):
     raise TangentLinearityViolation(f"bound tangent variable {t} unused")
 
 
-def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set]:
+def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set, int]:
+    """The (tau; sigma) of `e`, the tangent variables it consumes and its
+    static workload."""
     match e:
         case VarPair(x, t):
-            return (_lookup_p(penv, x), _lookup_t(tenv, t)), {t}
+            return (_lookup_p(penv, x), _lookup_t(tenv, t)), {t}, 0
 
         case LetPair(x, t, bound, body):
-            (t1, s1), u1 = _check(bound, penv, tenv)
-            (ty, sg), u2 = _check(body, penv | {x: t1}, tenv | {t: s1})
-            u2 = _consume(u2, t)
-            return (ty, sg), _disjoint(u1, u2)
+            (t1, s1), u1, w1 = _check(bound, penv, tenv)
+            ty, u2, w2 = _check(body, penv | {x: t1}, tenv | {t: s1})
+            return ty, _disjoint(u1, _consume(u2, t)), w1 + w2
 
         case PrimTupIntro0() | TanTupIntro0():
-            return (JOne, JOne), set()
+            return (JOne, JOne), set(), 0
 
         case PrimTupIntro2(x1, x2):
-            return (JProd(_lookup_p(penv, x1), _lookup_p(penv, x2)), JOne), set()
+            return (JProd(_lookup_p(penv, x1), _lookup_p(penv, x2)), JOne), set(), 0
 
         case PrimTupElim0(z, body):
             if _lookup_p(penv, z) is not JOne:
@@ -99,24 +107,24 @@ def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set]:
         case TanTupIntro2(t1, t2):
             if t1 == t2:
                 raise TangentLinearityViolation(f"{t1} used twice in a tuple")
-            return (JOne, JProd(_lookup_t(tenv, t1), _lookup_t(tenv, t2))), {t1, t2}
+            return ((JOne, JProd(_lookup_t(tenv, t1), _lookup_t(tenv, t2))),
+                    {t1, t2}, 0)
 
         case TanTupElim0(z, body):
             if _lookup_t(tenv, z) is not JOne:
                 raise JaxTypeError(f"{z} is not a unit tangent")
-            (ty, sg), u = _check(body, penv, tenv)
-            return (ty, sg), _disjoint(u, {z})
+            ty, u, w = _check(body, penv, tenv)
+            return ty, _disjoint(u, {z}), w
 
         case TanTupElim2(t1, t2, z, body):
             tz = _lookup_t(tenv, z)
             if not isinstance(tz, JProd):
                 raise JaxTypeError(f"{z} is not a tangent pair")
-            (ty, sg), u = _check(body, penv, tenv | {t1: tz.left, t2: tz.right})
-            u = _consume(_consume(u, t1), t2)
-            return (ty, sg), _disjoint(u, {z})
+            ty, u, w = _check(body, penv, tenv | {t1: tz.left, t2: tz.right})
+            return ty, _disjoint(_consume(_consume(u, t1), t2), {z}), w
 
         case Lit(_):
-            return (JReal, JOne), set()
+            return (JReal, JOne), set(), 1
 
         case PrimApp(f, args):
             for x in args:
@@ -124,10 +132,10 @@ def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set]:
                     raise JaxTypeError(f"primitive argument {x} is not scalar")
             if len(args) != f.arity:
                 raise JaxTypeError(f"{f.name} expects {f.arity} arguments")
-            return (JReal, JOne), set()
+            return (JReal, JOne), set(), 1
 
         case ZeroDot(t):
-            return (JOne, t), set()
+            return (JOne, t), set(), 1 + jax_workload_type(t)
 
         case AddDot(t1, t2):
             if t1 == t2:
@@ -135,77 +143,21 @@ def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set]:
             a, b = _lookup_t(tenv, t1), _lookup_t(tenv, t2)
             if a != b:
                 raise JaxTypeError("addition of unequal tangent types")
-            return (JOne, a), {t1, t2}
+            return (JOne, a), {t1, t2}, jax_workload_type(a)
 
         case ScaleDot(x, t):
             if _lookup_p(penv, x) is not JReal:
                 raise JaxTypeError(f"scaling factor {x} is not scalar")
-            return (JOne, _lookup_t(tenv, t)), {t}
+            a = _lookup_t(tenv, t)
+            return (JOne, a), {t}, jax_workload_type(a)
 
         case Dup(t):
             a = _lookup_t(tenv, t)
-            return (JOne, JProd(a, a)), {t}
+            return (JOne, JProd(a, a)), {t}, 0
 
         case Drop(body):
-            _ty, u = _check(body, penv, tenv)
-            return (JOne, JOne), u
+            (ty, sg), u, w = _check(body, penv, tenv)
+            return ((JOne, JOne), u,
+                    w + jax_workload_type(ty) + jax_workload_type(sg))
 
     raise AssertionError(e)
-
-
-def jax_workload(primal_env, tangent_env, e: Expr) -> int:
-    """Static flop count: primitives and literals cost 1, dotted addition
-    and scaling cost the scalar count of their result, zeros one more,
-    drop additionally pays for both erased outputs."""
-
-    def go(e, penv, tenv):
-        match e:
-            case VarPair(_, _) | PrimTupIntro0() | TanTupIntro0() | \
-                    PrimTupIntro2(_, _) | TanTupIntro2(_, _):
-                return 0, _types(e, penv, tenv)
-            case LetPair(x, t, bound, body):
-                w1, (t1, s1) = go(bound, penv, tenv)
-                w2, res = go(body, penv | {x: t1}, tenv | {t: s1})
-                return w1 + w2, res
-            case PrimTupElim0(_, body):
-                w, res = go(body, penv, tenv)
-                return w, res
-            case PrimTupElim2(x1, x2, z, body):
-                tz = penv[z]
-                return go(body, penv | {x1: tz.left, x2: tz.right}, tenv)
-            case TanTupElim0(_, body):
-                return go(body, penv, tenv)
-            case TanTupElim2(t1, t2, z, body):
-                tz = tenv[z]
-                return go(body, penv, tenv | {t1: tz.left, t2: tz.right})
-            case Lit(_) | PrimApp(_, _):
-                return 1, _types(e, penv, tenv)
-            case ZeroDot(t):
-                return 1 + jax_workload_type(t), (JOne, t)
-            case AddDot(t1, _):
-                return jax_workload_type(tenv[t1]), (JOne, tenv[t1])
-            case ScaleDot(_, t):
-                return jax_workload_type(tenv[t]), (JOne, tenv[t])
-            case Dup(t):
-                return 0, (JOne, JProd(tenv[t], tenv[t]))
-            case Drop(body):
-                w, (ty, sg) = go(body, penv, tenv)
-                return w + jax_workload_type(ty) + jax_workload_type(sg), (JOne, JOne)
-        raise AssertionError(e)
-
-    def _types(e, penv, tenv):
-        match e:
-            case VarPair(x, t):
-                return penv[x], tenv[t]
-            case PrimTupIntro0() | TanTupIntro0():
-                return JOne, JOne
-            case PrimTupIntro2(x1, x2):
-                return JProd(penv[x1], penv[x2]), JOne
-            case TanTupIntro2(t1, t2):
-                return JOne, JProd(tenv[t1], tenv[t2])
-            case Lit(_) | PrimApp(_, _):
-                return JReal, JOne
-        raise AssertionError(e)
-
-    w, _ = go(e, dict(primal_env), dict(tangent_env))
-    return w

@@ -199,10 +199,12 @@ def test_compare_uses_fd_step():
 
 
 def test_an_option_of_another_command_is_rejected():
-    # --tol and --fd-step belong to compare, --seed to check
+    # --tol and --fd-step belong to compare, --seed to check; --stage to
+    # no command
     for args in (("check", G, "--fd-step", "0.1"),
                  ("grad", G, "--point", "0.5 2.0", "--seed", "3"),
-                 ("eval", G, "--point", "0.5 2.0", "--tol", "1e-3")):
+                 ("eval", G, "--point", "0.5 2.0", "--tol", "1e-3"),
+                 ("workload", G, "--stage", "F")):
         assert run_cli(*args)[0] == 2, args
     assert run_cli("compare", G, "--point", "0.5 2.0", "--tol", "1e-6",
                    "--fd-step", "1e-6")[0] == 0
@@ -249,6 +251,10 @@ MALFORMED = [
     lina("(var-p x)", "(primal (x real) (x real))"),
     lll("x", "(env (bang x real) (x real))"),
     "(linear-a (primal (x real)) (expr (var-p x)) (expr (var-p x)))",
+    # a name that reads as a number
+    "(lll (env (bang x real)) (term (let (bang nan real) (bangv x) (bangv nan))))",
+    "(lll (env (bang inf real)) (term (bangv inf)))",
+    "(linear-a (primal (inf real)) (expr (var-p inf)))",
 ]
 
 

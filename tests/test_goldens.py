@@ -5,13 +5,16 @@ import hashlib
 from linlog import NameSupply
 from linlog.autodiff import forward, transpose, transpose_f, unzip
 from linlog.frontend import parse
-from linlog.gen import lll_f_cases, lll_p_cases
-from linlog.lll import Bang, Real, alpha_eq, simplify, typecheck, workload_term
-from linlog.linear_a.expr import fv_primal
+from linlog.gen import jax_cases, lll_f_cases, lll_p_cases
+from linlog.lll import (
+    Bang, PBang, Real, TypingEnv, alpha_eq, simplify, typecheck, workload_term,
+)
+from linlog.linear_a.expr import JReal, VarPair, fv_primal
+from linlog.linear_a.typecheck import jax_workload
 from linlog.lll.sorts import Sort, classify_sort
 from linlog.lll.terms import term_str
 from linlog.lll.typecheck import free_var_types
-from linlog.translate import Enumeration, delta_b, delta_b_primal, primal_type
+from linlog.translate import delta, delta_b, delta_b_primal, primal_type
 from tests.terms9 import fig9a_env, fig9a_term, fig9b_term, fig9c_term, fig9d_term
 from tests.test_linear_a import G_ENV, g_expr
 from tests.test_oracle import chain_program
@@ -24,9 +27,20 @@ def test_delta_b_of_source_is_fig9a():
     assert typecheck(fig9a_env(), got) == Bang(Real)
 
 
+def test_delta_b_of_a_bare_pair_is_delta_of_it():
+    """The one Linear-B form that is neither a let nor a (primal; tangent)
+    pair: no generated corpus reaches it."""
+    penv, theta = {"x": JReal}, [("t'", JReal)]
+    d_b = delta_b(penv, theta, VarPair("x", "t'"), NameSupply())
+    d = delta(penv, theta, VarPair("x", "t'"), NameSupply())
+    env = TypingEnv.of(PBang("x", Real))
+    assert typecheck(env, d_b) == typecheck(env, d)
+    assert alpha_eq(d_b, d)
+
+
 def test_delta_b_full_translation_types():
     s = NameSupply()
-    d = delta_b(G_ENV, Enumeration(), g_expr(s), s)
+    d = delta_b(G_ENV, [], g_expr(s), s)
     ty = typecheck(fig9a_env(), d)
     assert isinstance(ty, type(Bang(Real))) or ty  # tensor of primal and map
     assert classify_sort(d, free_var_types(fig9a_env())) == Sort.LLL_A
@@ -118,3 +132,23 @@ def test_transpose_f_text_is_pinned():
                         c.supply.fresh()])
              for c in lll_f_cases(60, 41)]
     assert digest(texts) == "1e8dcbf70975e9c4"
+
+
+def test_delta_text_is_pinned():
+    """The printed Delta, Delta_b and Delta_b^p images of generated cases,
+    each with the next fresh name, and the static workload of a Linear-A
+    corpus."""
+    def text(image, supply):
+        return "\n".join([term_str(image), supply.fresh()])
+
+    d = [text(delta(c.penv, c.theta, c.expr, c.supply), c.supply)
+         for c in jax_cases(60, 81, "linear-a")]
+    d_b = [text(delta_b(c.penv, c.theta, c.expr, c.supply), c.supply)
+           for c in jax_cases(60, 82, "linear-b")]
+    d_bp = [text(delta_b_primal(c.penv, c.expr, c.supply), c.supply)
+            for c in jax_cases(60, 83, "primal")]
+    assert (digest(d), digest(d_b), digest(d_bp)) == (
+        "1c77990ab4e3c2bf", "9e0b8119e02eaa9a", "f193d420a3403b27")
+    ws = [jax_workload(c.penv, c.tenv, c.expr)
+          for c in jax_cases(200, 84, "linear-a")]
+    assert (sum(ws), digest(map(str, ws))) == (578, "5581fb4f725de4de")

@@ -17,6 +17,7 @@ import linlog
 
 SRC = Path(linlog.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def modules() -> dict[str, ast.Module]:
@@ -109,6 +110,30 @@ def test_no_module_imports_a_private_name_of_another():
                           if a.name.startswith("_")
                           and not a.name.startswith("__")]
     assert not found, found
+
+
+def reads(node: ast.AST) -> set[str]:
+    """The names a node reads: as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_read():
+    """Each top-level public function and class of the package is read
+    somewhere in the package, the tests or the benchmark harness, outside
+    its own definition; a re-export in an `__init__` is not a read."""
+    read, defined = set(), []
+    for path in [*SRC.rglob("*.py"), *TESTS.glob("*.py"),
+                 *PERFBENCH.glob("*.py")]:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            read |= reads(node) - {own}
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and path.is_relative_to(SRC) and not own.startswith("_")):
+                defined.append((path.relative_to(SRC.parent), own))
+    unread = [f"{path} {name}" for path, name in defined if name not in read]
+    assert not unread, unread
 
 
 LEVELS = {"linlog.lll": 0, "linlog.linear_a": 1, "linlog.frontend": 2,

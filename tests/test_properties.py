@@ -19,9 +19,9 @@ from linlog.lll import PBang, Real, TypingEnv, typecheck
 from linlog.lll.types import with_tuple_type
 from linlog.oracle import EquivConfig, basis, equiv_check
 from linlog.translate import (
-    Enumeration, delta, delta_b, delta_b_primal, mk_fuse, mk_split,
-    primal_type, tangent_type,
+    delta, delta_b, delta_b_primal, primal_type, tangent_type,
 )
+from tests.test_translate import mk_fuse, mk_split
 
 CFG = EquivConfig(sample_count=4)
 
@@ -87,9 +87,8 @@ def test_delta_and_delta_b_extensionally_equivalent():
     # the two encodings of the split fragment agree
     from linlog.checks import _jax_lll_env
     for c in jax_cases(60, 73, "linear-b"):
-        th = Enumeration(tuple(c.theta))
-        lhs = delta(c.penv, th, c.expr, c.supply)
-        rhs = delta_b(c.penv, th, c.expr, c.supply)
+        lhs = delta(c.penv, c.theta, c.expr, c.supply)
+        rhs = delta_b(c.penv, c.theta, c.expr, c.supply)
         env = _jax_lll_env(c.penv)
         ty = typecheck(env, lhs)
         assert typecheck(env, rhs) == ty
@@ -200,7 +199,7 @@ def test_equiv_oracle_catches_wrong_enumeration_order():
     e = let_t("s'", AddDot("a'", "b'"), ScaleDot("c", "s'"), s1)
     e = let_t("w'", ScaleDot("c", "a'"), ScaleDot("c", "w'"), s2)
     penv = {"c": JReal}
-    th_good = Enumeration.of(("a'", JReal))
+    th_good = [("a'", JReal)]
     d_good = delta(penv, th_good, e, NameSupply())
     # a map that scales once instead of twice: inequivalent
     from linlog.translate import delta as _delta
@@ -277,7 +276,7 @@ def test_forward_commutes_on_primal_tuples(body):
     theta = [(x, primal_type(penv[x])) for x in fv]
     lhs, used = forward(theta, delta_b_primal(penv, e, supply), supply)
     rhs_jax = jax_forward(phi, e, supply)
-    theta2 = Enumeration(tuple((phi[x], penv[x]) for x, _ in used))
+    theta2 = [(phi[x], penv[x]) for x, _ in used]
     rhs = delta(penv, theta2, rhs_jax, supply)
     env = TypingEnv.of(*[PBang(x, primal_type(penv[x])) for x in sorted(fv)])
     assert equiv_check(lhs, rhs, env, EquivConfig(sample_count=16))

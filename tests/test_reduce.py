@@ -352,14 +352,14 @@ def uniquify_corpus():
     """(term, supply) pairs: the generated corpora and their F/U images."""
     from linlog.autodiff import forward, unzip
     from linlog.gen import jax_cases, lll_f_cases, lll_p_cases
-    from linlog.translate import Enumeration, delta
+    from linlog.translate import delta
     out = []
     for c in lll_p_cases(25, 5):
         f, _ = forward(c.sigma, c.term, c.supply)
         out += [(c.term, c.supply), (f, c.supply),
                 (unzip(f, c.supply), c.supply)]
     for c in jax_cases(15, 6, "linear-a"):
-        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        d = delta(c.penv, c.theta, c.expr, c.supply)
         out += [(d, c.supply), (unzip(d, c.supply), c.supply)]
     out += [(c.term, c.supply) for c in lll_f_cases(20, 7)]
     out += [(c.term, NameSupply()) for c in safe_ground_cases(25, 8)]

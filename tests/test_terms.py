@@ -16,7 +16,7 @@ from linlog.lll.typecheck import TypingEnv, free_var_types
 from linlog.lll.types import Real, workload_type
 from linlog.lll.workload import is_safe, workload_term
 from linlog.linear_a.expr import fv_primal
-from linlog.translate import Enumeration, delta, delta_b_primal, primal_type
+from linlog.translate import delta, delta_b_primal, primal_type
 
 def ref_free_vars(m):
     match m:
@@ -73,7 +73,7 @@ def corpus():
         out += [c.term, f, u, transpose(None, u, c.supply),
                 transpose(None, f, c.supply)]
     for c in jax_cases(15, 6, "linear-a"):
-        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        d = delta(c.penv, c.theta, c.expr, c.supply)
         u = unzip(d, c.supply)
         out += [d, u, transpose(None, u, c.supply)]
     for c in lll_f_cases(20, 7):

@@ -1,6 +1,7 @@
 import pytest
 
 from linlog import NameSupply
+from linlog.errors import LinlogError, NotWithSeq
 from linlog.linear_a import (
     Dup, JOne, JProd, JReal, ScaleDot, TanTupIntro2, VarPair, ZeroDot,
 )
@@ -11,14 +12,63 @@ from linlog.lll import (
 )
 from linlog.lll.machine import run
 from linlog.lll.sorts import Sort, classify_sort
+from linlog.lll.terms import PWith, with_pattern, with_tuple
 from linlog.lll.typecheck import free_var_types
+from linlog.lll.types import is_with_seq
 from linlog.oracle import basis, flatten_value
 from linlog.translate import (
-    Enumeration, delta, mk_add, mk_fuse, mk_split, mk_zero, primal_type,
-    scale_app, tangent_type,
+    delta, mk_add, mk_zero, primal_type, scale_app, tangent_type,
 )
 
 RR = With(Real, Real)
+
+
+class IndexOutOfRange(LinlogError):
+    pass
+
+
+def _check_split(index_set, comps):
+    for i in index_set:
+        if not 0 <= i < len(comps):
+            raise IndexOutOfRange(str(i))
+    for c in comps:
+        if not is_with_seq(c):
+            raise NotWithSeq(f"{c!r} is not a with-sequence type")
+
+
+def mk_split(index_set, comps, supply=None):
+    """sigma_I: &comps -o (&_{i in I} comps) & (&_{not in I} comps)."""
+    supply = supply or NameSupply()
+    _check_split(index_set, comps)
+    if not comps:
+        y = supply.fresh("y")
+        return Abs(PVar(y, Top), WithPair(Var(y), TopVal()))
+    names = [supply.fresh("x") for _ in comps]
+    pat = with_pattern([PVar(n, c) for n, c in zip(names, comps)])
+    ins = with_tuple([Var(names[i]) for i in range(len(comps)) if i in index_set])
+    outs = with_tuple([Var(names[i]) for i in range(len(comps))
+                       if i not in index_set])
+    return Abs(pat, WithPair(ins, outs))
+
+
+def mk_fuse(index_set, comps, supply=None):
+    """sigma-bar_I, the inverse-shaped companion of mk_split."""
+    supply = supply or NameSupply()
+    _check_split(index_set, comps)
+    inside = [i for i in range(len(comps)) if i in index_set]
+    outside = [i for i in range(len(comps)) if i not in index_set]
+    names = {i: supply.fresh("x") for i in range(len(comps))}
+
+    def group_pat(ixs):
+        if not ixs:
+            return PVar(supply.fresh("t"), Top)
+        return with_pattern([PVar(names[i], comps[i]) for i in ixs])
+
+    pat = PWith(group_pat(inside), group_pat(outside))
+    if not comps:
+        # T & T -o T: project the first component
+        return Abs(pat, Var(pat.left.name))
+    return Abs(pat, with_tuple([Var(names[i]) for i in range(len(comps))]))
 
 
 def test_tangent_type():
@@ -85,8 +135,7 @@ def test_fuse_after_split_is_identity_on_basis():
 
 def test_delta_varpair():
     s = NameSupply()
-    d = delta({"x": JReal}, Enumeration.of(("y'", JReal)),
-              VarPair("x", "y'"), s)
+    d = delta({"x": JReal}, [("y'", JReal)], VarPair("x", "y'"), s)
     # (!x, par(\u. u))
     assert isinstance(d, TensorPair)
     assert d.left == BangVal(Var("x"))
@@ -96,7 +145,7 @@ def test_delta_varpair():
 
 def test_delta_dup():
     s = NameSupply()
-    d = delta({}, Enumeration.of(("y'", JReal)), Dup("y'"), s)
+    d = delta({}, [("y'", JReal)], Dup("y'"), s)
     fn = d.right.right
     assert isinstance(fn.body, WithPair)
     assert fn.body.left == fn.body.right
@@ -105,11 +154,10 @@ def test_delta_dup():
 def test_delta_zerodot_add_scale_type_and_values():
     s = NameSupply()
     env = TypingEnv.of(PBang("c", Real))
-    d = delta({"c": JReal}, Enumeration.of(("a'", JReal)),
-              ScaleDot("c", "a'"), s)
+    d = delta({"c": JReal}, [("a'", JReal)], ScaleDot("c", "a'"), s)
     ty = typecheck(env, d)
     assert ty == Tensor(Bang(One), With(One, Lolli(Real, Real)))
-    d0 = delta({}, Enumeration(), ZeroDot(JProd(JReal, JOne)), s)
+    d0 = delta({}, [], ZeroDot(JProd(JReal, JOne)), s)
     assert typecheck(TypingEnv(), d0) == \
         Tensor(Bang(One), With(One, Lolli(Top, With(Real, Top))))
 
@@ -118,7 +166,7 @@ def test_delta_output_is_mixed_sort_and_safe():
     from linlog.gen import jax_cases
     from linlog.lll.workload import is_safe
     for c in jax_cases(25, 99, "linear-a"):
-        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        d = delta(c.penv, c.theta, c.expr, c.supply)
         env = TypingEnv.of(*[PBang(x, primal_type(t))
                              for x, t in sorted(c.penv.items())])
         tys = free_var_types(env)
@@ -130,7 +178,7 @@ def test_delta_output_is_mixed_sort_and_safe():
 def test_delta_tantup_respects_enumeration_order():
     s = NameSupply()
     # enumeration reversed relative to the tuple
-    d = delta({}, Enumeration.of(("b'", JReal), ("a'", JReal)),
+    d = delta({}, [("b'", JReal), ("a'", JReal)],
               TanTupIntro2("a'", "b'"), s)
     fn = d.right.right
     v, _ = run(App(fn, WithPair(Numeral(5.0), Numeral(7.0))))

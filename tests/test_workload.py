@@ -86,11 +86,11 @@ def test_prop3_pointwise_soundness():
     from linlog.oracle import (numtuple_to_primal_value,
                                numtuple_to_tangent_value, value_to_numtuple)
     from linlog.linear_a.values import flatten
-    from linlog.translate import Enumeration, delta
+    from linlog.translate import delta
 
     rng = random.Random(17)
     for c in jax_cases(40, 17, "linear-a"):
-        d = delta(c.penv, Enumeration(tuple(c.theta)), c.expr, c.supply)
+        d = delta(c.penv, c.theta, c.expr, c.supply)
         renv, values = {}, {}
         for x, ty in c.penv.items():
             nt = _random_numtuple(ty, rng)
