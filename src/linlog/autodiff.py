@@ -20,7 +20,7 @@ from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
     WithPair, Zero, bang_let, children, free_vars, let_, para,
-    para_pattern, pattern_type, pattern_var_types, pattern_vars, prim_app,
+    para_pattern, pattern_type, pattern_var_types, prim_app,
     prim_args, with_pattern,
 )
 from linlog.lll.prims import partial_of
@@ -245,13 +245,6 @@ class Renaming:
     def __init__(self, pairs=()):
         self.map: dict[str, str] = dict(pairs)
 
-    @staticmethod
-    def identity(names) -> "Renaming":
-        return Renaming({n: n for n in names})
-
-    def dom(self):
-        return self.map.keys()
-
     def cod(self) -> set[str]:
         return set(self.map.values())
 
@@ -259,30 +252,67 @@ class Renaming:
 EMPTY_RENAMING = Renaming()
 
 
-def _rename_apart(env: dict, fv, supply: NameSupply) -> tuple[Renaming, dict]:
+def _rename_apart(env: dict, fv, supply: NameSupply) -> tuple[dict, dict]:
     """The fresh renaming of the pattern variables that the names in `fv`
     stand for, in pattern order, and the environment of a component with
     free names `fv` through it."""
-    alpha, sub = Renaming(), {}
+    alpha, sub = {}, {}
     for n, (v, ty) in env.items():
         if n in fv:
-            w = alpha.map[v] = supply.fresh(v)
+            w = alpha[v] = supply.fresh(v)
             sub[n] = (w, ty)
     return alpha, sub
 
 
-def _project(p: Pattern, ren: dict[str, str]) -> Pattern | None:
-    """The sub-pattern of the leaves of `p` in the domain of `ren`, renamed
-    by it; None when there is no such leaf."""
-    match p:
-        case PVar(n, ty):
-            return PVar(ren[n], ty) if n in ren else None
-        case PWith(l, r):
-            gl, gr = _project(l, ren), _project(r, ren)
-            if gl is not None and gr is not None:
-                return PWith(gl, gr)
-            return gl if gl is not None else gr
-    raise SortViolation(f"not a with-sequence pattern: {p!r}")
+def _with(left: Pattern | None, right: Pattern | None) -> Pattern | None:
+    if left is None:
+        return right
+    return left if right is None else PWith(left, right)
+
+
+def _split(p: Pattern, m1: dict, m2: dict, zeros: bool):
+    """One walk of the with-sequence pattern `p` under two renamings of its
+    variables, returning (p1, p2, s):
+
+    - p1 and p2 are the sub-patterns of the leaves in the domain of m1 and
+      of m2, renamed by it, or None where there is no such leaf;
+    - s is the zero-parsimonious sum of the two renamings, with an
+      addition only where a leaf is in both domains.  With `zeros` it
+      spans all of `p`, a zero standing for each subtree in neither
+      domain; without, it spans the sub-pattern of the leaves in either
+      domain, or is None where there is none."""
+    cls = p.__class__
+    if cls is PVar:
+        n, ty = p.name, p.ty
+        a, b = m1.get(n), m2.get(n)
+        if a is None:
+            if b is None:
+                return None, None, None
+            return None, PVar(b, ty), Var(b)
+        if b is None:
+            return PVar(a, ty), None, Var(a)
+        return PVar(a, ty), PVar(b, ty), add_app(ty, Var(a), Var(b))
+    if cls is not PWith:
+        raise SortViolation(f"not a with-sequence pattern: {p!r}")
+    l1, l2, sl = _split(p.left, m1, m2, zeros)
+    r1, r2, sr = _split(p.right, m1, m2, zeros)
+    if sl is None and sr is None:
+        s = None
+    elif sl is not None and sr is not None:
+        s = WithPair(sl, sr)
+    elif not zeros:
+        s = sr if sl is None else sl
+    elif sl is None:
+        s = WithPair(mk_zero(pattern_type(p.left)), sr)
+    else:
+        s = WithPair(sl, mk_zero(pattern_type(p.right)))
+    return _with(l1, r1), _with(l2, r2), s
+
+
+def _disjoint(cod1: set[str], cod2: set[str]) -> None:
+    overlap = cod1 & cod2
+    if overlap:
+        raise CodomainOverlap(str(overlap))
 
 
 def _fresh_top(supply: NameSupply | None) -> Pattern:
@@ -294,36 +324,14 @@ def rename_project(alpha: Renaming, p: Pattern,
     """alpha<p>: the sub-pattern of renamed components; sub-patterns
     disjoint from the domain vanish, and a fresh T variable stands in
     when nothing at all is renamed."""
-    out = _project(p, alpha.map)
+    out = _split(p, alpha.map, {}, False)[0]
     return _fresh_top(supply) if out is None else out
 
 
 def nu(p: Pattern, a1: Renaming, a2: Renaming) -> Term:
     """Zero-parsimonious sum of two renamings of a pattern."""
-    m1, m2 = a1.map, a2.map
-    overlap = a1.cod() & a2.cod()
-    if overlap:
-        raise CodomainOverlap(str(overlap))
-
-    def go(q):
-        # the sum over q, or None where q has no leaf in either domain
-        match q:
-            case PVar(n, ty):
-                if n in m1:
-                    return (add_app(ty, Var(m1[n]), Var(m2[n])) if n in m2
-                            else Var(m1[n]))
-                return Var(m2[n]) if n in m2 else None
-            case PWith(l, r):
-                gl, gr = go(l), go(r)
-                if gl is None and gr is None:
-                    return None
-                return WithPair(mk_zero(pattern_type(l)) if gl is None else gl,
-                                mk_zero(pattern_type(r)) if gr is None else gr)
-        if any(n in m1 or n in m2 for n in pattern_vars(q)):
-            raise SortViolation(f"not a with-sequence pattern: {q!r}")
-        return None
-
-    out = go(p)
+    _disjoint(a1.cod(), a2.cod())
+    out = _split(p, a1.map, a2.map, True)[2]
     return mk_zero(pattern_type(p)) if out is None else out
 
 
@@ -337,6 +345,13 @@ def nu(p: Pattern, a1: Renaming, a2: Renaming) -> Term:
 # variable name occurring in T's input: after `uniquify` a binder's name
 # occurs only in its scope, so a section binder whose name is not in it is
 # dropped, and a fresh name in it would be captured.
+#
+# At a with-pair <u1, u2> the variables each component uses are renamed
+# apart, and one walk of the pattern (`_split`) gives both projections,
+# alpha1<p> and alpha2<p>, and the sum nu of the two renamings; a lambda's
+# binder is projected and summed by the same walk.  `rename_project` and
+# `nu` state the paper's definitions through it.  The walks dispatch on the
+# node's class, as `terms.children` does.
 
 
 def _occurring(m: Term) -> set[str]:
@@ -367,52 +382,53 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
     if occurs is None:
         occurs = _occurring(u)
 
-    match u:
-        case Var(name) if name in env:
-            v, ty = env[name]
-            q = supply.fresh("z")
-            return PVar(q, ty), Var(q), {v}
+    cls = u.__class__
+    if cls is App:
+        fc, hty = _transpose_f(phi, u.fn, supply, occurs)
+        q1, b1, used1 = transpose_t(phi, p, u.arg, supply, env, occurs)
+        q = supply.fresh("z")
+        body = App(Abs(q1, b1), App(fc, Var(q)))
+        return PVar(q, hty), body, used1
 
-        case Zero():
-            return PVar(supply.fresh("z"), Real), TopVal(), set()
-        case TopVal():
-            return PVar(supply.fresh("z"), Top), TopVal(), set()
+    if cls is WithPair:
+        u1, u2 = u.left, u.right
+        a1, env1 = _rename_apart(env, free_vars(u1), supply)
+        a2, env2 = _rename_apart(env, free_vars(u2), supply)
+        cod1, cod2 = set(a1.values()), set(a2.values())
+        clash = (cod1 | cod2) & occurs
+        if clash:
+            raise CaptureDetected(
+                f"codomain names {sorted(clash)} occur in the term")
+        _disjoint(cod1, cod2)
+        # Each component is transposed against p projected to the
+        # variables it uses, renamed apart.  A component that uses none
+        # keeps p (no variable of p occurs in it); the fresh T variable
+        # standing in for its binder is drawn after both recursions, in
+        # the order the fresh names have always been drawn.  The zeros
+        # for the variables that neither component uses are emitted once,
+        # by the enclosing lambda: the sum spans the used ones only.
+        p1, p2, total = _split(p, a1, a2, False)
+        q1, b1, used1 = transpose_t(
+            phi, p if p1 is None else p1, u1, supply, env1, occurs)
+        q2, b2, used2 = transpose_t(
+            phi, p if p2 is None else p2, u2, supply, env2, occurs)
+        assert used1 == cod1 and used2 == cod2
+        binder = PWith(_fresh_top(supply) if p1 is None else p1,
+                       _fresh_top(supply) if p2 is None else p2)
+        if total is None:
+            # no variable is used: the sum is over a fresh T variable
+            total = mk_zero(_fresh_top(supply).ty)
+        body = let_(binder, WithPair(b1, b2), total)
+        return PWith(q1, q2), body, a1.keys() | a2.keys()
 
-        case WithPair(u1, u2):
-            a1, env1 = _rename_apart(env, free_vars(u1), supply)
-            a2, env2 = _rename_apart(env, free_vars(u2), supply)
-            clash = (a1.cod() | a2.cod()) & occurs
-            if clash:
-                raise CaptureDetected(
-                    f"codomain names {sorted(clash)} occur in the term")
-            # Each component is transposed against p projected to the
-            # variables it uses, renamed apart.  A component that uses none
-            # keeps p (no variable of p occurs in it); the fresh T variable
-            # standing in for its binder is drawn after both recursions, in
-            # the order the fresh names have always been drawn.
-            p1, p2 = _project(p, a1.map), _project(p, a2.map)
-            q1, b1, used1 = transpose_t(
-                phi, p if p1 is None else p1, u1, supply, env1, occurs)
-            q2, b2, used2 = transpose_t(
-                phi, p if p2 is None else p2, u2, supply, env2, occurs)
-            assert used1 == a1.cod() and used2 == a2.cod()
-            binder = PWith(_fresh_top(supply) if p1 is None else p1,
-                           _fresh_top(supply) if p2 is None else p2)
-            used = a1.dom() | a2.dom()
-            # the zeros for components untouched by both branches are
-            # emitted once, by the enclosing lambda wrapper: sum over the
-            # used projection only
-            p_used = rename_project(Renaming.identity(used), p, supply)
-            body = let_(binder, WithPair(b1, b2), nu(p_used, a1, a2))
-            return PWith(q1, q2), body, used
-
-        case App(f, u1):
-            fc, hty = _transpose_f(phi, f, supply, occurs)
-            q1, b1, used1 = transpose_t(phi, p, u1, supply, env, occurs)
-            q = supply.fresh("z")
-            body = App(Abs(q1, b1), App(fc, Var(q)))
-            return PVar(q, hty), body, used1
-
+    if cls is Var and u.name in env:
+        v, ty = env[u.name]
+        q = supply.fresh("z")
+        return PVar(q, ty), Var(q), {v}
+    if cls is Zero:
+        return PVar(supply.fresh("z"), Real), TopVal(), set()
+    if cls is TopVal:
+        return PVar(supply.fresh("z"), Top), TopVal(), set()
     raise SortViolation(f"not a tangent-sort term: {u!r}")
 
 
@@ -430,24 +446,26 @@ def _transpose_f(phi: dict, f: Term, supply, occurs) -> tuple[Term, LType]:
     if frames:
         return _transpose_lets(phi, frames, (LetKind.SECTION,), supply,
                                occurs, f, None)
-    match f:
-        case Var(name):
-            if name not in phi:
-                raise SortViolation(f"function variable {name} not section-bound")
-            fc, ty = phi[name]
-            return Var(fc), ty.cod
-        case PlusDot():
-            u = supply.fresh("u")
-            return Abs(PVar(u, Real), WithPair(Var(u), Var(u))), Real
-        case App(TimesDot(), _):
-            return f, Real
-        case Abs(pat, body):
-            env = _own_env(pat)
-            q, b, used = transpose_t(phi, pat, body, supply, env, occurs)
-            alpha = Renaming.identity([n for n in env if n in used])
-            body = let_(rename_project(alpha, pat, supply), b,
-                        nu(pat, alpha, EMPTY_RENAMING))
-            return Abs(q, body), pattern_type(q)
+    cls = f.__class__
+    if cls is Var:
+        if f.name not in phi:
+            raise SortViolation(
+                f"function variable {f.name} not section-bound")
+        fc, ty = phi[f.name]
+        return Var(fc), ty.cod
+    if cls is PlusDot:
+        u = supply.fresh("u")
+        return Abs(PVar(u, Real), WithPair(Var(u), Var(u))), Real
+    if cls is App and f.fn.__class__ is TimesDot:
+        return f, Real
+    if cls is Abs:
+        pat = f.pat
+        q, b, used = transpose_t(phi, pat, f.body, supply, _own_env(pat),
+                                 occurs)
+        proj, _, total = _split(pat, {n: n for n in used}, {}, True)
+        body = let_(_fresh_top(supply) if proj is None else proj, b,
+                    mk_zero(pattern_type(pat)) if total is None else total)
+        return Abs(q, body), pattern_type(q)
     raise SortViolation(f"not a tangent-function term: {f!r}")
 
 

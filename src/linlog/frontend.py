@@ -525,23 +525,21 @@ def parse(text: str, supply: NameSupply | None = None) -> SourceFile:
         raise SyntaxErrorAt(f"unknown dialect {dialect}", top.line, top.col)
     header, body = _DIALECTS[dialect]
     reader = _Reader(supply or NameSupply())
-    sf = SourceFile(dialect)
-    seen: set[str] = set()
+    sections: dict = {}  # SourceFile field -> its contents
     declared: set[str] = set()
     for section in top[1:]:
         name = _head(section) if isinstance(section, list) else None
         if name not in header and name != body:
             raise SyntaxErrorAt(f"unknown section {section!r}",
                                 section.line, section.col)
-        if name in seen:
+        if ("body" if name == body else name) in sections:
             raise SyntaxErrorAt(f"second ({name} ...) section",
                                 section.line, section.col)
-        seen.add(name)
         if name == body:
             if len(section) != 2:
                 raise SyntaxErrorAt(f"expected ({body} {body}), got "
                                     f"{section!r}", section.line, section.col)
-            sf.body = reader.read(body, section[1])
+            sections["body"] = reader.read(body, section[1])
             continue
         decls = []
         for d in section[1:]:
@@ -552,10 +550,10 @@ def parse(text: str, supply: NameSupply | None = None) -> SourceFile:
                                         d.line, d.col)
                 declared.add(n)
             decls.append(decl)
-        setattr(sf, name, decls)
-    if sf.body is None:
+        sections[name] = decls
+    if "body" not in sections:
         raise SyntaxErrorAt(f"missing ({body} ...) section")
-    return sf
+    return SourceFile(dialect, **sections)
 
 
 def _rename_file(sf: SourceFile, r) -> SourceFile:

@@ -10,7 +10,7 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from linlog.errors import SortViolation  # noqa: F401  (re-exported from its old home)
 from linlog.fresh import NameSupply
@@ -78,150 +78,208 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarPair(Expr):
     primal: str
     tangent: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LetPair(Expr):
     primal: str
     tangent: str
     bound: Expr
     body: Expr
+    _fv: tuple[frozenset[str], frozenset[str]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrimTupIntro0(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrimTupIntro2(Expr):
     x1: str
     x2: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrimTupElim0(Expr):
     var: str
     body: Expr
+    _fv: tuple[frozenset[str], frozenset[str]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrimTupElim2(Expr):
     x1: str
     x2: str
     var: str
     body: Expr
+    _fv: tuple[frozenset[str], frozenset[str]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TanTupIntro0(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TanTupIntro2(Expr):
     t1: str
     t2: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TanTupElim0(Expr):
     var: str
     body: Expr
+    _fv: tuple[frozenset[str], frozenset[str]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TanTupElim2(Expr):
     t1: str
     t2: str
     var: str
     body: Expr
+    _fv: tuple[frozenset[str], frozenset[str]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrimApp(Expr):
     fn: PrimId
     args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ZeroDot(Expr):
     ty: JaxType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AddDot(Expr):
     t1: str
     t2: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ScaleDot(Expr):
     primal: str
     tangent: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Dup(Expr):
     tangent: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Drop(Expr):
     body: Expr
+    _fv: tuple[frozenset[str], frozenset[str]] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+
+# The nodes with a body keep their free primal and tangent names in `_fv`,
+# filled by `_free_names` on first request; it takes no part in equality,
+# hashing, matching or printing.
+
+_NO_NAMES: frozenset[str] = frozenset()
+_COMPOSITE = (LetPair, PrimTupElim0, PrimTupElim2, TanTupElim0, TanTupElim2,
+              Drop)
 
 
 def fv_primal(e: Expr) -> frozenset[str]:
-    match e:
-        case VarPair(x, _):
-            return frozenset((x,))
-        case LetPair(x, _, b, body):
-            return fv_primal(b) | (fv_primal(body) - {x})
-        case PrimTupIntro2(x1, x2):
-            return frozenset((x1, x2))
-        case PrimTupElim0(z, body):
-            return fv_primal(body) | {z}
-        case PrimTupElim2(x1, x2, z, body):
-            return (fv_primal(body) - {x1, x2}) | {z}
-        case TanTupElim0(_, body) | TanTupElim2(_, _, _, body) | Drop(body):
-            return fv_primal(body)
-        case PrimApp(_, args):
-            return frozenset(args)
-        case ScaleDot(x, _):
-            return frozenset((x,))
-        case _:
-            return frozenset()
+    return _free_names(e)[0]
 
 
 def fv_tangent(e: Expr) -> frozenset[str]:
-    match e:
-        case VarPair(_, t):
-            return frozenset((t,))
-        case LetPair(_, t, b, body):
-            return fv_tangent(b) | (fv_tangent(body) - {t})
-        case TanTupIntro2(t1, t2):
-            return frozenset((t1, t2))
-        case TanTupElim0(z, body):
-            return fv_tangent(body) | {z}
-        case TanTupElim2(t1, t2, z, body):
-            return (fv_tangent(body) - {t1, t2}) | {z}
-        case PrimTupElim0(_, body) | PrimTupElim2(_, _, _, body) | Drop(body):
-            return fv_tangent(body)
-        case AddDot(t1, t2):
-            return frozenset((t1, t2))
-        case ScaleDot(_, t) | Dup(t):
-            return frozenset((t,))
-        case _:
-            return frozenset()
+    return _free_names(e)[1]
+
+
+def _free_names(e: Expr) -> tuple[frozenset[str], frozenset[str]]:
+    """The free primal and free tangent names of `e`.  A node with a body
+    keeps them from the first request on, so later requests on it or on any
+    node below it cost O(1)."""
+    if e.__class__ not in _COMPOSITE:
+        return _leaf_names(e)
+    if e._fv is None:
+        # Fill the uncached nodes below `e`, children before parents, from
+        # an explicit stack: a let spine nests as deep as the program is
+        # long.
+        todo = [e]
+        while todo:
+            t = todo[-1]
+            missing = [c for c in _children(t)
+                       if c.__class__ in _COMPOSITE and c._fv is None]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            if t._fv is None:
+                t._fv = _node_names(t)
+    return e._fv
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    return (e.bound, e.body) if e.__class__ is LetPair else (e.body,)
+
+
+def _leaf_names(e: Expr) -> tuple[frozenset[str], frozenset[str]]:
+    cls = e.__class__
+    if cls is VarPair or cls is ScaleDot:
+        return frozenset((e.primal,)), frozenset((e.tangent,))
+    if cls is PrimApp:
+        return frozenset(e.args), _NO_NAMES
+    if cls is PrimTupIntro2:
+        return frozenset((e.x1, e.x2)), _NO_NAMES
+    if cls is TanTupIntro2 or cls is AddDot:
+        return _NO_NAMES, frozenset((e.t1, e.t2))
+    if cls is Dup:
+        return _NO_NAMES, frozenset((e.tangent,))
+    return _NO_NAMES, _NO_NAMES
+
+
+def _node_names(e: Expr) -> tuple[frozenset[str], frozenset[str]]:
+    """The free names of a node with a body whose children are cached,
+    reusing a child's set where it is already the answer."""
+    cls = e.__class__
+    fp, ft = _free_names(e.body)
+    if cls is LetPair:
+        bp, bt = _free_names(e.bound)
+        return (_union(bp, _without(fp, (e.primal,))),
+                _union(bt, _without(ft, (e.tangent,))))
+    if cls is PrimTupElim0:
+        return _union(fp, frozenset((e.var,))), ft
+    if cls is PrimTupElim2:
+        return _union(_without(fp, (e.x1, e.x2)), frozenset((e.var,))), ft
+    if cls is TanTupElim0:
+        return fp, _union(ft, frozenset((e.var,)))
+    if cls is TanTupElim2:
+        return fp, _union(_without(ft, (e.t1, e.t2)), frozenset((e.var,)))
+    return fp, ft  # Drop
+
+
+def _without(names: frozenset[str], bound: tuple[str, ...]) -> frozenset[str]:
+    return names.difference(bound) if any(b in names for b in bound) else names
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    if len(a) < len(b):
+        a, b = b, a
+    return a if b <= a else a | b
 
 
 # ------------------------------------------------------------ sugar builders

@@ -88,22 +88,3 @@ def flatten(a: NumTuple) -> list[float]:
             return flatten(l) + flatten(r)
     raise AssertionError(a)
 
-
-def unflatten(xs: list[float], t: JaxType) -> NumTuple:
-    def go(i, ty):
-        match ty:
-            case x if x is JReal:
-                return Scalar(xs[i]), i + 1
-            case x if x is JOne:
-                return UnitTup, i
-            case JProd(l, r):
-                a, i = go(i, l)
-                b, i = go(i, r)
-                return NPair(a, b), i
-        raise AssertionError(ty)
-
-    v, i = go(0, t)
-    if i != len(xs):
-        raise ShapeMismatch(f"{len(xs)} scalars for {t!r}")
-    return v
-

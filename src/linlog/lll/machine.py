@@ -106,19 +106,17 @@ class VBang(Value):
     inner: Value
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class VClosure(Value):
     """An abstraction's value: its compiled body `code`, called as
     ``code(env, argument, flops)``, and `env`, the tuple of the values of
     the outer variables it uses.  `pat` and `body` are the source, kept for
     display.  Equal only to itself."""
 
-    __slots__ = ("pat", "body", "code", "env")
-
-    def __init__(self, pat: Pattern, body: Term, code, env: tuple):
-        self.pat = pat
-        self.body = body
-        self.code = code
-        self.env = env
+    pat: Pattern
+    body: Term
+    code: object
+    env: tuple
 
     def __repr__(self):
         return f"VClosure(pat={self.pat!r}, body={self.body!r})"

@@ -25,30 +25,30 @@ class Pattern:
         return pattern_str(self)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PVar(Pattern):
     name: str
     ty: LType
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PBang(Pattern):
     name: str
     ty: LType  # the inner type A; the pattern itself has type !A
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PUnit(Pattern):
     pass
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PTensor(Pattern):
     left: Pattern
     right: Pattern
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PWith(Pattern):
     left: Pattern
     right: Pattern
@@ -69,34 +69,35 @@ def pattern_type(p: Pattern) -> LType:
     raise AssertionError(p)
 
 
+def _leaves(p: Pattern) -> list[Pattern]:
+    """The variable leaves of `p`, left to right."""
+    # dispatch on the class, not with `match`, as `children` does: the
+    # passes call this at every binder
+    cls = p.__class__
+    if cls is PVar or cls is PBang:
+        return [p]
+    out, todo = [], [p]
+    while todo:
+        q = todo.pop()
+        cls = q.__class__
+        if cls is PVar or cls is PBang:
+            out.append(q)
+        elif cls is PTensor or cls is PWith:
+            todo.append(q.right)
+            todo.append(q.left)
+        elif cls is not PUnit:
+            raise AssertionError(q)
+    return out
+
+
 def pattern_vars(p: Pattern) -> list[str]:
-    match p:
-        case PVar(name, _) | PBang(name, _):
-            return [name]
-        case PUnit():
-            return []
-        case PTensor(l, r) | PWith(l, r):
-            return pattern_vars(l) + pattern_vars(r)
-    raise AssertionError(p)
+    return [q.name for q in _leaves(p)]
 
 
 def pattern_var_types(p: Pattern) -> dict[str, LType]:
     """Name -> type of the variable as a resource (!A for bang leaves)."""
-    out: dict[str, LType] = {}
-
-    def go(q):
-        match q:
-            case PVar(name, ty):
-                out[name] = ty
-            case PBang(name, ty):
-                out[name] = Bang(ty)
-            case PTensor(l, r) | PWith(l, r):
-                go(l)
-                go(r)
-            case PUnit():
-                pass
-    go(p)
-    return out
+    return {q.name: Bang(q.ty) if q.__class__ is PBang else q.ty
+            for q in _leaves(p)}
 
 
 def with_pattern(leaves: list[Pattern]) -> Pattern:
@@ -122,32 +123,32 @@ class Term:
         return term_str(self)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Numeral(Term):
     value: float
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PrimFn(Term):
     fn: PrimId
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class PlusDot(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class TimesDot(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Zero(Term):
     # behaves as the numeral 0.0 but is typeable under any context
     pass
@@ -158,44 +159,44 @@ class Zero(Term):
 # matching or printing.
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Abs(Term):
     pat: Pattern
     body: Term
     _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class App(Term):
     fn: Term
     arg: Term
     _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class UnitVal(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class TensorPair(Term):
     left: Term
     right: Term
     _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class BangVal(Term):
     inner: Term
     _fv: frozenset[str] | None = field(default=None, init=False, compare=False)
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class TopVal(Term):
     pass
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class WithPair(Term):
     left: Term
     right: Term
@@ -280,7 +281,7 @@ def free_vars(m: Term) -> frozenset[str]:
                 continue
             todo.pop()
             if t._fv is None:
-                object.__setattr__(t, "_fv", _compute_free_vars(t))
+                t._fv = _compute_free_vars(t)
     return m._fv
 
 
@@ -302,19 +303,18 @@ def children(m: Term) -> tuple[Term, ...]:
 def _compute_free_vars(m: Term) -> frozenset[str]:
     """The free variables of a composite node whose children are cached,
     reusing a child's set where it is already the answer."""
-    match m:
-        case Abs(p, body):
-            fv = free_vars(body)
-            bound = fv.intersection(pattern_vars(p))
-            return fv - bound if bound else fv
-        case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-            left, right = free_vars(f), free_vars(a)
-            if len(left) < len(right):
-                left, right = right, left
-            return left if right <= left else left | right
-        case BangVal(i):
-            return free_vars(i)
-    raise AssertionError(m)
+    cls = m.__class__
+    if cls is Abs:
+        fv = free_vars(m.body)
+        bound = fv.intersection(pattern_vars(m.pat))
+        return fv - bound if bound else fv
+    if cls is BangVal:
+        return free_vars(m.inner)
+    f, a = children(m)
+    left, right = free_vars(f), free_vars(a)
+    if len(left) < len(right):
+        left, right = right, left
+    return left if right <= left else left | right
 
 
 def all_names(m: Term) -> set[str]:

@@ -19,40 +19,40 @@ class LType:
         return type_str(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class _Real(LType):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class _One(LType):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class _Top(LType):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Tensor(LType):
     left: LType
     right: LType
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class With(LType):
     left: LType
     right: LType
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Lolli(LType):
     dom: LType
     cod: LType
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(repr=False, slots=True, unsafe_hash=True)
 class Bang(LType):
     inner: LType
 

@@ -125,6 +125,47 @@ def test_pipeline_text_is_pinned():
         "d052a96aac3c693a", "c9609353b20e33ac", "b986bb5be0211426")
 
 
+def straight_line(n_lets: int, n_inputs: int, n_outputs: int) -> str:
+    """A straight-line Linear-A program over x0.. that cycles through sin,
+    add2 (of an input), cos, sub2 and mul2 and returns a tuple of its last
+    `n_outputs` values."""
+    xs = [f"x{i}" for i in range(n_inputs)]
+    lets, names = [], list(xs)
+    for i in range(n_lets):
+        op = ("sin", "add2", "cos", "sub2", "mul2")[i % 5]
+        b = xs[i // 5 % n_inputs] if op == "add2" else names[-2]
+        args = names[-1] if op in ("sin", "cos") else f"{names[-1]} {b}"
+        lets.append(f"(let-p v{i} (prim {op} {args})")
+        names.append(f"v{i}")
+    body = f"(var-p {names[-1]})"
+    for o in reversed(names[-n_outputs:-1]):
+        body = f"(ptup-e (var-p {o}) {body})"
+    header = " ".join(f"({x} real)" for x in xs)
+    return (f"(linear-a (primal {header}) (expr {' '.join(lets)} {body}"
+            + ")" * n_lets + "))")
+
+
+def test_straight_line_pipeline_text_is_pinned():
+    """The printed F, U, T(U) and T(F) images of three straight-line
+    programs, one of them with a 3-component tuple output, with the next
+    fresh name and the static workload of T(U) and T(F)."""
+    texts = []
+    for shape in ((12, 3, 3), (20, 2, 2), (25, 2, 1)):
+        sf = parse(straight_line(*shape))
+        supply = NameSupply()
+        term = delta_b_primal(dict(sf.primal), sf.body, supply)
+        theta = [(x, primal_type(t)) for x, t in sf.primal
+                 if x in fv_primal(sf.body)]
+        f, _ = forward(theta, term, supply)
+        u = unzip(f, supply)
+        tu = transpose(None, u, supply)
+        tf = transpose(None, f, supply)
+        texts.append("\n".join([*map(term_str, (f, u, tu, tf)),
+                                supply.fresh(), str(workload_term(tu)),
+                                str(workload_term(tf))]))
+    assert digest(texts) == "42d5673076a51364"
+
+
 def test_transpose_f_text_is_pinned():
     """T of the tangent functions of the matrix-transpose corpus (nested
     lambdas, `*. x`, section lets), printed with the next fresh name."""

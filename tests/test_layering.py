@@ -192,9 +192,12 @@ def test_let_shapes_are_classified_in_one_place():
     assert not found, found
 
 
-# The fields of the evaluator's values, which are not frozen: a value is
-# shared between frames and closures, so no code may change one in place.
-VALUE_FIELDS = {"left", "right", "inner", "value", "partial", "fn"}
+# The fields of the evaluator's values and of the nodes of terms, patterns,
+# types and Linear-A expressions, none of which is frozen: a value is shared
+# between frames and closures and a node between terms, so no code may
+# change one in place.  Only the free-name caches (`_fv`) are filled later.
+VALUE_FIELDS = {"left", "right", "inner", "value", "partial", "fn",
+                "arg", "pat", "body", "name", "ty", "dom", "cod"}
 
 
 def test_no_code_assigns_to_a_value_field():

@@ -11,8 +11,21 @@ from linlog.linear_a import (
     jax_transpose, jax_unzip, jax_workload, let_p, pair_pt, p_var, t_var,
     typecheck_jax,
 )
-from linlog.linear_a.values import flatten, unflatten, zero_of
+from linlog.linear_a.values import flatten, zero_of
 from linlog.lll.prims import prim
+
+
+def unflatten(xs, t):
+    """The tuple of type `t` whose scalars, left to right, are `xs`."""
+    rest = iter(xs)
+
+    def go(ty):
+        if ty is JReal:
+            return Scalar(next(rest))
+        if ty is JOne:
+            return UnitTup
+        return NPair(go(ty.left), go(ty.right))
+    return go(t)
 
 
 def basis_tuples(t):

@@ -239,11 +239,13 @@ def test_a_let_of_an_unbound_variable_still_fails():
         apply_value(lam, VNum(1.0), Flops())
 
 
-def test_gradient_of_a_400_let_chain_at_the_default_recursion_limit():
+def test_gradient_of_a_460_let_chain_at_the_default_recursion_limit():
     """Each level of the transposed map costs the evaluator two host
-    frames, its application and the callee's entry."""
+    frames, its application and the callee's entry.  Under pytest 470 lets
+    pass and 480 do not (in T, also two frames per level), so a pass that
+    costs one more frame per level of the program fails here."""
     assert sys.getrecursionlimit() <= 1000
-    sf = parse(chain_program(400))
+    sf = parse(chain_program(460))
     supply = NameSupply()
     term = delta_b_primal(dict(sf.primal), sf.body, supply)
     theta = [(x, primal_type(t)) for x, t in sf.primal

@@ -184,3 +184,26 @@ def test_delta_tantup_respects_enumeration_order():
     v, _ = run(App(fn, WithPair(Numeral(5.0), Numeral(7.0))))
     # input (b', a') = (5, 7); output must be (a', b') = (7, 5)
     assert flatten_value(v) == [7.0, 5.0]
+
+
+def test_delta_computes_the_free_names_of_each_node_once(monkeypatch):
+    """Delta asks at every let-p whether the tangent it binds is free in the
+    rest of the program.  A node's free names are computed once and kept,
+    so the question costs O(1) and Delta is linear in the program."""
+    from linlog.frontend import parse
+    from linlog.linear_a import expr
+    from linlog.translate import delta_b_primal
+    from tests.test_oracle import chain_program
+
+    sf = parse(chain_program(200))
+    node_names, computed = expr._node_names, []
+
+    def counted(e):
+        computed.append(e)  # keeps e alive, so that its id stays its own
+        return node_names(e)
+
+    monkeypatch.setattr(expr, "_node_names", counted)
+    delta_b_primal(dict(sf.primal), sf.body, NameSupply())
+    ids = [id(e) for e in computed]
+    assert len(ids) >= 2 * 200  # a let-p is a LetPair around a TanTupElim0
+    assert len(set(ids)) == len(ids)
