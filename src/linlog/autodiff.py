@@ -15,11 +15,11 @@ from __future__ import annotations
 from linlog.errors import EnumerationMismatch, LinlogError, SortViolation
 from linlog.fresh import NameSupply
 from linlog.lll.lets import LetKind, bind, let_kind, rebuild, spine, unbind
-from linlog.lll.reduce import uniquify
+from linlog.lll.reduce import scope_scan, uniquify
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
-    WithPair, Zero, bang_let, children, free_vars, let_, para,
+    WithPair, Zero, bang_let, free_vars, let_, para,
     para_pattern, pattern_type, pattern_var_types, prim_app,
     prim_args, with_pattern,
 )
@@ -230,7 +230,7 @@ def unzip_decompose(s: Term) -> tuple[list, Term, Term]:
 
 def unzip(s: Term, supply: NameSupply | None = None) -> Term:
     supply = supply or NameSupply()
-    s = uniquify(s, supply)
+    s = uniquify(s, supply)[0]
     ctx, p, f = unzip_decompose(s)
     return rebuild(ctx, TensorPair(p, para(f)))
 
@@ -354,16 +354,6 @@ def nu(p: Pattern, a1: Renaming, a2: Renaming) -> Term:
 # node's class, as `terms.children` does.
 
 
-def _occurring(m: Term) -> set[str]:
-    out, todo = set(), [m]
-    while todo:
-        t = todo.pop()
-        if t.__class__ is Var:
-            out.add(t.name)
-        todo += children(t)
-    return out
-
-
 def _own_env(p: Pattern) -> dict:
     """The environment in which each variable of `p` stands for itself."""
     return {n: (n, ty) for n, ty in pattern_var_types(p).items()}
@@ -380,7 +370,7 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
     if env is None:
         env = _own_env(p)
     if occurs is None:
-        occurs = _occurring(u)
+        occurs = scope_scan(u)[2]
 
     cls = u.__class__
     if cls is App:
@@ -436,7 +426,7 @@ def transpose_f(phi: dict, f: Term, supply: NameSupply,
                 occurs: set[str] | None = None) -> Term:
     """T of a tangent-function term; `occurs` is as for `transpose_t`."""
     return _transpose_f(phi, f, supply,
-                        _occurring(f) if occurs is None else occurs)[0]
+                        scope_scan(f)[2] if occurs is None else occurs)[0]
 
 
 def _transpose_f(phi: dict, f: Term, supply, occurs) -> tuple[Term, LType]:
@@ -473,8 +463,8 @@ def transpose(phi: dict | None, r: Term,
               supply: NameSupply | None = None) -> Term:
     """T over mixed-sort terms; works with or without prior unzipping."""
     supply = supply or NameSupply()
-    r = uniquify(r, supply)
-    return _transpose_a({} if phi is None else phi, r, supply, _occurring(r))
+    r, occurs = uniquify(r, supply)
+    return _transpose_a({} if phi is None else phi, r, supply, occurs)
 
 
 def _transpose_a(phi: dict, r: Term, supply, occurs) -> Term:

@@ -453,10 +453,12 @@ def check_metatheory(n: int = 120, seed: int = 61) -> CheckResult:
         # progress: the normal form matches the value grammar
         if not is_progress_normal_form(cur):
             bad += 1
-        # confluence spot check at ground types
-        lo = normalize(term, strategy="leftmost-outermost")
+        # confluence spot check at ground types; the loop above ends at the
+        # leftmost-outermost normal form unless a step changed the type
+        lo = cur if step is None else \
+            normalize(term, strategy="leftmost-outermost").result
         ri = normalize(term, strategy="rightmost-innermost")
-        if not alpha_eq(lo.result, ri.result, tol=1e-6):
+        if not alpha_eq(lo, ri.result, tol=1e-6):
             bad += 1
         # safety invariance along safe steps
         cur = term

@@ -203,6 +203,8 @@ def _contract(m: Term):
     when the result is zero, or typing would not survive the step.  A
     plain-numeral operand of an addition forces the shared context to be
     empty, so the mixed case can produce a numeral safely."""
+    if m.__class__ is not App:
+        return None
     match m:
         case App(Abs(p, body), v) if value_for_pattern(v, p):
             return substitute(body, p, v), False
@@ -234,25 +236,101 @@ def redexes(term: Term, contract, innermost: bool = False):
     `innermost` rightmost-innermost first (each node after its children,
     right to left).  A context is the path from the redex up to the root,
     nested (node, child index, context) triples ending in None; `plug`
-    fills it.  The walk keeps an explicit stack, whose entries say whether
-    a node's children are still to be pushed before it."""
-    todo: list = [(term, None, innermost)]
-    while todo:
-        m, ctx, expand = todo.pop()
-        if not expand:
+    fills it.
+
+    The root of every contraction is an `App`, so `contract` is called at
+    `App` nodes only.  The walk keeps the ancestors of the node it is at
+    and the index of the child it went down to in two lists, and builds a
+    context from them only for a redex it yields.  It dispatches on the
+    class, not with `match` or `children`, as it visits every node of the
+    term for each step of a reduction."""
+    nodes: list[Term] = []
+    idx: list[int] = []
+    m = term
+    if innermost:
+        while True:
+            while True:  # down to the rightmost leaf below m
+                cls = m.__class__
+                if cls is App:
+                    nodes.append(m)
+                    idx.append(1)
+                    m = m.arg
+                elif cls is Abs:
+                    nodes.append(m)
+                    idx.append(0)
+                    m = m.body
+                elif cls is TensorPair or cls is WithPair:
+                    nodes.append(m)
+                    idx.append(1)
+                    m = m.right
+                elif cls is BangVal:
+                    nodes.append(m)
+                    idx.append(0)
+                    m = m.inner
+                else:
+                    break
+            # up to the nearest ancestor with a left child still to visit,
+            # visiting each ancestor whose children are all visited
+            while nodes:
+                if idx[-1]:
+                    idx[-1] = 0
+                    m = nodes[-1]
+                    m = m.fn if m.__class__ is App else m.left
+                    break
+                m = nodes.pop()
+                idx.pop()
+                if m.__class__ is App:
+                    r = contract(m)
+                    if r is not None:
+                        yield _context(nodes, idx), r
+            else:
+                return
+    while True:
+        cls = m.__class__
+        if cls is App:
             r = contract(m)
             if r is not None:
-                yield ctx, r
-            if innermost:
-                continue
-        kids = children(m)
-        if expand:
-            todo.append((m, ctx, False))
-            for i, c in enumerate(kids):
-                todo.append((c, (m, i, ctx), True))
+                yield _context(nodes, idx), r
+            nodes.append(m)
+            idx.append(0)
+            m = m.fn
+        elif cls is Abs:
+            nodes.append(m)
+            idx.append(0)
+            m = m.body
+        elif cls is TensorPair or cls is WithPair:
+            nodes.append(m)
+            idx.append(0)
+            m = m.left
+        elif cls is BangVal:
+            nodes.append(m)
+            idx.append(0)
+            m = m.inner
         else:
-            for i in range(len(kids) - 1, -1, -1):
-                todo.append((kids[i], (m, i, ctx), False))
+            # up to the nearest ancestor with a right child still to visit
+            while nodes:
+                if not idx[-1]:
+                    up = nodes[-1]
+                    cls = up.__class__
+                    if cls is App:
+                        idx[-1] = 1
+                        m = up.arg
+                        break
+                    if cls is TensorPair or cls is WithPair:
+                        idx[-1] = 1
+                        m = up.right
+                        break
+                nodes.pop()
+                idx.pop()
+            else:
+                return
+
+
+def _context(nodes: list[Term], idx: list[int]):
+    ctx = None
+    for node, i in zip(nodes, idx):
+        ctx = (node, i, ctx)
+    return ctx
 
 
 def plug(ctx, m: Term) -> Term:
@@ -315,6 +393,8 @@ def _safe_beta(p: Pattern, v: Term) -> bool:
 
 
 def safe_contract(m: Term):
+    if m.__class__ is not App:
+        return None
     match m:
         case App(Abs(p, body), v):
             if _safe_beta(p, v):
@@ -327,6 +407,8 @@ def safe_contract(m: Term):
 def safe_redex(m: Term) -> Term | None:
     """`m` if `safe_contract` contracts it, else None; a beta redex is
     recognised without substituting."""
+    if m.__class__ is not App:
+        return None
     match m:
         case App(Abs(p, _), v):
             return m if _safe_beta(p, v) else None
@@ -492,12 +574,14 @@ def _exp_bound(p: Pattern, name: str) -> bool:
             return False
 
 
-def _scope_scan(term: Term) -> tuple[set[str], bool]:
-    """The free variables of `term`, and whether some name is bound twice
-    in it or both bound and free, by one scoped walk.  It fills no
-    `free_vars` cache: on the unzipped term's let-spine the cached sets
-    would cost memory quadratic in its length."""
+def scope_scan(term: Term) -> tuple[set[str], bool, set[str]]:
+    """The free variables of `term`, whether some name is bound twice in it
+    or both bound and free, and the names of all its variable occurrences,
+    by one scoped walk.  It fills no `free_vars` cache: on the unzipped
+    term's let-spine the cached sets would cost memory quadratic in its
+    length."""
     free: set[str] = set()
+    names: set[str] = set()
     binders: set[str] = set()
     clash = False
     bound: dict[str, int] = {}  # name -> number of enclosing binders
@@ -508,19 +592,20 @@ def _scope_scan(term: Term) -> tuple[set[str], bool]:
         # several times more per node, and U and T scan every term they get
         cls = t.__class__
         if cls is Var:
+            names.add(t.name)
             if t.name not in bound:
                 free.add(t.name)
         elif cls is App:
             todo.append(t.arg)
             todo.append(t.fn)
         elif cls is Abs:
-            names = pattern_vars(t.pat)
-            for n in names:
+            leaves = pattern_vars(t.pat)
+            for n in leaves:
                 if n in binders:
                     clash = True
                 binders.add(n)
                 bound[n] = bound.get(n, 0) + 1
-            todo.append(names)
+            todo.append(leaves)
             todo.append(t.body)
         elif cls is TensorPair or cls is WithPair:
             todo.append(t.right)
@@ -532,20 +617,22 @@ def _scope_scan(term: Term) -> tuple[set[str], bool]:
                 bound[n] -= 1
                 if not bound[n]:
                     del bound[n]
-    return free, clash or not free.isdisjoint(binders)
+    return free, clash or not free.isdisjoint(binders), names
 
 
-def uniquify(term: Term, supply: NameSupply) -> Term:
+def uniquify(term: Term, supply: NameSupply) -> tuple[Term, set[str]]:
     """Rename binders so no name is bound twice; keeps first occurrences.
+    Returns the renamed term and the names of its variable occurrences.
 
     Binders are visited in pre-order, left to right, so the fresh names are
     drawn in that order.  The renamings in force travel down the walk in
     one environment (original name -> new name), and a node below which
     nothing was renamed is returned as it is.  The walk uses an explicit
     stack, as a let-spine nests as deep as the program is long."""
-    seen, clash = _scope_scan(term)
+    seen, clash, names = scope_scan(term)
     if not clash:
-        return term
+        return term, names
+    names = set()
     done: list[Term] = []  # finished subterms, in visiting order
     # (node, env) visits a node under the renaming env; (node, None) and
     # (node, pattern) rebuild it from its finished children, an Abs with
@@ -570,6 +657,7 @@ def uniquify(term: Term, supply: NameSupply) -> Term:
             continue
         match m:
             case Var(n):
+                names.add(env.get(n, n))
                 done.append(Var(env[n]) if n in env else m)
             case Abs(p, body):
                 ren = {}
@@ -596,4 +684,4 @@ def uniquify(term: Term, supply: NameSupply) -> Term:
                 todo.append((i, env))
             case _:
                 done.append(m)
-    return done.pop()
+    return done.pop(), names

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from linlog.lll.lets import bind, unbind
 from linlog.lll.terms import (
-    Abs, App, BangVal, Numeral, PlusDot, PrimFn, Term, TensorPair, TimesDot,
-    TopVal, UnitVal, Var, WithPair, Zero, children, free_vars,
-    pattern_var_types,
+    Abs, App, BangVal, Numeral, PBang, PlusDot, PrimFn, PVar, Term,
+    TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero, children,
+    free_vars, pattern_var_types,
 )
-from linlog.lll.types import LType, is_ground, workload_type
+from linlog.lll.types import Bang, LType, is_ground, workload_type
 
 
 def workload_term(m: Term) -> int:
@@ -60,11 +60,19 @@ def _workload_fv(m: Term) -> tuple[int, set[str]]:
             done.append((wf + wa, left))
         elif cls is Abs:
             w, fv = done.pop()
-            for x, ty in pattern_var_types(t.pat).items():
-                if x in fv:
-                    fv.remove(x)
-                else:
-                    w += workload_type(ty)
+            p = t.pat
+            pc = p.__class__
+            if pc is PVar or pc is PBang:  # one leaf: no pattern walk
+                if p.name in fv:
+                    fv.remove(p.name)
+                elif pc is PVar:  # an unused !x discards no workload
+                    w += workload_type(p.ty)
+            else:
+                for x, ty in pattern_var_types(p).items():
+                    if x in fv:
+                        fv.remove(x)
+                    else:
+                        w += workload_type(ty)
             done.append((w, fv))
         elif cls is BangVal:
             done.append((0, done.pop()[1]))
@@ -101,7 +109,15 @@ def is_safe(m: Term, var_types: dict[str, LType] | None = None) -> bool:
                     return False
             todo += (t.right, t.left)
         elif cls is Abs:
-            todo.append(bind(types, pattern_var_types(t.pat)))
+            p = t.pat
+            pc = p.__class__
+            if pc is PVar:  # one leaf: no pattern walk
+                leaves = {p.name: p.ty}
+            elif pc is PBang:
+                leaves = {p.name: Bang(p.ty)}
+            else:
+                leaves = pattern_var_types(p)
+            todo.append(bind(types, leaves))
             todo.append(t.body)
         elif cls is App or cls is TensorPair:
             todo += children(t)

@@ -14,7 +14,7 @@ from linlog.lll import (
 from linlog.checks import RANDOM_STRATEGY_FRACTION, _random_safe_reduce
 from linlog.gen import safe_ground_cases
 from linlog.lll.reduce import (
-    plug, redexes, rename_pattern, safe_contract, safe_redex, safe_step, subst,
+    _contract, plug, redexes, rename_pattern, safe_contract, safe_redex, safe_step, subst,
     uniquify,
 )
 from linlog.lll.terms import children, free_vars, pattern_vars, term_str
@@ -217,6 +217,50 @@ def test_redexes_come_in_pre_order_and_its_reverse():
     assert seen > 20
 
 
+def ref_reduce(term, contract, innermost=False):
+    """A reduction to normal form by the reference redex list: (result,
+    numeric steps, steps)."""
+    numeric = total = 0
+    while True:
+        found = ref_redexes(term, contract)
+        if not found:
+            return term, numeric, total
+        path, (new, is_numeric) = found[-1] if innermost else found[0]
+        term = ref_plug(term, path, new)
+        numeric += is_numeric
+        total += 1
+
+
+def ref_random_safe_reduce(term, rng):
+    numeric = 0
+    while True:
+        spots = ref_redexes(term, safe_redex)
+        if not spots:
+            return term, numeric
+        path, m = rng.choice(spots)
+        new, is_numeric = safe_contract(m)
+        term = ref_plug(term, path, new)
+        numeric += is_numeric
+
+
+def test_reductions_follow_the_reference_redex_list():
+    """`normalize` (both strategies), `safe_reduce` and the battery's random
+    safe reduction give the terms and counts of a loop over `ref_redexes`."""
+    steps = 0
+    for i, c in enumerate(safe_ground_cases(24, 3)):
+        t = c.term
+        for got, want in (
+                (normalize(t), ref_reduce(t, _contract)),
+                (normalize(t, strategy="rightmost-innermost"),
+                 ref_reduce(t, _contract, innermost=True)),
+                (safe_reduce(t), ref_reduce(t, safe_contract))):
+            assert (got.result, got.numeric_steps, got.total_steps) == want
+            steps += got.total_steps
+        assert _random_safe_reduce(t, random.Random(i)) == \
+            ref_random_safe_reduce(t, random.Random(i))
+    assert steps > 500
+
+
 def test_reductions_of_safe_ground_cases_are_pinned():
     """Step counts and results of safe reduction and of both normalizing
     strategies, hashed; pinned before the rewriting engine was rebuilt."""
@@ -381,6 +425,20 @@ def binders(m):
     return out
 
 
+def occurring(m):
+    """The names of the variable occurrences of `m`."""
+    return {t.name for t in nodes(m) if isinstance(t, Var)}
+
+
+def nodes(m):
+    out, todo = [], [m]
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        todo += children(t)
+    return out
+
+
 def test_uniquify_matches_recursive_definition():
     # the pipeline's terms bind every name once; pairing a term with a copy
     # of itself, or with a free occurrence of one of its binders, makes
@@ -392,8 +450,9 @@ def test_uniquify_matches_recursive_definition():
             cases.append(WithPair(Var(binders(m)[-1]), m))
         for t in cases:
             s_new, s_ref = supply.clone(), supply.clone()
-            got, want = uniquify(t, s_new), ref_uniquify(t, s_ref)
+            (got, names), want = uniquify(t, s_new), ref_uniquify(t, s_ref)
             assert got == want, (i, term_str(t))
+            assert names == occurring(got), (i, term_str(t))
             assert s_new.fresh() == s_ref.fresh(), (i, term_str(t))
             renamed += got is not t
     assert renamed > 100
@@ -402,11 +461,11 @@ def test_uniquify_matches_recursive_definition():
 def test_uniquify_returns_a_clean_term_itself():
     t = App(Abs(PVar("x", Real), TensorPair(Var("x"), Var("y"))),
             WithPair(Var("z"), BangVal(Var("w"))))
-    assert uniquify(t, NameSupply()) is t
+    assert uniquify(t, NameSupply()) == (t, {"x", "y", "z", "w"})
     # a bound name that is also free elsewhere is renamed, but the
     # untouched subterms come back as they are
     t2 = App(Abs(PVar("y", Real), Var("y")), t)
-    out = uniquify(t2, NameSupply())
+    out = uniquify(t2, NameSupply())[0]
     assert out != t2 and out.arg is t and out.fn.body == Var(out.fn.pat.name)
 
 
@@ -414,7 +473,7 @@ def test_uniquify_renames_repeated_binders_apart():
     branch = App(Abs(PVar("u", Real), times(Var("u"), Var("u"))), Var("a"))
     t = Abs(PWith(PVar("a", Real), PVar("b", Real)),
             WithPair(branch, App(Abs(PVar("u", Real), Var("u")), Var("b"))))
-    out = uniquify(t, NameSupply())
+    out = uniquify(t, NameSupply())[0]
     names = binders(out)
     assert len(names) == len(set(names)) == 4
     assert free_vars(out) == free_vars(t) == frozenset()

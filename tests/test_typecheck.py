@@ -1,13 +1,20 @@
+import importlib
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from linlog.lll import (
     Abs, App, Bang, BangVal, LinearityViolation, Lolli, Numeral, PBang,
-    PTensor, PUnit, PVar, PWith, PlusDot, PromotionViolation, Real,
+    PTensor, PUnit, PVar, PWith, PlusDot, PromotionViolation, Real, Tensor,
     TensorPair, TimesDot, Top, TopVal, TypeMismatch, TypingEnv, UnboundVariable,
     UnitVal, Var, With, WithPair, Zero, affine, para, prim, prim_app,
     typecheck,
 )
 from tests.terms9 import fig9a_term, fig9a_env
+from tests.test_machine import transposed_chain
+from tests.test_oracle import chain_program
 
 
 def lam(name, ty, body):
@@ -183,3 +190,68 @@ def test_abstraction_without_consumption_rejected():
     t = Abs(PWith(PVar("a", Real), PVar("b", Real)), Numeral(1.0))
     with pytest.raises(LinearityViolation):
         typecheck(TypingEnv(), t)
+
+
+# ---- depth and growth
+
+CHAIN_ENV = TypingEnv.of(PBang("x0", Real), PBang("x1", Real))
+CHAIN_TYPE = Tensor(Bang(Real), affine(Lolli(Real, With(Real, Real))))
+
+
+def test_a_transposed_2000_let_chain_typechecks_at_the_default_limit():
+    """The checker walks an explicit stack: T(U) of a 2000-let chain, built
+    at a raised limit, checks at the default one."""
+    assert sys.getrecursionlimit() <= 1000
+    built = []
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(50_000)
+    threading.stack_size(256 << 20)
+    try:
+        worker = threading.Thread(
+            target=lambda: built.append(transposed_chain(2000)[1]))
+        worker.start()
+        worker.join(300)
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive() and built
+    assert typecheck(CHAIN_ENV, built[0]) == CHAIN_TYPE
+
+
+def test_check_passes_on_a_490_let_chain(tmp_path):
+    """`linlog check` typechecks the source and T(U); other stages limit
+    it to about 490 lets.  A fresh interpreter has none of pytest's
+    frames."""
+    src = tmp_path / "chain.lina"
+    src.write_text(chain_program(490))
+    proc = subprocess.run([sys.executable, "-m", "linlog.cli", "check",
+                           str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "typecheck: ok" in proc.stdout
+
+
+def merged_entries(n_lets, monkeypatch) -> int:
+    """The usage-map entries that the merges of the check of T(U) of
+    `chain_program(n_lets)` receive, both maps of each merge counted."""
+    tc = importlib.import_module("linlog.lll.typecheck")
+    count = 0
+
+    def counting(merge, second):
+        def counted(*args):
+            nonlocal count
+            count += len(args[0]) + len(args[second])
+            return merge(*args)
+        return counted
+    r = transposed_chain(n_lets)[1]
+    with monkeypatch.context() as m:
+        m.setattr(tc, "_combine_usages", counting(tc._combine_usages, 1))
+        m.setattr(tc, "_join_usages", counting(tc._join_usages, 2))
+        assert typecheck(CHAIN_ENV, r) == CHAIN_TYPE
+    return count
+
+
+def test_usage_maps_grow_linearly_with_the_chain(monkeypatch):
+    """Usage maps hold the linear entries in scope, not the tape: the
+    entries merged grow at most 2.2x from 200 to 400 lets."""
+    small, large = (merged_entries(n, monkeypatch) for n in (200, 400))
+    assert 0 < large <= 2.2 * small, (small, large)
