@@ -18,7 +18,7 @@ from linlog.linear_a.expr import JReal, fv_primal
 from linlog.linear_a.transform import jax_forward, jax_transpose, jax_unzip
 from linlog.linear_a.typecheck import infer_types, jax_workload
 from linlog.linear_a.values import Scalar
-from linlog.lll.machine import Flops, apply_value, eval_term
+from linlog.lll.machine import Flops, apply_lanes, apply_value, eval_term
 from linlog.lll.prims import prim
 from linlog.lll.reduce import (
     beta_step, is_progress_normal_form, normalize, plug, redexes,
@@ -263,8 +263,8 @@ def check_commute_transpose(n: int = 200, seed: int = 33,
 # ----------------------------------------------------------- criterion 6
 
 def _matrix_of(fn_value, dom, flops) -> list[list[float]]:
-    cols = [flatten_value(apply_value(fn_value, b, flops))
-            for b in dimension_basis_values(dom)]
+    cols = [flatten_value(v) for v in
+            apply_lanes(fn_value, dimension_basis_values(dom), flops)]
     rows = len(cols[0]) if cols else 0
     return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
 

@@ -49,12 +49,26 @@ Flops, evaluation order and every error message are those of applying the
 nodes one by one; a split pattern's shape error is raised before its later
 components run.  Values are slotted dataclasses, never changed in place
 (tests/test_layering.py checks this).
+
+`apply_lanes` applies a function to k arguments of one shape in one run
+(vectorising map: JAX's `vmap`, Frostig, Johnson & Leary, SysML 2018).  It
+packs the arguments into one value whose number leaves are `VLanes`, the k
+numbers side by side, runs the function once and unpacks its result lane by
+lane.  Only `+.` and `*.` learn lanes, on their slow paths: each acts lane
+by lane and broadcasts a number against lanes.  This is exact, values and
+flops alike, for two reasons.  No control flow depends on a number: a
+pattern checks shapes, never numbers, so every lane takes the path the
+others take and one run does each lane's work in order.  And a lane never
+reaches a primitive: a primitive's argument is a `!`, and promotion admits
+only exponential variables under a `!`, while lanes enter only through
+the argument of the linear map being applied.  So the count of one run
+times k is the count of k runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from linlog.errors import LinlogError
 from linlog.lll.lets import spine
@@ -77,6 +91,13 @@ class Value:
 @dataclass(slots=True, unsafe_hash=True)
 class VNum(Value):
     value: float
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class VLanes(Value):
+    """The numbers of k lanes at one leaf, made only by `apply_lanes`."""
+
+    values: tuple[float, ...]
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -134,7 +155,7 @@ class VPlus(Value):
 
 @dataclass(slots=True, unsafe_hash=True)
 class VTimes(Value):
-    partial: float | None = None
+    partial: float | VLanes | None = None
 
 
 class Flops:
@@ -148,6 +169,28 @@ def _num(v: Value) -> float:
     if isinstance(v, VNum):
         return v.value
     raise MachineError(f"expected a number, got {v!r}")
+
+
+def _operand(v: Value) -> float | VLanes:
+    """An operand of `+.` or `*.`: a number's float, or lanes as they are."""
+    t = type(v)
+    if t is VNum:
+        return v.value
+    if t is VLanes:
+        return v
+    raise MachineError(f"expected a number, got {v!r}")
+
+
+def _arith_op(op, x: float | VLanes, y: float | VLanes) -> Value:
+    """`op` on two operands, lane by lane where either is lanes; a float
+    is broadcast against lanes."""
+    if type(x) is VLanes:
+        if type(y) is VLanes:
+            return VLanes(tuple(map(op, x.values, y.values)))
+        return VLanes(tuple([op(a, y) for a in x.values]))
+    if type(y) is VLanes:
+        return VLanes(tuple([op(x, b) for b in y.values]))
+    return VNum(op(x, y))
 
 
 def _prim_args(v: Value, arity: int) -> list[float]:
@@ -178,12 +221,12 @@ def apply_value(f: Value, a: Value, flops: Flops) -> Value:
         if not isinstance(a, VWith):
             raise MachineError(f"+. applied to {a!r}")
         flops.count += 1
-        return VNum(_num(a.left) + _num(a.right))
+        return _arith_op(add, _operand(a.left), _operand(a.right))
     if t is VTimes:
         if f.partial is None:
-            return VTimes(partial=_num(a))
+            return VTimes(partial=_operand(a))
         flops.count += 1
-        return VNum(f.partial * _num(a))
+        return _arith_op(mul, f.partial, _operand(a))
     raise MachineError(f"applying non-function {f!r}")
 
 
@@ -431,13 +474,15 @@ def _plus(l, r):
             fl.count += 1
             if type(x) is VNum and type(y) is VNum:
                 return VNum(x.value + y.value)
-            return VNum(_num(x) + _num(y))
+            return _arith_op(add, _operand(x), _operand(y))
     else:
         def plus(fr, fl, l=l, r=r):
             x = l(fr, fl)
             y = r(fr, fl)
             fl.count += 1
-            return VNum(_num(x) + _num(y))
+            if type(x) is VNum and type(y) is VNum:
+                return VNum(x.value + y.value)
+            return _arith_op(add, _operand(x), _operand(y))
     return plus
 
 
@@ -449,15 +494,15 @@ def _times(a, b):
             if type(x) is VNum and type(y) is VNum:
                 fl.count += 1
                 return VNum(x.value * y.value)
-            p = _num(x)
+            p = _operand(x)
             fl.count += 1
-            return VNum(p * _num(y))
+            return _arith_op(mul, p, _operand(y))
     else:
         def times(fr, fl, a=a, b=b):
-            p = _num(a(fr, fl))
+            p = _operand(a(fr, fl))
             y = b(fr, fl)
             fl.count += 1
-            return VNum(p * _num(y))
+            return _arith_op(mul, p, _operand(y))
     return times
 
 
@@ -699,6 +744,49 @@ def run(m: Term, env: dict | None = None) -> tuple[Value, int]:
     flops = Flops()
     v = eval_term(m, env or {}, flops)
     return v, flops.count
+
+
+def apply_lanes(f: Value, vals: list[Value], flops: Flops) -> list[Value]:
+    """``[apply_value(f, v, flops) for v in vals]`` in one run of `f` over
+    the values packed as lanes (module docstring), with the flops of the
+    k runs.  The values share one shape of numbers, units, tops and pairs,
+    and the results must be first-order."""
+    k = len(vals)
+    if not k:
+        return []
+    c0 = flops.count
+    out = apply_value(f, _pack(vals), flops)
+    flops.count = c0 + (flops.count - c0) * k
+    return _unpack(out, k)
+
+
+def _pack(vs: list[Value]) -> Value:
+    t = type(vs[0])
+    if any(type(v) is not t for v in vs):
+        raise MachineError(f"lanes of different shapes: {vs!r}")
+    if t is VNum:
+        return VLanes(tuple([v.value for v in vs]))
+    if t is VPair or t is VWith:
+        return t(_pack([v.left for v in vs]), _pack([v.right for v in vs]))
+    if t is VUnit or t is VTop:
+        return vs[0]
+    raise MachineError(f"cannot run {vs[0]!r} in lanes")
+
+
+def _unpack(v: Value, k: int) -> list[Value]:
+    """The k values of the lanes of `v`; a part without lanes is shared."""
+    t = type(v)
+    if t is VLanes:
+        return [VNum(x) for x in v.values]
+    if t is VPair or t is VWith:
+        return list(map(t, _unpack(v.left, k), _unpack(v.right, k)))
+    if t is VBang:
+        return list(map(VBang, _unpack(v.inner, k)))
+    if t is VTimes and type(v.partial) is VLanes:
+        return [VTimes(x) for x in v.partial.values]
+    if t is VClosure:
+        raise MachineError(f"cannot split {v!r} into lanes")
+    return [v] * k
 
 
 def value_to_term(v: Value) -> Term:

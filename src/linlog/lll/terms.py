@@ -42,16 +42,22 @@ class PUnit(Pattern):
     pass
 
 
+# The composite patterns keep the typechecker's walk of them in `_walk`,
+# filled when it first binds one; like the terms' `_fv`, it takes no part
+# in equality, hashing, matching or printing.
+
 @dataclass(repr=False, slots=True, unsafe_hash=True)
 class PTensor(Pattern):
     left: Pattern
     right: Pattern
+    _walk: tuple | None = field(default=None, init=False, compare=False)
 
 
 @dataclass(repr=False, slots=True, unsafe_hash=True)
 class PWith(Pattern):
     left: Pattern
     right: Pattern
+    _walk: tuple | None = field(default=None, init=False, compare=False)
 
 
 def pattern_type(p: Pattern) -> LType:

@@ -262,23 +262,39 @@ class _Scope:
         self.index: dict[str, tuple[int, object, LType]] = {}
         self.next = 0
 
-    def bind(self, eid: int, p: Pattern) -> tuple[list[str], LType]:
+    def bind(self, eid: int, p: Pattern) -> tuple[tuple[str, ...], LType]:
         """Bind the names of `p` as the entry `eid`; returns its names and
-        the type of `p`, both from one walk of the pattern."""
-        leaves: list = []
-        ty = _walk_pattern(p, (), leaves)
-        names = [leaf[0] for leaf in leaves]
-        _check_pattern_wf(p, names)
-        tracked = p.__class__ is not PBang
-        if tracked:
+        the type of `p`, both from one walk of the pattern, which a
+        composite pattern keeps for its next binding."""
+        cls = p.__class__
+        composite = cls is PTensor or cls is PWith
+        walk = p._walk if composite else None
+        if walk is None:
+            walk = _walk(p)
+            if composite:
+                p._walk = walk
+        names, ty, leaves = walk
+        if cls is not PBang:
             self.entries[eid] = p
         index = self.index
-        for name, path, leaf_ty in leaves:
+        for name, leaf, leaf_ty in leaves:
             if name in index:
                 raise LinearityViolation(
                     f"name {name} shadows an enclosing binding")
-            index[name] = (eid, _mk_leaf(path) if tracked else None, leaf_ty)
+            index[name] = (eid, leaf, leaf_ty)
         return names, ty
+
+
+def _walk(p: Pattern) -> tuple:
+    """(names, type, (name, leaf usage, type) per leaf) of a well-formed
+    `p`; the leaf usage is None for a `p` that is one `PBang`."""
+    leaves: list = []
+    ty = _walk_pattern(p, (), leaves)
+    names = tuple([leaf[0] for leaf in leaves])
+    _check_pattern_wf(p, names)
+    tracked = p.__class__ is not PBang
+    return names, ty, tuple([(name, _mk_leaf(path) if tracked else None,
+                              leaf_ty) for name, path, leaf_ty in leaves])
 
 
 def _walk_pattern(q: Pattern, path: tuple, leaves: list) -> LType:
@@ -302,7 +318,7 @@ def _walk_pattern(q: Pattern, path: tuple, leaves: list) -> LType:
     raise AssertionError(q)
 
 
-def _check_pattern_wf(p: Pattern, names: list[str]):
+def _check_pattern_wf(p: Pattern, names: list[str] | tuple[str, ...]):
     if len(names) != len(set(names)):
         raise PatternShapeMismatch(f"pattern {p!r} binds a name twice")
 

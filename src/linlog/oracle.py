@@ -20,8 +20,8 @@ from linlog.fresh import NameSupply
 from linlog.linear_a.values import NPair, NumTuple, Scalar, UnitTup, flatten
 from linlog.lll import machine
 from linlog.lll.machine import (
-    Flops, VBang, VNum, VPair, VTop, VUnit, VWith, Value, apply_value,
-    compile_term, eval_compiled, values_close,
+    Flops, VBang, VNum, VPair, VTop, VUnit, VWith, Value, apply_lanes,
+    apply_value, compile_term, eval_compiled, values_close,
 )
 from linlog.lll.reduce import simplify
 from linlog.lll.sorts import primal_inner_type
@@ -251,37 +251,43 @@ def _close_env(env: TypingEnv, rng: random.Random) -> dict[str, Value]:
 def _compare(ty: LType, a: Value, b: Value, cfg: EquivConfig,
              rng: random.Random, flops: Flops, bases: dict) -> bool:
     """`bases` caches `basis_values` by type across one `equiv_check`."""
-    match ty:
-        case t if t in (Real, One, Top):
-            return values_close(a, b, SCALAR_REL_TOL)
-        case Bang(i):
-            return isinstance(a, VBang) and isinstance(b, VBang) and \
-                _compare(i, a.inner, b.inner, cfg, rng, flops, bases)
-        case Tensor(l, r):
-            return isinstance(a, VPair) and isinstance(b, VPair) and \
-                _compare(l, a.left, b.left, cfg, rng, flops, bases) and \
-                _compare(r, a.right, b.right, cfg, rng, flops, bases)
-        case With(l, r):
-            return isinstance(a, VWith) and isinstance(b, VWith) and \
-                _compare(l, a.left, b.left, cfg, rng, flops, bases) and \
-                _compare(r, a.right, b.right, cfg, rng, flops, bases)
-        case Lolli(dom, cod) if is_with_seq(dom):
-            # exact on the canonical basis for linear maps, plus samples
-            dom_basis = bases.get(dom)
-            if dom_basis is None:
-                dom_basis = bases[dom] = basis_values(dom)
-            for v in dom_basis:
-                if not _compare(cod, apply_value(a, v, flops),
-                                apply_value(b, v, flops), cfg, rng, flops,
-                                bases):
-                    return False
-            for _ in range(cfg.sample_count):
-                v = random_value_of(dom, rng)
-                if not _compare(cod, apply_value(a, v, flops),
-                                apply_value(b, v, flops), cfg, rng, flops,
-                                bases):
-                    return False
-            return True
+    if ty is Real or ty is One or ty is Top:
+        return values_close(a, b, SCALAR_REL_TOL)
+    cls = ty.__class__
+    if cls is Bang:
+        return isinstance(a, VBang) and isinstance(b, VBang) and \
+            _compare(ty.inner, a.inner, b.inner, cfg, rng, flops, bases)
+    if cls is Tensor or cls is With:
+        pair = VPair if cls is Tensor else VWith
+        return isinstance(a, pair) and isinstance(b, pair) and \
+            _compare(ty.left, a.left, b.left, cfg, rng, flops, bases) and \
+            _compare(ty.right, a.right, b.right, cfg, rng, flops, bases)
+    if cls is Lolli and is_with_seq(ty.dom):
+        # exact on the canonical basis for linear maps, plus samples
+        dom, cod = ty.dom, ty.cod
+        dom_basis = bases.get(dom)
+        if dom_basis is None:
+            dom_basis = bases[dom] = basis_values(dom)
+        if is_ground(cod):
+            # comparing at a ground type draws nothing, so the samples can
+            # be drawn first and every probe applied in one run per side
+            probes = dom_basis + [random_value_of(dom, rng)
+                                  for _ in range(cfg.sample_count)]
+            return all(_compare(cod, x, y, cfg, rng, flops, bases)
+                       for x, y in zip(apply_lanes(a, probes, flops),
+                                       apply_lanes(b, probes, flops)))
+        for v in dom_basis:
+            if not _compare(cod, apply_value(a, v, flops),
+                            apply_value(b, v, flops), cfg, rng, flops,
+                            bases):
+                return False
+        for _ in range(cfg.sample_count):
+            v = random_value_of(dom, rng)
+            if not _compare(cod, apply_value(a, v, flops),
+                            apply_value(b, v, flops), cfg, rng, flops,
+                            bases):
+                return False
+        return True
     raise NotWithSeq(f"cannot compare values at {ty!r}")
 
 
@@ -395,7 +401,7 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     transposed term r evaluates once to `!primal ⊗ <(), g>`; row i of the
     transposed Jacobian is g applied to the i-th of the k basis cotangents
     of the output (a scalar output is the case k = 1; an output with no
-    scalar component has k = 0 and no row).
+    scalar component has k = 0 and no row), all k in one run of g.
 
     The bound is W(r) + max(k-1, 0)·W(map), the map being the linear part
     of r with its section lets (`unzip_decompose(r)[2]`): W(r) bounds the
@@ -418,9 +424,8 @@ def run_grad(p: Term, theta: list[tuple[str, LType]], point: list[NumTuple],
     out = eval_compiled(compile_term(r), values, flops)
     g = out.right.right
     rows = []
-    for b in dimension_basis_values(hty):
-        by_name = dict(zip([n for n, _ in enum],
-                           _split_tangent(apply_value(g, b, flops), enum)))
+    for v in apply_lanes(g, dimension_basis_values(hty), flops):
+        by_name = dict(zip([n for n, _ in enum], _split_tangent(v, enum)))
         rows.append([by_name[n] for n, _ in theta])
     bound = workload_term(r)
     if len(rows) > 1:  # the map is walked only if it is applied again

@@ -195,8 +195,9 @@ def test_let_shapes_are_classified_in_one_place():
 # The fields of the evaluator's values and of the nodes of terms, patterns,
 # types and Linear-A expressions, none of which is frozen: a value is shared
 # between frames and closures and a node between terms, so no code may
-# change one in place.  Only the free-name caches (`_fv`) are filled later.
-VALUE_FIELDS = {"left", "right", "inner", "value", "partial", "fn",
+# change one in place.  Only the free-name caches of terms (`_fv`) and the
+# typechecker's walks of patterns (`_walk`) are filled later.
+VALUE_FIELDS = {"left", "right", "inner", "value", "values", "partial", "fn",
                 "arg", "pat", "body", "name", "ty", "dom", "cod"}
 
 

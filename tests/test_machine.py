@@ -4,6 +4,7 @@ the scoping of let right-hand sides flattened at compile time, and the
 host stack depth that flattening bounds."""
 
 import inspect
+import random
 import re
 import sys
 import threading
@@ -11,9 +12,9 @@ import threading
 import pytest
 
 from linlog import NameSupply
-from linlog.autodiff import forward, transpose, unzip
+from linlog.autodiff import forward, transpose, transpose_f, unzip
 from linlog.frontend import parse
-from linlog.gen import safe_ground_cases
+from linlog.gen import lll_f_cases, safe_ground_cases
 from linlog.linear_a.expr import fv_primal
 from linlog.linear_a import Scalar
 from linlog.lll import (
@@ -22,12 +23,17 @@ from linlog.lll import (
     safe_reduce, workload_term,
 )
 from linlog.lll.machine import (
-    Flops, MachineError, VBang, VNum, VPair, VPlus, VPrim, VTimes, VTop,
-    VUnit, VWith, apply_value, compile_term, eval_compiled, run, values_close,
+    Flops, MachineError, VBang, VLanes, VNum, VPair, VPlus, VPrim, VTimes,
+    VTop, VUnit, VWith, apply_lanes, apply_value, compile_term,
+    eval_compiled, eval_term, run, values_close,
 )
-from linlog.oracle import finite_diff_grad, run_grad
+from linlog.lll.typecheck import typecheck
+from linlog.lll.types import Bang, Tensor, With, is_ground, is_with_seq
+from linlog.oracle import (
+    _close_env, basis_values, finite_diff_grad, random_value_of, run_grad,
+)
 from linlog.translate import delta_b_primal, primal_type
-from tests.test_oracle import chain_program
+from tests.test_oracle import chain_program, square_corpus
 
 
 def times(a, b):
@@ -332,6 +338,7 @@ VALUES = [
     (VPlus(), "VPlus()", ()),
     (VTimes(), "VTimes(partial=None)", ("partial",)),
     (VTimes(2.0), "VTimes(partial=2.0)", ("partial",)),
+    (VLanes((1.0, -2.0)), "VLanes(values=(1.0, -2.0))", ("values",)),
 ]
 
 
@@ -344,3 +351,85 @@ def test_values_are_slotted_and_compare_by_their_fields():
         assert twin is not v and twin == v and hash(twin) == hash(v), text
     assert VPair(VUnit(), VTop()) != VWith(VUnit(), VTop())
     assert VNum(1.0) != VNum(2.0) and VTimes() != VTimes(1.0)
+
+
+# ---- lanes: one run over k arguments against k runs
+
+def same_in_lanes(f, vals):
+    """`apply_lanes` gives the values of the per-argument loop, bit for
+    bit, and its flops."""
+    ref, fl = Flops(), Flops()
+    want = [apply_value(f, v, ref) for v in vals]
+    assert repr(apply_lanes(f, vals, fl)) == repr(want)
+    assert fl.count == ref.count
+
+
+def probes(dom, rng):
+    return basis_values(dom) + [random_value_of(dom, rng) for _ in range(6)]
+
+
+def linear_maps(ty, v):
+    """(type, value) of each map in `v` of type `ty` with a with-sequence
+    domain and a ground codomain, outside other maps."""
+    cls = ty.__class__
+    if cls is Lolli:
+        if is_with_seq(ty.dom) and is_ground(ty.cod):
+            yield ty, v
+    elif cls is Tensor or cls is With:
+        yield from linear_maps(ty.left, v.left)
+        yield from linear_maps(ty.right, v.right)
+    elif cls is Bang:
+        yield from linear_maps(ty.inner, v.inner)
+
+
+def test_lanes_match_the_loop_on_tangent_maps_and_their_transposes():
+    rng = random.Random(5)
+    for c in lll_f_cases(60, 7):
+        values = {x: random_value_of(e, rng) for x, e in c.sigma}
+        f = eval_term(c.term, dict(values), Flops())
+        tf = eval_term(transpose_f({}, c.term, c.supply), values, Flops())
+        same_in_lanes(f, probes(c.dom, rng))
+        same_in_lanes(tf, probes(c.cod, rng))
+
+
+def test_lanes_match_the_loop_on_the_maps_of_the_squares():
+    """The F, U and T images of the commutation squares, and the Linear-A
+    images they are compared with."""
+    rng = random.Random(6)
+    maps = 0
+    for m, n, env in square_corpus():
+        values = _close_env(env, rng)
+        ty = typecheck(env, m)
+        for side in (m, n):
+            v = eval_term(side, values, Flops())
+            for fty, f in linear_maps(ty, v):
+                same_in_lanes(f, probes(fty.dom, rng))
+                maps += 1
+    assert maps >= 60
+
+
+def test_lanes_match_the_loop_on_bare_arithmetic():
+    nums = [VNum(x) for x in (1.5, -2.0, 0.0, 3.25)]
+    same_in_lanes(VPlus(), [VWith(x, y) for x, y in zip(nums, nums[::-1])])
+    same_in_lanes(VTimes(), nums)
+    same_in_lanes(VTimes(-0.5), nums)
+    same_in_lanes(VPrim(prim("sin")), [])
+    fl = Flops()
+    [x, y] = apply_lanes(VTimes(), nums[:2], fl)
+    assert (x, y, fl.count) == (VTimes(1.5), VTimes(-2.0), 0)
+    assert apply_lanes(x, [VNum(2.0)], fl) == [VNum(3.0)] and fl.count == 1
+    for f, v in [(VPlus(), VWith(VNum(1.0), VUnit())), (VTimes(), VTop()),
+                 (VTimes(2.0), VUnit())]:
+        with pytest.raises(MachineError, match="expected a number"):
+            apply_lanes(f, [v, v], Flops())
+
+
+def test_lanes_refuse_what_they_cannot_carry():
+    with pytest.raises(MachineError, match="different shapes"):
+        apply_lanes(VTimes(2.0), [VNum(1.0), VUnit()], Flops())
+    with pytest.raises(MachineError, match="in lanes"):
+        apply_lanes(VPrim(prim("sin")), [VBang(VNum(1.0))] * 2, Flops())
+    closure = run(Abs(PVar("x", Real), Abs(PVar("y", Real),
+                                            plus(Var("x"), Var("y")))))[0]
+    with pytest.raises(MachineError, match="into lanes"):
+        apply_lanes(closure, [VNum(1.0), VNum(2.0)], Flops())

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from linlog import NameSupply, oracle
+from linlog import NameSupply, autodiff, checks, oracle
 from linlog.autodiff import forward, seq_tangent, transpose, unzip
+from linlog.errors import LinlogError
 from linlog.frontend import parse
 from linlog.gen import lll_p_cases
 from linlog.linear_a import Scalar
@@ -24,12 +25,13 @@ from linlog.lll.terms import BangVal, PBang, PTensor, TensorPair, para_pattern
 from linlog.lll.types import Lolli
 from linlog.lll.workload import workload_term
 from linlog.oracle import (
-    _split_tangent, basis, basis_values, equiv_check, finite_diff_grad,
-    flatten_value, inner_product, mk_dual, mk_undual, naive_transpose,
-    numtuple_to_primal_value, random_value_of, run_grad, term_to_value,
-    value_to_numtuple,
+    EquivConfig, _split_tangent, basis, basis_values, equiv_check,
+    finite_diff_grad, flatten_value, inner_product, mk_dual, mk_undual,
+    naive_transpose, numtuple_to_primal_value, random_value_of, run_grad,
+    term_to_value, value_to_numtuple,
 )
 from linlog.translate import TangentCtx, delta_b_primal, primal_type
+from tests import ref_oracle
 from tests.terms9 import fig9a_term
 from tests.test_linear_a import g_grad, g_value
 
@@ -359,3 +361,75 @@ def test_run_grad_compiles_once_whatever_the_number_of_outputs(
     res = run_grad(term, theta, point, supply=supply)
     assert len(res.jacobian_t) == 3
     assert calls["compile_term"] == 1 and calls["workload_term"] <= 2
+
+
+# ---- the lane-batched comparison against the per-value reference
+
+SQUARE_CHECKS = [("check_commute_forward", 10, 131),
+                 ("check_commute_unzip", 10, 132),
+                 ("check_commute_transpose", 10, 133),
+                 ("check_skip_unzip", 8, 151)]
+SQUARE_CFG = EquivConfig(sample_count=16)
+
+
+def square_sides(checks_run=SQUARE_CHECKS):
+    """(m, n, env) of every `equiv_check` the commutation-square checks
+    make on small corpora: their F, U and T images and the Linear-A
+    images they are compared with."""
+    sides = []
+
+    def record(m, n, env, cfg=None):
+        sides.append((m, n, env))
+        return equiv_check(m, n, env, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "equiv_check", record)
+        for name, n, seed in checks_run:
+            getattr(checks, name)(n, seed, SQUARE_CFG)
+    return sides
+
+
+@functools.cache
+def square_corpus():
+    return square_sides()
+
+
+def verdict_of(check, m, n, env):
+    try:
+        v = check(m, n, env, SQUARE_CFG)
+    except (LinlogError, OverflowError) as e:
+        return type(e), str(e)
+    return v.equivalent, v.ty, repr(v.counterexample)
+
+
+def test_equiv_check_matches_the_per_value_reference_on_the_squares():
+    sides = square_corpus()
+    assert len(sides) >= 35
+    for m, n, env in sides:
+        got = verdict_of(equiv_check, m, n, env)
+        assert got == verdict_of(ref_oracle.equiv_check, m, n, env)
+        assert got[0] is True
+
+
+def test_equiv_check_matches_the_reference_on_a_wrong_transpose():
+    """T with its with-pair rule wrong: a pair of two variables of one
+    type is transposed as if its components were swapped, which keeps
+    every type.  The check must fail, with the reference's counterexample."""
+    real = autodiff.transpose_t
+
+    def swapped(phi, p, u, supply, env=None, occurs=None):
+        if u.__class__ is WithPair and env:
+            x, y = u.left, u.right
+            if (x.__class__ is Var and y.__class__ is Var and x.name in env
+                    and y.name in env and env[x.name][1] == env[y.name][1]):
+                u = WithPair(y, x)
+        return real(phi, p, u, supply, env, occurs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autodiff, "transpose_t", swapped)
+        sides = square_sides([("check_commute_transpose", 30, 133)])
+    verdicts = [verdict_of(equiv_check, m, n, env) for m, n, env in sides]
+    assert verdicts == [verdict_of(ref_oracle.equiv_check, m, n, env)
+                        for m, n, env in sides]
+    failed = [v for v in verdicts if v[0] is False]
+    assert len(failed) >= 3 and all(v[2] != "None" for v in failed)
