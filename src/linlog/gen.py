@@ -15,9 +15,10 @@ from linlog.fresh import NameSupply
 from linlog.linear_a.expr import (
     AddDot, Drop, Dup, Expr, JaxType, JOne, JProd, JReal, LetPair, Lit,
     PrimApp, ScaleDot, TanTupElim2, VarPair, ZeroDot, fv_primal, fv_tangent,
-    jax_workload_type, let_p, let_t, pair_pt, p_var, t_var, ttup_e, ttup_vars,
+    jax_workload_type, let_p, let_t, pair_pt, p_var, rebuild, t_var, ttup_e,
+    ttup_vars,
 )
-from linlog.linear_a.typecheck import infer_types
+from linlog.linear_a.typecheck import frame_bindings, infer_types
 from linlog.lll.machine import value_to_term
 from linlog.lll.prims import REGISTRY, prim
 from linlog.lll.reduce import substitute
@@ -199,19 +200,14 @@ def gen_linear_a(rng, supply, penv, tenv: list, depth: int) -> Expr:
 
 
 def gen_linear_b(rng, supply, penv, tenv: list, depth: int) -> Expr:
-    stack_len = rng.randint(0, depth)
-    frames = []
-    penv = dict(penv)
-    for _ in range(stack_len):
+    frames, penv = [], dict(penv)
+    for _ in range(rng.randint(0, depth)):
         x = supply.fresh("v").replace("%", "p")
-        e = gen_primal(rng, supply, penv, depth - 1)
-        frames.append((x, e))
-        penv[x], _ = infer_types(e, penv, {})
+        frames.append(("letp", x, gen_primal(rng, supply, penv, depth - 1)))
+        penv.update(frame_bindings(frames[-1], penv))
     core = pair_pt(gen_primal(rng, supply, penv, depth - 1),
                    gen_tangent(rng, supply, penv, tenv, depth - 1), supply)
-    for x, e in reversed(frames):
-        core = let_p(x, e, core, supply)
-    return core
+    return rebuild(frames, core, supply)
 
 
 def jax_cases(n: int, seed: int, kind: str = "linear-a") -> list[JaxCase]:

@@ -14,4 +14,4 @@ from linlog.linear_a.typecheck import (
     typecheck_jax, TangentLinearityViolation, JaxTypeError, jax_workload,
 )
 from linlog.linear_a.semantics import eval_primal, eval_tangent
-from linlog.linear_a.transform import jax_forward, jax_unzip, jax_transpose, decompose_linear_b
+from linlog.linear_a.transform import jax_forward, jax_unzip, jax_transpose

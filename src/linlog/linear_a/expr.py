@@ -390,33 +390,14 @@ def match_let_t(e: Expr):
     return None
 
 
-def match_pair_pt(e: Expr):
-    m = match_let_p(e)
-    if m is not None:
-        x, e1, rest = m
-        m2 = match_let_t(rest)
-        if m2 is not None:
-            t, e2, leaf = m2
-            if leaf == VarPair(x, t):
-                return e1, e2
-    return None
-
-
 def is_primal_expr(e: Expr) -> bool:
-    if match_p_var(e) is not None:
-        return True
-    m = match_let_p(e)
-    if m is not None:
-        return is_primal_expr(m[1]) and is_primal_expr(m[2])
-    match e:
-        case Lit(_) | PrimApp(_, _) | PrimTupIntro0() | PrimTupIntro2(_, _):
-            return True
-        case Drop(body):
-            return is_primal_expr(body)
-        case PrimTupElim0(_, body) | PrimTupElim2(_, _, _, body):
-            return is_primal_expr(body)
-        case _:
-            return False
+    frames, tail = spine(e)
+    if not all(is_primal_expr(f[2]) for f in frames if f[0] == "letp"):
+        return False
+    if tail.__class__ is Drop:
+        return is_primal_expr(tail.body)
+    return (match_p_var(tail) is not None
+            or tail.__class__ in (Lit, PrimApp, PrimTupIntro0, PrimTupIntro2))
 
 
 def is_tangent_expr(e: Expr) -> bool:
@@ -439,16 +420,60 @@ def is_tangent_expr(e: Expr) -> bool:
 
 
 def is_linear_b(e: Expr) -> bool:
-    if match_pair_pt(e) is not None:
-        p, t = match_pair_pt(e)
-        return is_primal_expr(p) and is_tangent_expr(t)
-    if isinstance(e, VarPair):
-        return True
+    frames, tail = spine(e)
+    pair = pair_tail(frames, tail)
+    return ((pair is not None or tail.__class__ is VarPair)
+            and all(is_primal_expr(f[2]) for f in frames if f[0] == "letp")
+            and (pair is None or is_tangent_expr(pair[1])))
+
+
+# -------------------------------------------------------------- let view
+
+def open_frame(e: Expr):
+    """The frame that `e` opens along its body position, and its body; None
+    if it opens none.  A frame is ("letp", x, e1) for `let x = e1 in`,
+    ("pelim0", z) for `let ptup() = z in` or ("pelim2", x1, x2, z)."""
     m = match_let_p(e)
     if m is not None:
-        return is_primal_expr(m[1]) and is_linear_b(m[2])
-    match e:
-        case PrimTupElim0(_, body) | PrimTupElim2(_, _, _, body):
-            return is_linear_b(body)
-        case _:
-            return False
+        return ("letp", m[0], m[1]), m[2]
+    if e.__class__ is PrimTupElim0:
+        return ("pelim0", e.var), e.body
+    if e.__class__ is PrimTupElim2:
+        return ("pelim2", e.x1, e.x2, e.var), e.body
+    return None
+
+
+def spine(e: Expr) -> tuple[list[tuple], Expr]:
+    """The frames around `e`'s tail, outermost first, read in one loop,
+    and the tail.  A pair (ep; et) is `let x = ep in let_t t = et in
+    (x; t)`: its `let_p` is the last frame and its `let_t` the tail, which
+    `pair_tail` reads back as the pair."""
+    frames = []
+    while (step := open_frame(e)) is not None:
+        frame, e = step
+        frames.append(frame)
+    return frames, e
+
+
+def rebuild(frames, tail: Expr, supply: NameSupply) -> Expr:
+    """The inverse of `spine`; each `let_p` draws its fresh name innermost
+    first."""
+    for frame in reversed(frames):
+        match frame:
+            case ("letp", x, e1):
+                tail = let_p(x, e1, tail, supply)
+            case ("pelim0", z):
+                tail = PrimTupElim0(z, tail)
+            case ("pelim2", x1, x2, z):
+                tail = PrimTupElim2(x1, x2, z, tail)
+    return tail
+
+
+def pair_tail(frames, tail: Expr):
+    """The halves (ep, et) of the pair that the spine `frames`, `tail`
+    ends in, its last frame binding ep; None if it ends in no pair."""
+    m = match_let_t(tail)
+    if m is None or not frames or frames[-1][0] != "letp":
+        return None
+    _, x, ep = frames[-1]
+    return (ep, m[1]) if m[2] == VarPair(x, m[0]) else None

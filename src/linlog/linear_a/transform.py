@@ -16,11 +16,11 @@ from linlog.linear_a.expr import (
     PrimTupElim0, PrimTupElim2, PrimTupIntro0, PrimTupIntro2, ScaleDot,
     SortViolation, TanTupElim0, TanTupElim2, TanTupIntro0, TanTupIntro2,
     VarPair, ZeroDot, fv_primal, fv_tangent, let_p, let_t, match_let_p,
-    match_let_t, match_p_var, match_pair_pt, match_t_var, pair_pt, prod_of,
-    p_var, t_var, tan_elim_seq, ttup_vars, fuse_jax,
+    match_let_t, match_p_var, match_t_var, open_frame, pair_pt, pair_tail,
+    prod_of, p_var, rebuild, spine, t_var, tan_elim_seq, ttup_vars, fuse_jax,
+    JReal,
 )
-from linlog.linear_a.expr import JReal
-from linlog.linear_a.typecheck import infer_types
+from linlog.linear_a.typecheck import frame_bindings, infer_types
 from linlog.lll.prims import partial_of
 
 
@@ -165,19 +165,7 @@ def _fwd_prim(phi, f, args: list[str], supply: NameSupply) -> Expr:
 
 def jax_unzip(e: Expr, supply: NameSupply) -> Expr:
     stack, ep, et = _unzip(e, supply)
-    return _assemble(stack, pair_pt(ep, et, supply), supply)
-
-
-def _assemble(stack, core, supply):
-    for frame in reversed(stack):
-        match frame:
-            case ("letp", x, ep):
-                core = let_p(x, ep, core, supply)
-            case ("pelim0", z):
-                core = PrimTupElim0(z, core)
-            case ("pelim2", x1, x2, z):
-                core = PrimTupElim2(x1, x2, z, core)
-    return core
+    return rebuild(stack, pair_pt(ep, et, supply), supply)
 
 
 def _unzip(e: Expr, supply):
@@ -194,12 +182,10 @@ def _unzip(e: Expr, supply):
             return [], PrimTupIntro2(x1, x2), TanTupIntro0()
         case TanTupIntro2(t1, t2):
             return [], PrimTupIntro0(), TanTupIntro2(t1, t2)
-        case PrimTupElim0(z, body):
+        case PrimTupElim0() | PrimTupElim2():
+            frame, body = open_frame(e)
             s, p, t = _unzip(body, supply)
-            return [("pelim0", z)] + s, p, t
-        case PrimTupElim2(x1, x2, z, body):
-            s, p, t = _unzip(body, supply)
-            return [("pelim2", x1, x2, z)] + s, p, t
+            return [frame] + s, p, t
         case TanTupElim0(z, body):
             s, p, t = _unzip(body, supply)
             return s, p, TanTupElim0(z, t)
@@ -216,28 +202,6 @@ def _unzip(e: Expr, supply):
     raise AssertionError(e)
 
 
-def decompose_linear_b(d: Expr, supply: NameSupply):
-    """Split a Linear B expression into (primal let stack, e^p, e^t)."""
-    m = match_pair_pt(d)
-    if m is not None:
-        return [], m[0], m[1]
-    if isinstance(d, VarPair):
-        return [], p_var(d.primal, supply), t_var(d.tangent, supply)
-    m = match_let_p(d)
-    if m is not None:
-        x, e1, rest = m
-        s, p, t = decompose_linear_b(rest, supply)
-        return [("letp", x, e1)] + s, p, t
-    match d:
-        case PrimTupElim0(z, body):
-            s, p, t = decompose_linear_b(body, supply)
-            return [("pelim0", z)] + s, p, t
-        case PrimTupElim2(x1, x2, z, body):
-            s, p, t = decompose_linear_b(body, supply)
-            return [("pelim2", x1, x2, z)] + s, p, t
-    raise SortViolation(f"not in the Linear B fragment: {d!r}")
-
-
 # ---------------------------------------------------------------- transpose
 
 def jax_transpose(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
@@ -245,18 +209,20 @@ def jax_transpose(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
                   supply: NameSupply) -> Expr:
     """Transpose the tangent part of a Linear B expression against the
     fresh cotangent `udot`; the primal prefix commutes unchanged."""
-    stack, ep, et = decompose_linear_b(d, supply)
+    frames, tail = spine(d)
+    pair = pair_tail(frames, tail)
+    if pair is not None:
+        frames = frames[:-1]
+        ep, et = pair
+    elif tail.__class__ is VarPair:
+        ep, et = p_var(tail.primal, supply), t_var(tail.tangent, supply)
+    else:
+        raise SortViolation(f"not in the Linear B fragment: {tail!r}")
     penv = dict(penv)
-    for frame in stack:
-        match frame:
-            case ("letp", x, e1):
-                ty, _ = infer_types(e1, penv, {})
-                penv[x] = ty
-            case ("pelim2", x1, x2, z):
-                tz = penv[z]
-                penv[x1], penv[x2] = tz.left, tz.right
+    for frame in frames:
+        penv.update(frame_bindings(frame, penv))
     tet = _transpose_t(theta, udot, udot_ty, et, penv, supply)
-    return _assemble(stack, pair_pt(ep, tet, supply), supply)
+    return rebuild(frames, pair_pt(ep, tet, supply), supply)
 
 
 def _transpose_t(theta, u, uty, et, penv, supply) -> Expr:

@@ -38,8 +38,19 @@ def typecheck_jax(primal_env: dict[str, JaxType], tangent_env: dict[str, JaxType
 
 def infer_types(e: Expr, penv, tenv) -> tuple[JaxType, JaxType]:
     """The (tau; sigma) of `e`, not asking that every tangent variable of
-    `tenv` be consumed."""
-    return _check(e, dict(penv), dict(tenv))[0]
+    `tenv` be consumed.  The walk only reads the environments."""
+    return _check(e, penv, tenv)[0]
+
+
+def frame_bindings(frame, penv) -> dict[str, JaxType]:
+    """The primal variables a frame of `expr.spine` binds, with their
+    types, in the primal environment `penv` around it."""
+    match frame:
+        case ("letp", x, e1):
+            return {x: infer_types(e1, penv, {})[0]}
+        case ("pelim2", x1, x2, z):
+            return {x1: penv[z].left, x2: penv[z].right}
+    return {}
 
 
 def jax_workload(primal_env, tangent_env, e: Expr) -> int:

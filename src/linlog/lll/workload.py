@@ -88,20 +88,26 @@ def _workload_fv(m: Term) -> tuple[int, set[str]]:
 def is_safe(m: Term, var_types: dict[str, LType] | None = None) -> bool:
     """Definition-of-safety check: no workload under a bang, and additive
     pairs share only ground variables.  `var_types` gives the resource
-    types of the term's free variables (needed for the ground test).  The
-    walk uses an explicit stack and one type dictionary: a binder adds its
-    variables, and the saved entries pushed beneath its body restore them."""
+    types of the term's free variables (needed for the ground test).  One
+    walk counts the bangs around each node; under one, a primitive, `+.`,
+    `*.` or a discarded variable of positive workload type is workload of
+    the innermost bang's body.  A binder's saved types, and a None that
+    closes a bang, are pushed beneath the body they scope over."""
     types = dict(var_types or {})
+    bangs = 0
     todo: list = [m]
     while todo:
         t = todo.pop()
         cls = t.__class__
-        if cls is list:
+        if t is None:
+            bangs -= 1
+        elif cls is list:
             unbind(types, t)
         elif cls is BangVal:
-            if workload_term(t.inner):
-                return False
-            todo.append(t.inner)
+            bangs += 1
+            todo += (None, t.inner)
+        elif bangs and (cls is PrimFn or cls is PlusDot or cls is TimesDot):
+            return False
         elif cls is WithPair:
             for x in free_vars(t.left) & free_vars(t.right):
                 ty = types.get(x)
@@ -117,6 +123,9 @@ def is_safe(m: Term, var_types: dict[str, LType] | None = None) -> bool:
                 leaves = {p.name: Bang(p.ty)}
             else:
                 leaves = pattern_var_types(p)
+            if bangs and any(workload_type(ty) and x not in free_vars(t.body)
+                             for x, ty in leaves.items()):
+                return False
             todo.append(bind(types, leaves))
             todo.append(t.body)
         elif cls is App or cls is TensorPair:

@@ -23,10 +23,11 @@ from linlog.linear_a.expr import (
     AddDot, Drop, Dup, Expr, JaxType, JOne, JProd, JReal, LetPair, Lit,
     PrimApp, PrimTupElim0, PrimTupElim2, PrimTupIntro0, PrimTupIntro2,
     ScaleDot, SortViolation, TanTupElim0, TanTupElim2, TanTupIntro0,
-    TanTupIntro2, VarPair, ZeroDot, fv_tangent, match_let_p, match_let_t,
-    match_p_var, match_pair_pt, match_t_var,
+    TanTupIntro2, VarPair, ZeroDot, fv_tangent, match_let_t, match_p_var,
+    match_t_var, open_frame, pair_tail, spine,
 )
-from linlog.linear_a.typecheck import infer_types
+from linlog.linear_a.typecheck import frame_bindings, infer_types
+from linlog.lll.lets import rebuild
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar,
     PWith, Term, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
@@ -229,18 +230,17 @@ def _split_lam(ctx: TangentCtx, zd: str, tz: JProd, rest, f: str,
     return ctx.lam_split(zd, halves, App(Var(f), arg))
 
 
-def _prim_elim(e: Expr, penv):
-    """A primal tuple elimination `let z = ... in body` as the pattern it
-    binds, z, the body and the body's primal environment."""
-    match e:
-        case PrimTupElim0(z, body):
-            return PUnit(), z, body, penv
-        case PrimTupElim2(x1, x2, z, body):
-            tz = penv[z]
-            pat = PTensor(PBang(x1, primal_type(tz.left)),
-                          PBang(x2, primal_type(tz.right)))
-            return pat, z, body, penv | {x1: tz.left, x2: tz.right}
-    raise AssertionError(e)
+def _primal_let(frame, penv, supply: NameSupply) -> tuple[Pattern, Term]:
+    """The let (pattern, right-hand side) that a primal frame of
+    `expr.spine` translates to; adds the frame's bindings to `penv`."""
+    binds = frame_bindings(frame, penv)
+    bangs = [PBang(x, primal_type(t)) for x, t in binds.items()]
+    if frame[0] == "letp":
+        let = bangs[0], delta_b_primal(penv, frame[2], supply)
+    else:  # a tuple elimination binds 0 or 2 names
+        let = (PTensor(*bangs) if bangs else PUnit()), Var(frame[-1])
+    penv.update(binds)
+    return let
 
 
 def delta(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
@@ -255,7 +255,8 @@ def _delta(penv, theta, e: Expr, supply: NameSupply) -> Term:
     match e:
         case Lit(_) | PrimApp(_, _) | PrimTupIntro0() | PrimTupIntro2(_, _):
             ctx = TangentCtx(tangents(theta), supply)
-            return TensorPair(_delta_bp(e, penv, supply), para(ctx.lam(TopVal())))
+            return TensorPair(delta_b_primal(penv, e, supply),
+                              para(ctx.lam(TopVal())))
 
         case TanTupIntro0() | TanTupIntro2(_, _) | ZeroDot(_) | AddDot(_, _) | \
                 ScaleDot(_, _) | Dup(_):
@@ -287,8 +288,10 @@ def _delta(penv, theta, e: Expr, supply: NameSupply) -> Term:
                         d1, out)
 
         case PrimTupElim0() | PrimTupElim2():
-            pat, z, body, penv = _prim_elim(e, penv)
-            return let_(pat, Var(z), _delta(penv, theta, body, supply))
+            frame, body = open_frame(e)
+            penv = dict(penv)
+            pat, rhs = _primal_let(frame, penv, supply)
+            return let_(pat, rhs, _delta(penv, theta, body, supply))
 
         case TanTupElim0(zd, body):
             rest = [en for en in theta if en[0] != zd]
@@ -330,62 +333,51 @@ def _delta(penv, theta, e: Expr, supply: NameSupply) -> Term:
 
 # ----------------------------------------------------------- delta_b
 
-def delta_b_primal(penv: dict[str, JaxType], ep: Expr, supply: NameSupply) -> Term:
-    """Primal-sort image of a purely primal expression."""
-    return _delta_bp(ep, dict(penv), supply)
-
-
 def delta_b(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
             d: Expr, supply: NameSupply) -> Term:
     """Translation of a Linear B expression: its primal lets and
     eliminations over the pair of the images of its primal and tangent
     parts."""
-    m = match_pair_pt(d)
-    if m is not None:
-        return TensorPair(_delta_bp(m[0], penv, supply),
-                          para(_delta_bt(m[1], penv, theta, supply)))
-    if isinstance(d, VarPair):
-        return _delta(penv, theta, d, supply)
-    m = match_let_p(d)
-    if m is not None:
-        x, e1, rest = m
-        ty, _ = infer_types(e1, penv, {})
-        return let_(PBang(x, primal_type(ty)), _delta_bp(e1, penv, supply),
-                    delta_b(penv | {x: ty}, theta, rest, supply))
-    if isinstance(d, (PrimTupElim0, PrimTupElim2)):
-        pat, z, body, penv = _prim_elim(d, penv)
-        return let_(pat, Var(z), delta_b(penv, theta, body, supply))
-    raise SortViolation(f"not in the Linear B fragment: {d!r}")
+    frames, tail = spine(d)
+    pair = pair_tail(frames, tail)
+    if pair is not None:
+        frames = frames[:-1]
+    elif tail.__class__ is not VarPair:
+        raise SortViolation(f"not in the Linear B fragment: {tail!r}")
+    penv = dict(penv)
+    lets = [_primal_let(frame, penv, supply) for frame in frames]
+    if pair is None:
+        return rebuild(lets, _delta(penv, theta, tail, supply))
+    return rebuild(lets, TensorPair(delta_b_primal(penv, pair[0], supply),
+                                    para(_delta_bt(pair[1], penv, theta, supply))))
 
 
-def _delta_bp(ep: Expr, penv, supply: NameSupply) -> Term:
-    x = match_p_var(ep)
+def delta_b_primal(penv: dict[str, JaxType], ep: Expr, supply: NameSupply) -> Term:
+    """Primal-sort image of a purely primal expression."""
+    frames, tail = spine(ep)
+    if frames:
+        penv = dict(penv)
+    lets = [_primal_let(frame, penv, supply) for frame in frames]
+    x = match_p_var(tail)
     if x is not None:
-        return BangVal(Var(x))
-    m = match_let_p(ep)
-    if m is not None:
-        x, e1, e2 = m
-        ty1, _ = infer_types(e1, penv, {})
-        return let_(PBang(x, primal_type(ty1)), _delta_bp(e1, penv, supply),
-                    _delta_bp(e2, penv | {x: ty1}, supply))
-    match ep:
+        return rebuild(lets, BangVal(Var(x)))
+    match tail:
         case Lit(r):
-            return BangVal(Numeral(r))
+            out = BangVal(Numeral(r))
         case PrimApp(f, args):
-            return prim_app(f, [BangVal(Var(a)) for a in args])
+            out = prim_app(f, [BangVal(Var(a)) for a in args])
         case PrimTupIntro0():
-            return BangVal(UnitVal())
+            out = BangVal(UnitVal())
         case PrimTupIntro2(x1, x2):
-            return BangVal(TensorPair(BangVal(Var(x1)), BangVal(Var(x2))))
-        case PrimTupElim0() | PrimTupElim2():
-            pat, z, body, penv = _prim_elim(ep, penv)
-            return let_(pat, Var(z), _delta_bp(body, penv, supply))
+            out = BangVal(TensorPair(BangVal(Var(x1)), BangVal(Var(x2))))
         case Drop(body):
             ty, _ = infer_types(body, penv, {})
             x = supply.fresh("x")
-            return let_(PBang(x, primal_type(ty)), _delta_bp(body, penv, supply),
-                        BangVal(UnitVal()))
-    raise SortViolation(f"not a purely primal expression: {ep!r}")
+            out = let_(PBang(x, primal_type(ty)),
+                       delta_b_primal(penv, body, supply), BangVal(UnitVal()))
+        case _:
+            raise SortViolation(f"not a purely primal expression: {tail!r}")
+    return rebuild(lets, out)
 
 
 def _section_let(f: str, fty: LType, rhs: Term, body: Term) -> Term:

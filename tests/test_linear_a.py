@@ -6,11 +6,11 @@ from linlog import NameSupply
 from linlog.linear_a import (
     AddDot, Drop, Dup, JOne, JProd, JReal, Lit, NPair, PrimApp, Scalar,
     ScaleDot, TangentLinearityViolation, UnitTup, VarPair,
-    ZeroDot, decompose_linear_b, eval_primal, eval_tangent, fv_primal,
-    fv_tangent, is_linear_b, is_primal_expr, is_tangent_expr, jax_forward,
-    jax_transpose, jax_unzip, jax_workload, let_p, pair_pt, p_var, t_var,
-    typecheck_jax,
+    ZeroDot, eval_primal, eval_tangent, fv_primal, fv_tangent, is_linear_b,
+    is_primal_expr, is_tangent_expr, jax_forward, jax_transpose, jax_unzip,
+    jax_workload, let_p, pair_pt, p_var, t_var, typecheck_jax,
 )
+from linlog.linear_a.expr import pair_tail, rebuild, spine
 from linlog.linear_a.values import flatten, zero_of
 from linlog.lll.prims import prim
 
@@ -123,9 +123,24 @@ def test_unzip_preserves_type_and_semantics():
 def test_unzip_of_varpair_is_identity_shape():
     s = NameSupply()
     uz = jax_unzip(VarPair("x", "dx"), s)
-    stack, ep, et = decompose_linear_b(uz, s)
-    assert stack == []
+    frames, tail = spine(uz)
+    ep, et = pair_tail(frames, tail)
+    # the pair's own let_p is the only frame: no primal prefix
+    assert [f[0] for f in frames] == ["letp"] and frames[0][2] is ep
     assert is_primal_expr(ep) and is_tangent_expr(et)
+
+
+def test_spine_and_rebuild_round_trip_on_unzipped_programs():
+    from linlog.gen import jax_cases
+
+    kinds = set()
+    for c in jax_cases(40, 5, "linear-a"):
+        frames, tail = spine(jax_unzip(c.expr, c.supply))
+        again = spine(rebuild(frames, tail, c.supply))
+        assert again == (frames, tail)
+        assert pair_tail(frames, tail) is not None
+        kinds |= {f[0] for f in frames}
+    assert kinds == {"letp", "pelim0"}
 
 
 def test_transpose_of_variable():

@@ -12,13 +12,14 @@ from linlog.autodiff import forward, seq_tangent, transpose, unzip
 from linlog.errors import LinlogError
 from linlog.frontend import parse
 from linlog.gen import lll_p_cases
-from linlog.linear_a import Scalar
+from linlog.linear_a import PrimApp, Scalar, let_p, p_var
 from linlog.linear_a.expr import fv_primal
 from linlog.lll import (
     Abs, App, Numeral, PVar, PWith, PlusDot, Real, Top, TopVal, TypeMismatch,
     TypingEnv, Var, With, WithPair, Zero, normalize, workload_type,
 )
 from linlog.lll.machine import run
+from linlog.lll.prims import prim
 from linlog.lll.reduce import simplify
 from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import BangVal, PBang, PTensor, TensorPair, para_pattern
@@ -200,6 +201,24 @@ def chain_program(n_lets):
         prev = v
     body = " ".join(lets) + f" (var-p {prev})" + ")" * n_lets
     return f"(linear-a (primal (x0 real) (x1 real)) (expr {body}))"
+
+
+def chain_expr(n_lets, supply):
+    """The body of `chain_program(n_lets)`, built directly with `let_p`
+    and `PrimApp`: the parser, whose reader nests one call per let, fails
+    at about 1000 lets."""
+    prev, rhss = "x0", []
+    for i in range(n_lets):
+        if i % 2 == 0:
+            rhss.append(PrimApp(prim(("sin", "cos")[i // 2 % 2]), (prev,)))
+        else:
+            op = "mul2" if i % 8 == 7 else "add2"
+            rhss.append(PrimApp(prim(op), (prev, f"x{i // 2 % 2}")))
+        prev = f"v{i}"
+    e = p_var(prev, supply)
+    for i in reversed(range(n_lets)):
+        e = let_p(f"v{i}", rhss[i], e, supply)
+    return e
 
 
 def test_gradient_of_a_150_let_chain_at_the_default_recursion_limit():

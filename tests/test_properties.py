@@ -96,6 +96,41 @@ def test_delta_and_delta_b_extensionally_equivalent():
         assert v.equivalent and v.ty == ty, c.expr
 
 
+def test_a_primal_pair_elimination_commutes_with_unzip_and_transpose():
+    """No generator builds a PrimTupElim2: a hand-built Linear-B
+    expression `let (a, b) = p in let v = a * b in (v - y; b *. dy)`
+    takes each pass through one."""
+    from linlog.autodiff import transpose, unzip
+    from linlog.checks import _jax_lll_env
+    from linlog.linear_a import (
+        PrimApp, PrimTupElim2, ScaleDot, is_linear_b, let_p, pair_pt,
+    )
+    from linlog.linear_a.expr import spine
+    from linlog.lll.prims import prim
+
+    s = NameSupply()
+    penv = {"p": JProd(JReal, JReal), "y": JReal}
+    theta = [("dy", JReal)]
+    e = PrimTupElim2("a", "b", "p", let_p(
+        "v", PrimApp(prim("mul2"), ("a", "b")),
+        pair_pt(PrimApp(prim("sub2"), ("v", "y")), ScaleDot("b", "dy"), s), s))
+    assert is_linear_b(e)
+    assert [f[0] for f in spine(e)[0]] == ["pelim2", "letp", "letp"]
+    _, sg = infer_types(e, penv, dict(theta))
+    env = _jax_lll_env(penv)
+    squares = {
+        "commute-transpose": (
+            transpose(None, delta(penv, theta, e, s), s),
+            delta(penv, [("u'", sg)],
+                  jax_transpose(penv, theta, "u'", sg, e, s), s)),
+        "commute-unzip": (unzip(delta(penv, theta, e, s), s),
+                          delta(penv, theta, jax_unzip(e, s), s)),
+        "delta_b": (delta(penv, theta, e, s), delta_b(penv, theta, e, s)),
+    }
+    for name, (lhs, rhs) in squares.items():
+        assert equiv_check(lhs, rhs, env, CFG).equivalent, name
+
+
 def test_split_fuse_retraction_random():
     from linlog.lll import App
     from linlog.lll.machine import run, values_close

@@ -2,12 +2,18 @@
 
 `in_sort` and `is_safe` walk terms over an explicit stack with one type
 dictionary restored on leaving each binder's scope; the recursive
-definitions below copy the dictionary at every binder instead.  Both must
+definitions below copy the dictionary at every binder instead, and
+`ref_is_safe` computes the workload of every bang's body.  Both must
 answer alike on generated terms, on their F/U/T images and on subterms of
-these (evenly sampled in large terms) under several typings, and on
-hand-built ill-sorted and unsafe terms.
+these (evenly sampled in large terms) under several typings, on
+hand-built ill-sorted and unsafe terms, and (`is_safe`) on reduction
+sequences and on terms given work under a bang.
 """
 
+from linlog.autodiff import transpose, unzip
+from linlog.checks import _mixed_corpus
+from linlog.gen import safe_ground_cases
+from linlog.lll.reduce import safe_step
 from linlog.lll.sorts import (
     Sort, _is_tan_fn_type, _is_tensor_seq_pattern, _tensor_seq_var, in_sort,
 )
@@ -19,6 +25,7 @@ from linlog.lll.terms import (
 )
 from linlog.lll.lets import LetKind, let_kind
 from linlog.lll.prims import prim
+from linlog.lll.typecheck import free_var_types
 from linlog.lll.types import (
     Bang, Lolli, One, Real, Tensor, Top, With, is_ground, is_with_seq,
 )
@@ -264,3 +271,72 @@ def test_let_kinds_by_shape_bang_section_first():
         (sec, Var("g")), (PWith(PVar("a", Real), PVar("b", Real)), Var("z")),
         (PTensor(PBang("a", Real), PUnit()), bang("z")),
     ]} == {None}
+
+
+def at_first_bang(m, f):
+    """`m` with the body of its first bang in pre-order replaced by `f` of
+    it, or None if `m` has no bang."""
+    match m:
+        case BangVal(inner):
+            return BangVal(f(inner))
+        case Abs(p, body):
+            new = at_first_bang(body, f)
+            return None if new is None else Abs(p, new)
+        case App(a, b) | TensorPair(a, b) | WithPair(a, b):
+            new = at_first_bang(a, f)
+            if new is not None:
+                return m.__class__(new, b)
+            new = at_first_bang(b, f)
+            return None if new is None else m.__class__(a, new)
+    return None
+
+
+SIN_1 = prim_app(prim("sin"), [BangVal(Numeral(1.0))])
+UNSAFE_UNDER_BANG = [
+    # a primitive, under one bang and under two
+    lambda m: TensorPair(SIN_1, m),
+    lambda m: TensorPair(BangVal(SIN_1), m),
+    # an abstraction that discards a real, and one under a second bang
+    # that discards a pair of reals
+    lambda m: let_(PVar("e#m", Real), Numeral(1.0), m),
+    lambda m: BangVal(App(Abs(PVar("e#m", With(Real, Real)), m),
+                          WithPair(Zero(), Zero()))),
+]
+# discarding a !-variable or a unit costs no work
+HARMLESS_UNDER_BANG = [
+    lambda m: let_(PBang("e#m", Real), BangVal(Numeral(1.0)), m),
+    lambda m: let_(PUnit(), UnitVal(), m),
+]
+
+
+def test_is_safe_matches_per_bang_definition_on_corpora_and_mutants():
+    cases = []
+    for env, s, supply in _mixed_corpus(24, 94):
+        types = free_var_types(env)
+        u = unzip(s, supply)
+        cases += [(m, types) for m in
+                  (s, u, transpose(None, s, supply), transpose(None, u, supply))]
+    for c in safe_ground_cases(12, 8):
+        cur = c.term
+        for _ in range(100):
+            cases.append((cur, {}))
+            step = safe_step(cur)
+            if step is None:
+                break
+            cur = step[0]
+    mutated = 0
+    for m, types in cases:
+        assert is_safe(m, types) == ref_is_safe(m, types) is True, repr(m)
+        # under a new outer bang, and inside the first bang of `m`
+        for place in (lambda f: BangVal(f(m)), lambda f: at_first_bang(m, f)):
+            base = place(lambda inner: inner)
+            if base is None:
+                continue
+            as_base = ref_is_safe(base, types)
+            for f in UNSAFE_UNDER_BANG + HARMLESS_UNDER_BANG:
+                want = as_base and f in HARMLESS_UNDER_BANG
+                bad = place(f)
+                assert is_safe(bad, types) == ref_is_safe(bad, types) == want, \
+                    repr(bad)
+                mutated += 1
+    assert len(cases) > 300 and mutated > 3000, (len(cases), mutated)

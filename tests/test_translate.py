@@ -207,3 +207,25 @@ def test_delta_computes_the_free_names_of_each_node_once(monkeypatch):
     ids = [id(e) for e in computed]
     assert len(ids) >= 2 * 200  # a let-p is a LetPair around a TanTupElim0
     assert len(set(ids)) == len(ids)
+
+
+def test_delta_b_of_a_2000_let_chain_at_the_default_recursion_limit():
+    """Δ_b and Δ_b^p read a let spine in one loop: they recurse only into
+    right-hand sides, whatever the length of the program."""
+    import sys
+    from linlog.linear_a import JReal, is_linear_b, pair_pt
+    from linlog.lll.lets import spine
+    from linlog.translate import delta_b, delta_b_primal
+    from tests.test_oracle import chain_expr
+
+    assert sys.getrecursionlimit() <= 1000
+    supply = NameSupply()
+    e = chain_expr(2000, supply)
+    penv = {"x0": JReal, "x1": JReal}
+    frames, tail = spine(delta_b_primal(penv, e, supply))
+    assert len(frames) == 2000 and tail == BangVal(Var("v1999"))
+    d = pair_pt(e, ScaleDot("x0", "dx"), supply)
+    assert is_linear_b(d)
+    image = delta_b(penv, [("dx", JReal)], d, supply)
+    assert isinstance(image, TensorPair)
+    assert len(spine(image.left)[0]) == 2000
