@@ -422,11 +422,9 @@ def transpose_t(phi: dict, p: Pattern, u: Term, supply: NameSupply,
     raise SortViolation(f"not a tangent-sort term: {u!r}")
 
 
-def transpose_f(phi: dict, f: Term, supply: NameSupply,
-                occurs: set[str] | None = None) -> Term:
-    """T of a tangent-function term; `occurs` is as for `transpose_t`."""
-    return _transpose_f(phi, f, supply,
-                        scope_scan(f)[2] if occurs is None else occurs)[0]
+def transpose_f(phi: dict, f: Term, supply: NameSupply) -> Term:
+    """T of a tangent-function term."""
+    return _transpose_f(phi, f, supply, scope_scan(f)[2])[0]
 
 
 def _transpose_f(phi: dict, f: Term, supply, occurs) -> tuple[Term, LType]:

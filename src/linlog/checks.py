@@ -109,10 +109,10 @@ def _running_example_term() -> Term:
 
 # ----------------------------------------------------------- criterion 3
 
-def _random_safe_reduce(term: Term, rng: random.Random, budget=30_000):
+def _random_safe_reduce(term: Term, rng: random.Random):
     """A maximal safe-reduction sequence choosing redexes at random."""
     numeric = 0
-    for _ in range(budget):
+    for _ in range(RANDOM_STEP_BUDGET):
         spots = list(redexes(term, safe_redex))
         if not spots:
             return term, numeric
@@ -125,6 +125,8 @@ def _random_safe_reduce(term: Term, rng: random.Random, budget=30_000):
 
 # the share of the flop-bound cases also reduced under a random strategy
 RANDOM_STRATEGY_FRACTION = 0.1
+# the steps a random safe reduction takes before it gives up
+RANDOM_STEP_BUDGET = 30_000
 
 
 def check_flop_bound(n: int = 1000, seed: int = 11) -> CheckResult:

@@ -807,13 +807,15 @@ def value_to_term(v: Value) -> Term:
 
 
 def values_close(a: Value, b: Value, rel_tol: float) -> bool:
-    match a, b:
-        case (VNum(x), VNum(y)):
-            return abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y))
-        case (VUnit(), VUnit()) | (VTop(), VTop()):
-            return True
-        case (VPair(l1, r1), VPair(l2, r2)) | (VWith(l1, r1), VWith(l2, r2)):
-            return values_close(l1, l2, rel_tol) and values_close(r1, r2, rel_tol)
-        case (VBang(i1), VBang(i2)):
-            return values_close(i1, i2, rel_tol)
-    return False
+    cls = a.__class__
+    if cls is not b.__class__:
+        return False
+    if cls is VNum:
+        x, y = a.value, b.value
+        return abs(x - y) <= rel_tol * max(1.0, abs(x), abs(y))
+    if cls is VPair or cls is VWith:
+        return (values_close(a.left, b.left, rel_tol)
+                and values_close(a.right, b.right, rel_tol))
+    if cls is VBang:
+        return values_close(a.inner, b.inner, rel_tol)
+    return cls is VUnit or cls is VTop

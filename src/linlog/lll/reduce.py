@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from linlog.errors import LinlogError
 from linlog.fresh import NameSupply
+from linlog.lll.lets import bind, unbind
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PrimFn, PTensor,
     PUnit, PVar, PWith, TensorPair, Term, TimesDot, TopVal, UnitVal, Var,
@@ -17,6 +18,10 @@ from linlog.lll.terms import (
     prim_args,
 )
 from linlog.lll.types import Lolli, is_with_seq
+
+
+# the steps `normalize` and `safe_reduce` take before they give up
+STEP_BUDGET = 100_000
 
 
 class BudgetExhausted(LinlogError):
@@ -354,13 +359,7 @@ def _step(term: Term, contract, innermost: bool = False):
     return None
 
 
-def _innermost(strategy: str) -> bool:
-    if strategy in ("leftmost-outermost", "rightmost-innermost"):
-        return strategy == "rightmost-innermost"
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _reduce(term: Term, contract, innermost: bool, step_budget: int,
+def _reduce(term: Term, contract, innermost: bool,
             what: str) -> ReductionOutcome:
     numeric = total = 0
     while True:
@@ -370,19 +369,21 @@ def _reduce(term: Term, contract, innermost: bool, step_budget: int,
         term = r[0]
         total += 1
         numeric += int(r[1])
-        if total > step_budget:
-            raise BudgetExhausted(f"no {what} within {step_budget} steps")
+        if total > STEP_BUDGET:
+            raise BudgetExhausted(f"no {what} within {STEP_BUDGET} steps")
 
 
-def beta_step(term: Term, strategy: str = "leftmost-outermost"):
-    """One step under the given strategy, or None at a beta-nf.
+def beta_step(term: Term):
+    """One leftmost-outermost step, or None at a beta-nf.
     Returns (term', numeric)."""
-    return _step(term, _contract, _innermost(strategy))
+    return _step(term, _contract)
 
 
-def normalize(term: Term, step_budget: int = 100_000,
+def normalize(term: Term,
               strategy: str = "leftmost-outermost") -> ReductionOutcome:
-    return _reduce(term, _contract, _innermost(strategy), step_budget,
+    if strategy not in ("leftmost-outermost", "rightmost-innermost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return _reduce(term, _contract, strategy == "rightmost-innermost",
                    "normal form")
 
 
@@ -421,12 +422,12 @@ def safe_step(term: Term):
     return _step(term, safe_contract)
 
 
-def safe_reduce(term: Term, step_budget: int = 100_000) -> ReductionOutcome:
+def safe_reduce(term: Term) -> ReductionOutcome:
     """Call-by-closed-strong-value reduction; on safe closed input the
     numeric step count is bounded by the term workload."""
     if free_vars(term):
         raise StuckOpenTerm(f"free variables {sorted(free_vars(term))}")
-    return _reduce(term, safe_contract, False, step_budget, "safe normal form")
+    return _reduce(term, safe_contract, False, "safe normal form")
 
 
 # ------------------------------------------------------------ simplifier
@@ -512,7 +513,17 @@ def _simplify_once(m: Term, exp_vars: set[str]):
     return None
 
 
-def simplify(term: Term, fuel: int = 50_000) -> Term:
+def _bang_names(p: Pattern) -> list[str]:
+    """The names `p` binds under a `!`."""
+    cls = p.__class__
+    if cls is PBang:
+        return [p.name]
+    if cls is PTensor or cls is PWith:
+        return _bang_names(p.left) + _bang_names(p.right)
+    return []
+
+
+def simplify(term: Term) -> Term:
     """Beta-lambda cleanup used for display and golden comparisons.
 
     Contracts administrative redexes (identity functions, tangent
@@ -520,58 +531,59 @@ def simplify(term: Term, fuel: int = 50_000) -> Term:
     derivative symbols, but keeps bare !-lets (the tape) and par-bound
     function lets intact.  Semantics-preserving; never performs a
     numeric step on actual numerals.
-    """
 
-    def walk(m, exp_vars):
-        r = _simplify_once(m, exp_vars)
-        if r is not None:
-            return r
-        match m:
-            case Abs(p, body):
-                inner = exp_vars | {v for v in pattern_vars(p)
-                                    if _exp_bound(p, v)}
-                b = walk(body, inner)
-                return None if b is None else Abs(p, b)
-            case App(f, a):
-                f2 = walk(f, exp_vars)
-                if f2 is not None:
-                    return App(f2, a)
-                a2 = walk(a, exp_vars)
-                return None if a2 is None else App(f, a2)
-            case TensorPair(l, r):
-                l2 = walk(l, exp_vars)
-                if l2 is not None:
-                    return TensorPair(l2, r)
-                r2 = walk(r, exp_vars)
-                return None if r2 is None else TensorPair(l, r2)
-            case WithPair(l, r):
-                l2 = walk(l, exp_vars)
-                if l2 is not None:
-                    return WithPair(l2, r)
-                r2 = walk(r, exp_vars)
-                return None if r2 is None else WithPair(l, r2)
-            case BangVal(i):
-                i2 = walk(i, exp_vars)
-                return None if i2 is None else BangVal(i2)
-            case _:
-                return None
-
-    for _ in range(fuel):
-        r = walk(term, set())
-        if r is None:
-            return term
-        term = r
-    raise BudgetExhausted("simplifier did not reach a fixpoint")
-
-
-def _exp_bound(p: Pattern, name: str) -> bool:
-    match p:
-        case PBang(n, _):
-            return n == name
-        case PTensor(l, r) | PWith(l, r):
-            return _exp_bound(l, name) or _exp_bound(r, name)
-        case _:
-            return False
+    One bottom-up pass on an explicit stack: a node's children are
+    simplified before the node, and a contractum in turn at its place.  A
+    node found normal, such as a subterm `subst` returns unchanged, is not
+    walked again.  The rules read the enclosing binders only to let a beta
+    redex drop a dead component whose value's free names are all !-bound,
+    so a node found normal stays normal until a `!` binds a free name of
+    such a value that was not !-bound where the redex stayed (`blocked`);
+    at that binder the pass forgets which nodes it found normal."""
+    bangs: dict = {}  # the !-bound names in scope
+    blocked: set[str] = set()
+    normal: dict[int, Term] = {}  # id -> node, which it keeps alive
+    done: list[Term] = []  # finished subterms, in visiting order
+    # a term is visited, a (node, children) pair is rebuilt from its
+    # finished children, and a list undoes the `bind` of a !-binder's names
+    todo: list = [term]
+    while todo:
+        m = todo.pop()
+        cls = m.__class__
+        if cls is tuple:
+            m, kids = m
+            cls = m.__class__
+            if len(kids) == 2:
+                a, f = done.pop(), done.pop()
+                if f is not kids[0] or a is not kids[1]:
+                    m = cls(f, a)
+            else:
+                b = done.pop()
+                if b is not kids[0]:
+                    m = Abs(m.pat, b) if cls is Abs else cls(b)
+            if cls is App:
+                r = _simplify_once(m, bangs.keys())
+                if r is not None:
+                    todo.append(r)
+                    continue
+                f, v = m.fn, m.arg
+                if (f.__class__ is Abs and _contractible_pattern(f.pat)
+                        and value_for_pattern(v, f.pat)):
+                    blocked.update(n for n in free_vars(v) if n not in bangs)
+            normal[id(m)] = m
+            done.append(m)
+        elif cls is list:
+            unbind(bangs, m)
+        elif id(m) in normal or not (kids := children(m)):
+            done.append(m)
+        else:
+            todo.append((m, kids))
+            if cls is Abs and (names := _bang_names(m.pat)):
+                if not blocked.isdisjoint(names):
+                    normal.clear()
+                todo.append(bind(bangs, dict.fromkeys(names)))
+            todo.extend(reversed(kids))
+    return done.pop()
 
 
 def scope_scan(term: Term) -> tuple[set[str], bool, set[str]]:

@@ -205,20 +205,20 @@ def flatten_value(v: Value) -> list[float]:
 def random_value_of(ty: LType, rng: random.Random) -> Value:
     """A random closed value of a ground type; scalars uniform in [-2,2]
     with fixed probes mixed in."""
-    match ty:
-        case t if t is Real:
-            return VNum(rng.choice([0.0, 1.0, -1.0])
-                        if rng.random() < 0.2 else rng.uniform(-2.0, 2.0))
-        case t if t is One:
-            return VUnit()
-        case t if t is Top:
-            return VTop()
-        case Tensor(l, r):
-            return VPair(random_value_of(l, rng), random_value_of(r, rng))
-        case With(l, r):
-            return VWith(random_value_of(l, rng), random_value_of(r, rng))
-        case Bang(i):
-            return VBang(random_value_of(i, rng))
+    if ty is Real:
+        return VNum(rng.choice([0.0, 1.0, -1.0])
+                    if rng.random() < 0.2 else rng.uniform(-2.0, 2.0))
+    if ty is One:
+        return VUnit()
+    if ty is Top:
+        return VTop()
+    cls = ty.__class__
+    if cls is Tensor or cls is With:
+        pair = VPair if cls is Tensor else VWith
+        return pair(random_value_of(ty.left, rng),
+                    random_value_of(ty.right, rng))
+    if cls is Bang:
+        return VBang(random_value_of(ty.inner, rng))
     raise NotWithSeq(f"cannot sample a value of {ty!r}")
 
 

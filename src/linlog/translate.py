@@ -83,16 +83,25 @@ def _check_with_seq(h: LType):
         raise NotWithSeq(f"{h!r} is not a with-sequence type")
 
 
+def _leafwise(h: LType, leaf) -> Term:
+    """A term of the with-sequence type h built leaf by leaf: `leaf(i)` at
+    the i-th leaf from the left if it is real, `TopVal()` if it is top."""
+
+    def go(ty, i):
+        if ty is Real:
+            return leaf(i), i + 1
+        if ty is Top:
+            return TopVal(), i + 1
+        a, i = go(ty.left, i)
+        b, i = go(ty.right, i)
+        return WithPair(a, b), i
+
+    return go(h, 0)[0]
+
+
 def mk_zero(h: LType) -> Term:
     _check_with_seq(h)
-    match h:
-        case x if x is Real:
-            return Zero()
-        case x if x is Top:
-            return TopVal()
-        case With(l, r):
-            return WithPair(mk_zero(l), mk_zero(r))
-    raise AssertionError(h)
+    return _leafwise(h, lambda i: Zero())
 
 
 def with_tree(h: LType, supply: NameSupply, hint: str = "h"):
@@ -114,21 +123,8 @@ def mk_add(h: LType, supply: NameSupply | None = None) -> Term:
     supply = supply or NameSupply()
     p1, v1, _ = with_tree(h, supply, "a")
     p2, v2, _ = with_tree(h, supply, "b")
-
-    def zip_add(ty, i):
-        match ty:
-            case x if x is Real:
-                return App(PlusDot(), WithPair(Var(v1[i][0]), Var(v2[i][0]))), i + 1
-            case x if x is Top:
-                return TopVal(), i + 1
-            case With(l, r):
-                a, i = zip_add(l, i)
-                b, i = zip_add(r, i)
-                return WithPair(a, b), i
-        raise AssertionError(ty)
-
-    body, _ = zip_add(h, 0)
-    return Abs(PWith(p1, p2), body)
+    return Abs(PWith(p1, p2), _leafwise(h, lambda i: App(
+        PlusDot(), WithPair(Var(v1[i][0]), Var(v2[i][0])))))
 
 
 def add_app(h: LType, a: Term, b: Term, supply: NameSupply | None = None) -> Term:
@@ -144,21 +140,8 @@ def scale_app(h: LType, x: Term, v: Term, supply: NameSupply | None = None) -> T
     if h is Real:
         return App(App(TimesDot(), x), v)
     p, leaves, _ = with_tree(h, supply, "s")
-
-    def go(ty, i):
-        match ty:
-            case t if t is Real:
-                return App(App(TimesDot(), x), Var(leaves[i][0])), i + 1
-            case t if t is Top:
-                return TopVal(), i + 1
-            case With(l, r):
-                a, i = go(l, i)
-                b, i = go(r, i)
-                return WithPair(a, b), i
-        raise AssertionError(ty)
-
-    body, _ = go(h, 0)
-    return App(Abs(p, body), v)
+    return App(Abs(p, _leafwise(
+        h, lambda i: App(App(TimesDot(), x), Var(leaves[i][0])))), v)
 
 
 class TangentCtx:

@@ -1,9 +1,11 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
 from linlog import NameSupply
+from linlog.autodiff import forward, transpose, transpose_f, unzip
 from linlog.lll import (
     Abs, App, BangVal, Numeral, PBang, PTensor, PVar, PWith, PlusDot,
     Real, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
@@ -11,14 +13,24 @@ from linlog.lll import (
     normalize, prim, prim_app, safe_reduce, simplify, substitute,
     value_for_pattern, workload_term, StuckOpenTerm,
 )
-from linlog.checks import RANDOM_STRATEGY_FRACTION, _random_safe_reduce
-from linlog.gen import safe_ground_cases
+from linlog.checks import (
+    RANDOM_STRATEGY_FRACTION, _mixed_corpus, _random_safe_reduce,
+)
+from linlog.gen import jax_cases, lll_f_cases, lll_p_cases, safe_ground_cases
+from linlog.linear_a import Scalar
+from linlog.lll import reduce as lll_reduce
 from linlog.lll.reduce import (
     _contract, plug, redexes, rename_pattern, safe_contract, safe_redex, safe_step, subst,
     uniquify,
 )
-from linlog.lll.terms import children, free_vars, pattern_vars, term_str
+from linlog.lll.terms import (
+    children, free_vars, pattern_vars, term_size, term_str,
+)
+from linlog.oracle import run_grad
+from linlog.translate import delta_b_primal
+from tests.ref_reduce import ref_simplify
 from tests.terms9 import fig9a_term
+from tests.test_oracle import _ladder, lowered
 
 
 def num(v):
@@ -137,7 +149,7 @@ def test_components_are_substituted_at_once():
         assert beta_step(redex) == (want, False)
         assert normalize(redex).result == want
         assert normalize(redex, strategy="rightmost-innermost").result == want
-        assert simplify(redex) == want
+        assert simplified(redex) == want
 
 
 def test_each_component_renames_the_binder_it_would_capture():
@@ -329,21 +341,28 @@ def test_strong_value_and_progress_grammar():
     assert is_progress_normal_form(v)
 
 
+def simplified(t):
+    """`simplify(t)`, checked against the restarting reference."""
+    out = simplify(t)
+    assert out == ref_simplify(t), term_str(t)
+    return out
+
+
 def test_simplify_identity_redex():
     t = App(Abs(PVar("u", Real), Var("u")), times(Var("w"), Var("z")))
-    assert simplify(t) == times(Var("w"), Var("z"))
+    assert simplified(t) == times(Var("w"), Var("z"))
 
 
 def test_simplify_keeps_bare_bang_lets():
     t = bang_let("w", Real, BangVal(Var("y")), times(Var("w"), num(2.0)))
-    assert simplify(t) == t
+    assert simplified(t) == t
 
 
 def test_simplify_folds_projection_primitives():
     t = prim_app(prim("proj2of2"), [BangVal(Var("a")), BangVal(Var("b"))])
-    assert simplify(t) == BangVal(Var("b"))
+    assert simplified(t) == BangVal(Var("b"))
     t2 = prim_app(prim("one2"), [BangVal(Var("a")), BangVal(Var("b"))])
-    assert simplify(t2) == BangVal(num(1.0))
+    assert simplified(t2) == BangVal(num(1.0))
 
 
 def test_simplify_commutes_section_level_lets():
@@ -352,9 +371,99 @@ def test_simplify_commutes_section_level_lets():
     t = App(Abs(PVar("u", Real), Var("u")),
             App(Abs(PWith(PVar("a", Real), PVar("b", Real)), plus(Var("a"), Var("b"))),
                 inner))
-    out = simplify(t)
+    out = simplified(t)
     # all administrative redexes melt: let q = v in a+b over <q,q>
     assert out == plus(Var("v"), Var("v"))
+
+
+def test_simplify_walks_a_normal_subterm_again_under_a_new_bang():
+    # (\a. b) y drops its dead value y only where y is !-bound, so a copy
+    # found normal outside the scope of !y is not normal inside it
+    dead = App(Abs(PVar("a", Real), Var("b")), Var("y"))
+    one = BangVal(num(1.0))
+    shared = TensorPair(dead, bang_let("y", Real, one, dead))
+    assert simplified(shared) == \
+        TensorPair(dead, bang_let("y", Real, one, Var("b")))
+    moved = App(Abs(PVar("x", Real), bang_let("y", Real, one, Var("x"))),
+                Abs(PVar("y", Real), dead))
+    assert simplified(moved) == \
+        bang_let("y", Real, one, Abs(PVar("y", Real), Var("b")))
+
+
+def simplify_corpus(seed):
+    """Generated terms and their pipeline images: F, U, T(U) and T(F) of
+    LLL programs, safe ground terms, tangent functions and their
+    transposes, mixed-sort terms with U and T, and Linear-A programs
+    through Δ."""
+    out = []
+    for c in lll_p_cases(20, seed):
+        f, _ = forward(c.sigma, c.term, c.supply)
+        u = unzip(f, c.supply)
+        out += [f, u, transpose(None, u, c.supply),
+                transpose(None, f, c.supply)]
+    out += [c.term for c in safe_ground_cases(20, seed)]
+    for c in lll_f_cases(20, seed):
+        out += [c.term, transpose_f({}, c.term, c.supply)]
+    for _, m, supply in _mixed_corpus(20, seed):
+        out += [m, unzip(m, supply), transpose(None, m, supply)]
+    out += [delta_b_primal(c.penv, c.expr, c.supply)
+            for c in jax_cases(20, seed, "primal")]
+    return out
+
+
+def ladder(n):
+    """ladder(n): the benchmark's straight-line program of n lets over
+    three inputs with one output."""
+    return _ladder().generate(random.Random(n), n, 3, 1)
+
+
+def ladder_images(n):
+    """F, U and T(U) of ladder(n)."""
+    term, theta, supply = lowered(ladder(n))
+    f, _ = forward(theta, term, supply)
+    u = unzip(f, supply)
+    return f, u, transpose(None, u, supply)
+
+
+def test_simplify_matches_the_restarting_reference():
+    terms = simplify_corpus(1) + [*ladder_images(10), *ladder_images(30)]
+    for i, t in enumerate(terms):
+        assert simplify(t) == ref_simplify(t), (i, term_str(t))
+
+
+def test_simplify_tries_the_rules_about_once_per_node(monkeypatch):
+    rules = lll_reduce._simplify_once
+    calls = []
+
+    def counted(m, exp_vars):
+        calls.append(None)
+        return rules(m, exp_vars)
+
+    monkeypatch.setattr(lll_reduce, "_simplify_once", counted)
+    counts = []
+    for n in (30, 60):
+        t = ladder_images(n)[2]
+        calls.clear()
+        simplify(t)
+        assert len(calls) <= term_size(t), n
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_a_simplified_400_let_gradient_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    prog = ladder(400)
+    term, theta, supply = lowered(prog)
+    point = [0.5, -0.7, 1.1][:len(theta)]
+    args = term, theta, [Scalar(v) for v in point]
+    plain = run_grad(*args, supply=supply.clone())
+    res = run_grad(*args, simplify_output=True, supply=supply)
+    [want_out], [want_grad] = _ladder().reference(
+        prog, {x: v for (x, _), v in zip(theta, point)})
+    assert res.primal.value == pytest.approx(want_out, rel=1e-9)
+    assert [g.value for g in res.gradient] == \
+        pytest.approx(want_grad, rel=1e-9, abs=1e-12)
+    assert res.flops == res.workload_bound < plain.flops
 
 
 # ------------------------------------------------------------ uniquify
