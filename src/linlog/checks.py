@@ -21,8 +21,8 @@ from linlog.linear_a.values import Scalar
 from linlog.lll.machine import Flops, apply_lanes, apply_value, eval_term
 from linlog.lll.prims import prim
 from linlog.lll.reduce import (
-    beta_step, is_progress_normal_form, normalize, plug, redexes,
-    safe_contract, safe_redex, safe_reduce, safe_step,
+    beta_steps, is_progress_normal_form, normalize, random_safe_reduce,
+    safe_reduce, safe_steps,
 )
 from linlog.lll.sorts import primal_inner_type
 from linlog.lll.terms import (
@@ -109,24 +109,8 @@ def _running_example_term() -> Term:
 
 # ----------------------------------------------------------- criterion 3
 
-def _random_safe_reduce(term: Term, rng: random.Random):
-    """A maximal safe-reduction sequence choosing redexes at random."""
-    numeric = 0
-    for _ in range(RANDOM_STEP_BUDGET):
-        spots = list(redexes(term, safe_redex))
-        if not spots:
-            return term, numeric
-        ctx, m = rng.choice(spots)
-        new, is_num = safe_contract(m)
-        term = plug(ctx, new)
-        numeric += int(is_num)
-    raise RuntimeError("random safe reduction did not terminate")
-
-
 # the share of the flop-bound cases also reduced under a random strategy
 RANDOM_STRATEGY_FRACTION = 0.1
-# the steps a random safe reduction takes before it gives up
-RANDOM_STEP_BUDGET = 30_000
 
 
 def check_flop_bound(n: int = 1000, seed: int = 11) -> CheckResult:
@@ -139,7 +123,7 @@ def check_flop_bound(n: int = 1000, seed: int = 11) -> CheckResult:
             bad += 1
             continue
         if i < n * RANDOM_STRATEGY_FRACTION:
-            _, numeric = _random_safe_reduce(case.term, rng)
+            _, numeric = random_safe_reduce(case.term, rng)
             if numeric > w:
                 bad += 1
     return CheckResult("flop-bound-safe-reduction", n, bad)
@@ -440,38 +424,30 @@ def check_metatheory(n: int = 120, seed: int = 61) -> CheckResult:
         term = c.term
         ty = typecheck(env0, term)
         # subject reduction along the whole reduction sequence
-        cur = term
-        for _ in range(600):
-            step = beta_step(cur)
-            if step is None:
-                break
-            cur = step[0]
-            if typecheck(env0, cur) != ty:
-                bad += 1
-                break
+        steps = beta_steps(term, 600)
+        wrong = next((m for m in steps if typecheck(env0, m) != ty), None)
+        if wrong is None and len(steps) == 600:
+            bad += 1  # no normal form within 599 steps
+            continue
+        # the steps end at the leftmost-outermost nf unless one changed type
+        if wrong is None:
+            cur = lo = steps[-1] if steps else term
         else:
             bad += 1
-            continue
+            cur = wrong
+            lo = normalize(term, strategy="leftmost-outermost").result
         # progress: the normal form matches the value grammar
         if not is_progress_normal_form(cur):
             bad += 1
-        # confluence spot check at ground types; the loop above ends at the
-        # leftmost-outermost normal form unless a step changed the type
-        lo = cur if step is None else \
-            normalize(term, strategy="leftmost-outermost").result
+        # confluence spot check at ground types
         ri = normalize(term, strategy="rightmost-innermost")
         if not alpha_eq(lo, ri.result, tol=1e-6):
             bad += 1
         # safety invariance along safe steps
-        cur = term
-        for _ in range(600):
+        for cur in [term, *safe_steps(term, 599)]:
             if not is_safe(cur, {}):
                 bad += 1
                 break
-            nxt = safe_step(cur)
-            if nxt is None:
-                break
-            cur = nxt[0]
     return CheckResult("metatheory-smoke", len(cases), bad)
 
 

@@ -6,7 +6,9 @@ primitive/plus/times contractions) are counted as flops.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from linlog.errors import LinlogError
 from linlog.fresh import NameSupply
@@ -234,24 +236,37 @@ def _contract(m: Term):
     return None
 
 
-def redexes(term: Term, contract, innermost: bool = False):
-    """The redexes of `contract` in `term`, lazily, as (context,
-    contraction) pairs, `contraction` being what `contract` returns for the
-    redex.  Leftmost-outermost first (pre-order, left to right), or with
-    `innermost` rightmost-innermost first (each node after its children,
-    right to left).  A context is the path from the redex up to the root,
-    nested (node, child index, context) triples ending in None; `plug`
-    fills it.
+def _plug(nodes: list[Term], idx: list[int], m: Term) -> Term:
+    """The whole term with `m` in the hole below `nodes`, its ancestors from
+    the root down, entered at their children `idx`.  The ancestors are
+    rebuilt in place, so that the lists stay the path down to `m`."""
+    for k in range(len(nodes) - 1, -1, -1):
+        up = nodes[k]
+        cls = up.__class__
+        if cls is Abs:
+            m = Abs(up.pat, m)
+        elif cls is BangVal:
+            m = BangVal(m)
+        elif idx[k]:
+            m = cls(children(up)[0], m)
+        else:
+            m = cls(m, children(up)[1])
+        nodes[k] = m
+    return m
+
+
+def _search(m: Term, nodes: list[Term], idx: list[int], contract,
+            innermost: bool):
+    """What `contract` returns at each redex from `m` on, to the end of the
+    term: first below `m`, then up through its ancestors `nodes` and their
+    children `idx` (as for `_plug`).  The order is leftmost-outermost
+    (pre-order, left to right), or with `innermost` rightmost-innermost
+    (each node after its children, right to left).  At each yield the two
+    lists are the path down to the redex.
 
     The root of every contraction is an `App`, so `contract` is called at
-    `App` nodes only.  The walk keeps the ancestors of the node it is at
-    and the index of the child it went down to in two lists, and builds a
-    context from them only for a redex it yields.  It dispatches on the
-    class, not with `match` or `children`, as it visits every node of the
-    term for each step of a reduction."""
-    nodes: list[Term] = []
-    idx: list[int] = []
-    m = term
+    `App` nodes only.  The walk dispatches on the class, not with `match`
+    or `children`, as it may visit every node of the term for a step."""
     if innermost:
         while True:
             while True:  # down to the rightmost leaf below m
@@ -287,7 +302,7 @@ def redexes(term: Term, contract, innermost: bool = False):
                 if m.__class__ is App:
                     r = contract(m)
                     if r is not None:
-                        yield _context(nodes, idx), r
+                        yield r
             else:
                 return
     while True:
@@ -295,7 +310,7 @@ def redexes(term: Term, contract, innermost: bool = False):
         if cls is App:
             r = contract(m)
             if r is not None:
-                yield _context(nodes, idx), r
+                yield r
             nodes.append(m)
             idx.append(0)
             m = m.fn
@@ -331,60 +346,72 @@ def redexes(term: Term, contract, innermost: bool = False):
                 return
 
 
-def _context(nodes: list[Term], idx: list[int]):
-    ctx = None
-    for node, i in zip(nodes, idx):
-        ctx = (node, i, ctx)
-    return ctx
+def _reads_hole(nodes: list[Term], idx: list[int]):
+    """The `App` ancestors of the hole whose redex test reads it (see
+    `_steps`), outermost first, with their depths."""
+    last = len(nodes) - 2
+    return [(k, up) for k, up in enumerate(nodes)
+            if up.__class__ is App and (idx[k] or k >= last)]
 
 
-def plug(ctx, m: Term) -> Term:
-    """The whole term of a context from `redexes`, `m` in its hole."""
-    while ctx is not None:
-        node, i, ctx = ctx
-        cls = node.__class__
-        if cls is Abs:
-            m = Abs(node.pat, m)
-        elif cls is BangVal:
-            m = BangVal(m)
+def _steps(term: Term, contract, innermost: bool = False):
+    """The steps of the reduction of `term` by `contract`, as (term',
+    numeric) pairs, in the order of `_search`.
+
+    A step rebuilds only the path from the root to the redex it contracts,
+    and the search resumes at the contractum (refocusing: Danvy & Nielsen,
+    BRICS RS-04-26, 2004).  Rightmost-innermost re-tests no ancestor, as
+    each comes after the hole in its order.  In pre-order, every node
+    before the hole is an ancestor of it or lies in a subterm left of the
+    path, which is unchanged and so still holds no redex.  An ancestor can
+    have become one only if its test reads the hole, and those are
+    re-tested first, outermost first: `_contract`, `safe_contract` and
+    `safe_redex` read a function position only at its root, and one level
+    below for `*.`, so the hole's parent and grandparent; they read an
+    argument as deep as `free_vars` and `is_strong_value` go, so every
+    `App` that holds the hole in its argument."""
+    nodes: list[Term] = []
+    idx: list[int] = []
+    r = next(_search(term, nodes, idx, contract, innermost), None)
+    while r is not None:
+        m, numeric = r
+        yield _plug(nodes, idx, m), numeric
+        for k, up in [] if innermost else _reads_hole(nodes, idx):
+            r = contract(up)
+            if r is not None:
+                del nodes[k:], idx[k:]
+                break
         else:
-            f, a = children(node)
-            m = cls(m, a) if i == 0 else cls(f, m)
-    return m
+            r = next(_search(m, nodes, idx, contract, innermost), None)
 
 
-def _step(term: Term, contract, innermost: bool = False):
-    for ctx, (m, numeric) in redexes(term, contract, innermost):
-        return plug(ctx, m), numeric
-    return None
-
-
-def _reduce(term: Term, contract, innermost: bool,
-            what: str) -> ReductionOutcome:
+def _reduce(steps, term: Term, what: str) -> ReductionOutcome:
     numeric = total = 0
-    while True:
-        r = _step(term, contract, innermost)
-        if r is None:
-            return ReductionOutcome(term, numeric, total)
-        term = r[0]
+    for term, is_numeric in steps:
         total += 1
-        numeric += int(r[1])
+        numeric += is_numeric
         if total > STEP_BUDGET:
             raise BudgetExhausted(f"no {what} within {STEP_BUDGET} steps")
+    return ReductionOutcome(term, numeric, total)
 
 
 def beta_step(term: Term):
     """One leftmost-outermost step, or None at a beta-nf.
     Returns (term', numeric)."""
-    return _step(term, _contract)
+    return next(_steps(term, _contract), None)
+
+
+def beta_steps(term: Term, limit: int) -> list[Term]:
+    """The terms of the first `limit` leftmost-outermost steps from `term`."""
+    return [m for m, _ in islice(_steps(term, _contract), limit)]
 
 
 def normalize(term: Term,
               strategy: str = "leftmost-outermost") -> ReductionOutcome:
     if strategy not in ("leftmost-outermost", "rightmost-innermost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _reduce(term, _contract, strategy == "rightmost-innermost",
-                   "normal form")
+    return _reduce(_steps(term, _contract, strategy == "rightmost-innermost"),
+                   term, "normal form")
 
 
 # ------------------------------------------------------------ safe steps
@@ -419,7 +446,12 @@ def safe_redex(m: Term) -> Term | None:
 
 def safe_step(term: Term):
     """One leftmost-outermost safe step, or None."""
-    return _step(term, safe_contract)
+    return next(_steps(term, safe_contract), None)
+
+
+def safe_steps(term: Term, limit: int) -> list[Term]:
+    """The terms of the first `limit` leftmost-outermost safe steps."""
+    return [m for m, _ in islice(_steps(term, safe_contract), limit)]
 
 
 def safe_reduce(term: Term) -> ReductionOutcome:
@@ -427,7 +459,61 @@ def safe_reduce(term: Term) -> ReductionOutcome:
     numeric step count is bounded by the term workload."""
     if free_vars(term):
         raise StuckOpenTerm(f"free variables {sorted(free_vars(term))}")
-    return _reduce(term, safe_contract, False, "safe normal form")
+    return _reduce(_steps(term, safe_contract), term, "safe normal form")
+
+
+# the steps a random safe reduction takes before it gives up
+RANDOM_STEP_BUDGET = 30_000
+
+
+def _redex_paths(m: Term) -> list[tuple[int, ...]]:
+    """The paths (child indices from `m` down) of the safe redexes of `m`,
+    in pre-order, left to right."""
+    idx: list[int] = []
+    return [tuple(idx) for _ in _search(m, [], idx, safe_redex, False)]
+
+
+def _random_steps(term: Term, rng):
+    """The steps of a safe reduction that contracts the redex `rng.choice`
+    draws from the list of all, in pre-order.  A step keeps the list of
+    their paths current as `_steps` keeps its search: the paths below the
+    hole, a range of the list, give way to those of the contractum, and the
+    ancestors that read the hole are re-tested."""
+    spots = _redex_paths(term)
+    while spots:
+        path = rng.choice(spots)
+        nodes: list[Term] = []
+        m = term
+        for i in path:
+            nodes.append(m)
+            m = children(m)[i]
+        m, numeric = safe_contract(m)
+        idx = list(path)
+        term = _plug(nodes, idx, m)
+        yield term, numeric
+        # pre-order is the order of the paths as tuples, and the paths
+        # below `path` come before it extended by a child index past the last
+        lo = bisect_left(spots, path)
+        hi = bisect_left(spots, path + (2,), lo)
+        spots[lo:hi] = [path + p for p in _redex_paths(m)]
+        for k, up in _reads_hole(nodes, idx):
+            j = bisect_left(spots, path[:k])
+            known = j < len(spots) and spots[j] == path[:k]
+            if known != (safe_redex(up) is not None):
+                if known:
+                    del spots[j]
+                else:
+                    spots.insert(j, path[:k])
+
+
+def random_safe_reduce(term: Term, rng) -> tuple[Term, int]:
+    """(normal form, numeric steps) of a random safe reduction."""
+    numeric = 0
+    for total, (term, is_numeric) in enumerate(_random_steps(term, rng), 1):
+        if total == RANDOM_STEP_BUDGET:
+            raise RuntimeError("random safe reduction did not terminate")
+        numeric += is_numeric
+    return term, numeric
 
 
 # ------------------------------------------------------------ simplifier

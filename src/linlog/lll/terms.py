@@ -326,31 +326,28 @@ def _compute_free_vars(m: Term) -> frozenset[str]:
 def all_names(m: Term) -> set[str]:
     """Every variable name occurring anywhere (free, bound, binders)."""
     out: set[str] = set()
-
-    def go(t):
-        match t:
-            case Var(name):
-                out.add(name)
-            case Abs(p, body):
-                out.update(pattern_vars(p))
-                go(body)
-            case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-                go(f)
-                go(a)
-            case BangVal(i):
-                go(i)
-    go(m)
+    todo = [m]  # an explicit stack: a let-spine nests as deep as its program
+    while todo:
+        t = todo.pop()
+        cls = t.__class__
+        if cls is Var:
+            out.add(t.name)
+        elif cls is Abs:
+            out.update(pattern_vars(t.pat))
+            todo.append(t.body)
+        else:
+            todo.extend(children(t))
     return out
 
 
 def term_size(m: Term) -> int:
-    match m:
-        case Abs(_, body) | BangVal(body):
-            return 1 + term_size(body)
-        case App(f, a) | TensorPair(f, a) | WithPair(f, a):
-            return 1 + term_size(f) + term_size(a)
-        case _:
-            return 1
+    """The number of nodes of `m`."""
+    n = 0
+    todo = [m]  # an explicit stack, as in `all_names`
+    while todo:
+        n += 1
+        todo.extend(children(todo.pop()))
+    return n
 
 
 def alpha_eq(m: Term, n: Term, tol: float = 1e-9) -> bool:

@@ -228,36 +228,39 @@ def _primal_let(frame, penv, supply: NameSupply) -> tuple[Pattern, Term]:
 
 def delta(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
           e: Expr, supply: NameSupply) -> Term:
+    """The image of the well-typed `e`; theta enumerates its free tangents."""
     if set(names(theta)) != set(fv_tangent(e)):
         raise EnumerationMismatch(
             f"enumeration {names(theta)} vs free tangents {sorted(fv_tangent(e))}")
-    return _delta(dict(penv), theta, e, supply)
+    return _delta(dict(penv), theta, e, supply)[0]
 
 
-def _delta(penv, theta, e: Expr, supply: NameSupply) -> Term:
+def _delta(penv, theta, e: Expr, supply: NameSupply):
+    """The image of `e` and its (tau; sigma).  A let or an elimination takes
+    the types of its parts from their images instead of typing the rest of
+    the program again."""
     match e:
         case Lit(_) | PrimApp(_, _) | PrimTupIntro0() | PrimTupIntro2(_, _):
             ctx = TangentCtx(tangents(theta), supply)
             return TensorPair(delta_b_primal(penv, e, supply),
-                              para(ctx.lam(TopVal())))
+                              para(ctx.lam(TopVal()))), infer_types(e, penv, {})
 
         case TanTupIntro0() | TanTupIntro2(_, _) | ZeroDot(_) | AddDot(_, _) | \
                 ScaleDot(_, _) | Dup(_):
-            return TensorPair(BangVal(UnitVal()),
-                              para(_delta_bt(e, penv, theta, supply)))
+            return TensorPair(BangVal(UnitVal()), para(_delta_bt(
+                e, penv, theta, supply))), infer_types(e, penv, dict(theta))
 
         case VarPair(x, _):
             ctx = TangentCtx(tangents(theta), supply)
-            return TensorPair(BangVal(Var(x)), para(ctx.lam(ctx.var(theta[0][0]))))
+            return TensorPair(BangVal(Var(x)), para(ctx.lam(ctx.var(
+                theta[0][0])))), infer_types(e, penv, dict(theta))
 
         case LetPair(x, yd, e1, e2):
             th1 = restrict(theta, fv_tangent(e1))
-            ty1, sg1 = infer_types(e1, penv, dict(th1))
+            d1, (ty1, sg1) = _delta(penv, th1, e1, supply)
             th2 = restrict(theta, fv_tangent(e2) - {yd})
             inner = [(yd, sg1)] + th2
-            d1 = _delta(penv, th1, e1, supply)
-            d2 = _delta(penv | {x: ty1}, inner, e2, supply)
-            ty2, sg2 = infer_types(e2, penv | {x: ty1}, dict(inner))
+            d2, (ty2, sg2) = _delta(penv | {x: ty1}, inner, e2, supply)
             f, g, z = supply.fresh("f"), supply.fresh("g"), supply.fresh("z")
             ctx = TangentCtx(tangents(theta), supply)
             garg = App(Var(f), ctx.tuple_of(names(th1)))
@@ -268,48 +271,46 @@ def _delta(penv, theta, e: Expr, supply: NameSupply) -> Term:
             out = let_(_bang_pair_pat(z, ty2, g, _map_type(inner, tangent_type(sg2))),
                        d2, out)
             return let_(_bang_pair_pat(x, ty1, f, _map_type(th1, tangent_type(sg1))),
-                        d1, out)
+                        d1, out), (ty2, sg2)
 
         case PrimTupElim0() | PrimTupElim2():
             frame, body = open_frame(e)
             penv = dict(penv)
             pat, rhs = _primal_let(frame, penv, supply)
-            return let_(pat, rhs, _delta(penv, theta, body, supply))
+            d, tys = _delta(penv, theta, body, supply)
+            return let_(pat, rhs, d), tys
 
         case TanTupElim0(zd, body):
             rest = [en for en in theta if en[0] != zd]
-            d = _delta(penv, rest, body, supply)
-            _ty, sg = infer_types(body, penv, dict(rest))
+            d, (ty, sg) = _delta(penv, rest, body, supply)
             x, f = supply.fresh("x"), supply.fresh("f")
             ctx = TangentCtx(tangents(theta), supply)
             arg = ctx.tuple_of(names(rest), empty=ctx.var(zd) if theta else None)
             out = TensorPair(BangVal(Var(x)), para(ctx.lam(App(Var(f), arg))))
-            return let_(_bang_pair_pat(x, _ty, f, _map_type(rest, tangent_type(sg))),
-                        d, out)
+            return let_(_bang_pair_pat(x, ty, f, _map_type(rest, tangent_type(sg))),
+                        d, out), (ty, sg)
 
         case TanTupElim2(t1, t2, zd, body):
             tz = dict(theta)[zd]
             rest = [en for en in theta if en[0] != zd]
             inner = [(t1, tz.left), (t2, tz.right)] + rest
-            d = _delta(penv, inner, body, supply)
-            _ty, sg = infer_types(body, penv, dict(inner))
+            d, (ty, sg) = _delta(penv, inner, body, supply)
             x, f = supply.fresh("x"), supply.fresh("f")
             ctx = TangentCtx(tangents(theta), supply)
             body_t = _split_lam(ctx, zd, tz, rest, f, supply)
             out = TensorPair(BangVal(Var(x)), para(body_t))
-            return let_(_bang_pair_pat(x, _ty, f, _map_type(inner, tangent_type(sg))),
-                        d, out)
+            return let_(_bang_pair_pat(x, ty, f, _map_type(inner, tangent_type(sg))),
+                        d, out), (ty, sg)
 
         case Drop(body):
-            d = _delta(penv, theta, body, supply)
-            ty, sg = infer_types(body, penv, dict(theta))
+            d, (ty, sg) = _delta(penv, theta, body, supply)
             x, f, z = supply.fresh("x"), supply.fresh("f"), supply.fresh("z")
             ctx = TangentCtx(tangents(theta), supply)
             inner = let_(PVar(z, tangent_type(sg)),
                          App(Var(f), ctx.tuple_of(names(theta))), TopVal())
             out = TensorPair(BangVal(UnitVal()), para(ctx.lam(inner)))
             return let_(_bang_pair_pat(x, ty, f, _map_type(theta, tangent_type(sg))),
-                        d, out)
+                        d, out), (JOne, JOne)
 
     raise AssertionError(e)
 
@@ -330,7 +331,7 @@ def delta_b(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
     penv = dict(penv)
     lets = [_primal_let(frame, penv, supply) for frame in frames]
     if pair is None:
-        return rebuild(lets, _delta(penv, theta, tail, supply))
+        return rebuild(lets, _delta(penv, theta, tail, supply)[0])
     return rebuild(lets, TensorPair(delta_b_primal(penv, pair[0], supply),
                                     para(_delta_bt(pair[1], penv, theta, supply))))
 

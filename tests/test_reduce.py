@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from itertools import islice
 
 import pytest
 
@@ -14,21 +15,26 @@ from linlog.lll import (
     value_for_pattern, workload_term, StuckOpenTerm,
 )
 from linlog.checks import (
-    RANDOM_STRATEGY_FRACTION, _mixed_corpus, _random_safe_reduce,
+    RANDOM_STRATEGY_FRACTION, CheckResult, _mixed_corpus, check_flop_bound,
+    check_metatheory,
 )
 from linlog.gen import jax_cases, lll_f_cases, lll_p_cases, safe_ground_cases
 from linlog.linear_a import Scalar
 from linlog.lll import reduce as lll_reduce
 from linlog.lll.reduce import (
-    _contract, plug, redexes, rename_pattern, safe_contract, safe_redex, safe_step, subst,
+    _contract, rename_pattern, safe_contract, safe_redex, safe_step, subst,
     uniquify,
 )
+from linlog.lll.reduce import random_safe_reduce as _random_safe_reduce
 from linlog.lll.terms import (
     children, free_vars, pattern_vars, term_size, term_str,
 )
 from linlog.oracle import run_grad
 from linlog.translate import delta_b_primal
-from tests.ref_reduce import ref_simplify
+from tests.ref_reduce import (
+    plug, redexes, ref_plug, ref_random_safe_reduce, ref_reduce, ref_redexes,
+    ref_simplify, restart_random_steps, restart_steps,
+)
 from tests.terms9 import fig9a_term
 from tests.test_oracle import _ladder, lowered
 
@@ -180,24 +186,6 @@ def test_a_renaming_substitutes_variables():
     assert alpha_eq(out, Abs(PVar("w", Real), TensorPair(Var("y"), Var("w"))))
 
 
-def ref_redexes(t, contract, path=()):
-    """The recursive definition: (path of child indices, contraction) of
-    every redex, in pre-order, left to right."""
-    c = contract(t)
-    out = [] if c is None else [(path, c)]
-    for i, child in enumerate(children(t)):
-        out += ref_redexes(child, contract, path + (i,))
-    return out
-
-
-def ref_plug(t, path, new):
-    if not path:
-        return new
-    kids = list(children(t))
-    kids[path[0]] = ref_plug(kids[path[0]], path[1:], new)
-    return Abs(t.pat, *kids) if isinstance(t, Abs) else type(t)(*kids)
-
-
 def path_of(ctx):
     out = []
     while ctx is not None:
@@ -227,32 +215,6 @@ def test_redexes_come_in_pre_order_and_its_reverse():
             assert step is None or step[0] == plug(got[0][0], got[0][1][0])
             t = step and step[0]
     assert seen > 20
-
-
-def ref_reduce(term, contract, innermost=False):
-    """A reduction to normal form by the reference redex list: (result,
-    numeric steps, steps)."""
-    numeric = total = 0
-    while True:
-        found = ref_redexes(term, contract)
-        if not found:
-            return term, numeric, total
-        path, (new, is_numeric) = found[-1] if innermost else found[0]
-        term = ref_plug(term, path, new)
-        numeric += is_numeric
-        total += 1
-
-
-def ref_random_safe_reduce(term, rng):
-    numeric = 0
-    while True:
-        spots = ref_redexes(term, safe_redex)
-        if not spots:
-            return term, numeric
-        path, m = rng.choice(spots)
-        new, is_numeric = safe_contract(m)
-        term = ref_plug(term, path, new)
-        numeric += is_numeric
 
 
 def test_reductions_follow_the_reference_redex_list():
@@ -296,6 +258,91 @@ def test_random_safe_reductions_of_the_flop_bound_check_are_pinned():
         term, numeric = _random_safe_reduce(c.term, rng)
         h.update(f"{numeric} {term_str(term)}\n".encode())
     assert h.hexdigest()[:16] == "3013e545e93e65a0"
+
+
+def engine_and_reference(t, i):
+    """The steps of each strategy from `t`, as (term', numeric) pairs: the
+    engine's and the restarting reference's.  The random strategy draws
+    from `random.Random(i)`."""
+    return [
+        (lll_reduce._steps(t, _contract), restart_steps(t, _contract)),
+        (lll_reduce._steps(t, _contract, innermost=True),
+         restart_steps(t, _contract, innermost=True)),
+        (lll_reduce._steps(t, safe_contract),
+         restart_steps(t, safe_contract)),
+        (lll_reduce._random_steps(t, random.Random(i)),
+         restart_random_steps(t, random.Random(i))),
+    ]
+
+
+def test_every_strategy_steps_as_the_restarting_reference():
+    """Each intermediate term (dataclass `==`) and numeric flag of the
+    refocusing drivers equals that of a search from the root."""
+    steps = cases = 0
+    for seed in (3, 5, 11):
+        for i, c in enumerate(safe_ground_cases(140, seed)):
+            for got, want in engine_and_reference(c.term, i):
+                got = list(got)
+                assert got == list(want), (seed, i)
+                steps += len(got)
+            cases += 1
+    assert cases >= 400 and steps > 60_000
+
+
+def test_every_strategy_steps_as_the_reference_on_open_terms():
+    """The same on the first 300 steps of the F, U and T(U) images of
+    generated LLL programs."""
+    steps = 0
+    for seed in range(5):
+        for i, c in enumerate(lll_p_cases(40, seed)):
+            f, _ = forward(c.sigma, c.term, c.supply)
+            u = unzip(f, c.supply)
+            for t in (f, u, transpose(None, u, c.supply)):
+                for got, want in engine_and_reference(t, i):
+                    got = list(islice(got, 300))
+                    assert got == list(islice(want, 300)), (seed, i)
+                    steps += len(got)
+    assert steps > 15_000
+
+
+def test_checks_on_reductions_keep_their_results():
+    """The results the restarting engine gave these two checks."""
+    for s in range(50):
+        assert check_metatheory(2, s) == \
+            CheckResult("metatheory-smoke", 2, 0), s
+        assert check_flop_bound(2, s) == \
+            CheckResult("flop-bound-safe-reduction", 2, 0), s
+
+
+def counted(monkeypatch, name):
+    """A list that grows by one at each call of `lll.reduce`'s `name`."""
+    calls, orig = [], getattr(lll_reduce, name)
+
+    def wrapper(m):
+        calls.append(None)
+        return orig(m)
+
+    monkeypatch.setattr(lll_reduce, name, wrapper)
+    return calls
+
+
+def test_a_reduction_searches_each_node_about_once(monkeypatch):
+    """Refocusing tests each node about once over a whole reduction, where
+    a search from the root at every step made 2.31x (`normalize`) and
+    2.50x (`safe_reduce`) as many `contract` calls as term size plus
+    steps, and the random strategy 49,450 `safe_redex` calls."""
+    cases = safe_ground_cases(40, 3)
+    size = sum(term_size(c.term) for c in cases)
+    for name, run in (("_contract", normalize),
+                      ("safe_contract", safe_reduce)):
+        calls = counted(monkeypatch, name)
+        steps = sum(run(c.term).total_steps for c in cases)
+        assert len(calls) <= 1.2 * (size + steps), name
+    calls = counted(monkeypatch, "safe_redex")
+    rng = random.Random(11 * 7 + 1)  # as check_flop_bound(n, 11) seeds it
+    for c in safe_ground_cases(40, 11):
+        _random_safe_reduce(c.term, rng)
+    assert len(calls) <= 49_450 // 2
 
 
 def test_fig9a_evaluates_at_point():

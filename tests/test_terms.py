@@ -1,5 +1,9 @@
-"""Free variables and workload: the cached `free_vars` and the one-pass
-`workload_term` against their plain recursive definitions."""
+"""Free variables, names, size and workload: the cached `free_vars`, the
+stack-flat `all_names` and `term_size`, and the one-pass `workload_term`
+against their plain recursive definitions."""
+
+import sys
+import threading
 
 import pytest
 
@@ -9,14 +13,15 @@ from linlog.frontend import parse
 from linlog.gen import jax_cases, lll_f_cases, lll_p_cases, safe_ground_cases
 from linlog.lll import terms
 from linlog.lll.terms import (
-    Abs, App, BangVal, PBang, PVar, TensorPair, Var, WithPair, free_vars,
-    pattern_var_types, pattern_vars, term_str,
+    Abs, App, BangVal, PBang, PVar, TensorPair, Var, WithPair, all_names,
+    free_vars, pattern_var_types, pattern_vars, term_size, term_str,
 )
 from linlog.lll.typecheck import TypingEnv, free_var_types
 from linlog.lll.types import Real, workload_type
 from linlog.lll.workload import is_safe, workload_term
 from linlog.linear_a.expr import fv_primal
 from linlog.translate import delta, delta_b_primal, primal_type
+from tests.test_reduce import ladder_images
 
 def ref_free_vars(m):
     match m:
@@ -150,3 +155,53 @@ def test_free_vars_computed_at_most_once_per_node(monkeypatch):
     # would make the count exceed them.
     assert 0 < len(computed) <= composite_nodes(*computed)
     assert len(computed) <= 2 * composite_nodes(term, f, u, t)
+
+
+def ref_all_names(m):
+    match m:
+        case Var(name):
+            return {name}
+        case Abs(p, body):
+            return set(pattern_vars(p)) | ref_all_names(body)
+        case App(f, a) | TensorPair(f, a) | WithPair(f, a):
+            return ref_all_names(f) | ref_all_names(a)
+        case BangVal(i):
+            return ref_all_names(i)
+    return set()
+
+
+def ref_term_size(m):
+    return 1 + sum(map(ref_term_size, terms.children(m)))
+
+
+def at_a_raised_limit(fn, *args):
+    """`fn(*args)`, run in a thread with room for 50,000 frames."""
+    out = []
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(50_000)
+    threading.stack_size(256 << 20)
+    try:
+        worker = threading.Thread(target=lambda: out.append(fn(*args)))
+        worker.start()
+        worker.join(300)
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive() and out
+    return out[0]
+
+
+def test_names_and_size_of_deep_terms_at_the_default_recursion_limit():
+    """U and T(U) of a 300-let ladder and F of a 400-let one nest deeper
+    than the default limit allows a recursive walk."""
+    assert sys.getrecursionlimit() <= 1000
+    _, u, tu = ladder_images(300)
+    for m in (u, tu, ladder_images(400)[0]):
+        assert term_size(m) == at_a_raised_limit(ref_term_size, m)
+        assert all_names(m) == at_a_raised_limit(ref_all_names, m)
+
+
+def test_names_and_size_match_their_recursive_definitions(terms_corpus):
+    for i, m in enumerate(terms_corpus):
+        assert term_size(m) == ref_term_size(m), i
+        assert all_names(m) == ref_all_names(m), i
