@@ -13,7 +13,7 @@ other.
 Compilation resolves every variable to a slot of a frame, a Python list.
 Applying a closure allocates one frame for its argument, for every let in
 its body, for its constants and for the values it captured; a closure
-captures the values of the outer variables its body uses when it is made,
+captures the values of the outer variables its body uses when it is built,
 so frames never refer to one another.  A let (``App(Abs(p, M), N)``) binds
 into the current frame without building a closure, and a chain of lets
 runs as a loop, so long let-spines need no Python stack.  The free
@@ -40,10 +40,10 @@ nodes cost no Python call of their own (superoperators: Proebsting,
 - a variable binder is a store, a pair pattern one shape check and two
   stores, and a closure's entry runs its body's let loop itself, so that
   applying a closure costs two host frames (its application and the
-  entry);
-- `+.` on a with-pair, `*.` on two arguments and a primitive on its
-  argument are one code each, building no intermediate pair or partial
-  application.
+  entry).
+
+`+.`, `*.` and the primitives are values like any other function, and
+`apply_value` alone applies them: the machine has one arithmetic path.
 
 Flops, evaluation order and every error message are those of applying the
 nodes one by one; a split pattern's shape error is raised before its later
@@ -54,8 +54,8 @@ components run.  Values are slotted dataclasses, never changed in place
 (vectorising map: JAX's `vmap`, Frostig, Johnson & Leary, SysML 2018).  It
 packs the arguments into one value whose number leaves are `VLanes`, the k
 numbers side by side, runs the function once and unpacks its result lane by
-lane.  Only `+.` and `*.` learn lanes, on their slow paths: each acts lane
-by lane and broadcasts a number against lanes.  This is exact, values and
+lane.  Only `+.` and `*.` learn lanes, in `apply_value`: each acts lane by
+lane and broadcasts a number against lanes.  This is exact, values and
 flops alike, for two reasons.  No control flow depends on a number: a
 pattern checks shapes, never numbers, so every lane takes the path the
 others take and one run does each lane's work in order.  And a lane never
@@ -95,7 +95,7 @@ class VNum(Value):
 
 @dataclass(slots=True, unsafe_hash=True)
 class VLanes(Value):
-    """The numbers of k lanes at one leaf, made only by `apply_lanes`."""
+    """The numbers of k lanes at one leaf, built only by `apply_lanes`."""
 
     values: tuple[float, ...]
 
@@ -216,7 +216,7 @@ def apply_value(f: Value, a: Value, flops: Flops) -> Value:
     if t is VPrim:
         args = _prim_args(a, f.fn.arity)
         flops.count += 1
-        return VBang(VNum(f.fn.eval(*args)))
+        return VBang(VNum(f.fn.fn(*args)))
     if t is VPlus:
         if not isinstance(a, VWith):
             raise MachineError(f"+. applied to {a!r}")
@@ -232,16 +232,14 @@ def apply_value(f: Value, a: Value, flops: Flops) -> Value:
 
 # ------------------------------------------------------------ compilation
 #
-# The code for a term is a function ``code(frame, flops) -> Value`` made by
+# The code for a term is a function ``code(frame, flops) -> Value`` built by
 # a factory from its operands.  An operand is a slot or a code: a bound
 # variable is its slot, and so is a constant, which is written into the
 # frame's template; anything else is the code that computes it.  A factory
 # picks its body by the kinds of its operands and reads ``fr[i]`` itself
 # where an operand is a slot.  Operands are default arguments, which
 # CPython reads as fast locals and which cost fewer objects than closure
-# cells.  Code depends on nothing but its operands, so one compilation
-# makes each distinct factory call once (`_Scope.share`): the same pair of
-# slots in many abstractions is one function.
+# cells.
 
 _UNBOUND = object()  # a free variable the environment does not bind
 
@@ -252,7 +250,7 @@ class _Scope:
     One frame is open per enclosing abstraction.  A frame holds the
     abstraction's argument, its own variables (pattern and lets) and its
     constants at slots 0, 1, ... and, at slots -1, -2, ..., the values of
-    the outer variables its body uses, copied when the closure is made.
+    the outer variables its body uses, copied when the closure is built.
     `sizes[k]` counts frame k's own slots so far, `caps[k]` maps its
     captured names to their order of capture and `consts[k]` lists the
     (slot, value) of its constants.  The outermost frame also holds the
@@ -265,15 +263,6 @@ class _Scope:
         self.bound: dict[str, list[tuple[int, int]]] = {}
         self.trail: list[str] = []
         self.free: dict[str, int] = {}  # free name -> slot in frame 0
-        self.made: dict[tuple, object] = {}
-
-    def share(self, make, *operands):
-        """``make(*operands)``, made once per compilation."""
-        key = (make, *operands)
-        code = self.made.get(key)
-        if code is None:
-            code = self.made[key] = make(*operands)
-        return code
 
     def open(self):
         self.sizes.append(0)
@@ -312,7 +301,7 @@ class _Scope:
         return slot
 
     def unwind(self, mark: int):
-        """Forget the bindings made since `len(self.trail)` was `mark`."""
+        """Forget the bindings added since `len(self.trail)` was `mark`."""
         while len(self.trail) > mark:
             self.bound[self.trail.pop()].pop()
 
@@ -341,9 +330,9 @@ def _var(i: int):
     return var
 
 
-def _code(x, sc: _Scope):
+def _code(x):
     """The operand `x` as a code."""
-    return sc.share(_var, x) if type(x) is int else x
+    return _var(x) if type(x) is int else x
 
 
 def _free_var(i: int, name: str):
@@ -461,59 +450,6 @@ def _bang(x):
     return bang
 
 
-# Saturated arithmetic: `+.` on a with-pair, `*.` on two arguments and a
-# primitive on its argument, each without the intermediate pair or partial
-# application.  Both operands are slots or both are codes.  The flop is
-# counted and a non-number rejected in the order `apply_value` does.
-
-def _plus(l, r):
-    if type(l) is int:
-        def plus(fr, fl, l=l, r=r):
-            x = fr[l]
-            y = fr[r]
-            fl.count += 1
-            if type(x) is VNum and type(y) is VNum:
-                return VNum(x.value + y.value)
-            return _arith_op(add, _operand(x), _operand(y))
-    else:
-        def plus(fr, fl, l=l, r=r):
-            x = l(fr, fl)
-            y = r(fr, fl)
-            fl.count += 1
-            if type(x) is VNum and type(y) is VNum:
-                return VNum(x.value + y.value)
-            return _arith_op(add, _operand(x), _operand(y))
-    return plus
-
-
-def _times(a, b):
-    if type(a) is int:
-        def times(fr, fl, a=a, b=b):
-            x = fr[a]
-            y = fr[b]
-            if type(x) is VNum and type(y) is VNum:
-                fl.count += 1
-                return VNum(x.value * y.value)
-            p = _operand(x)
-            fl.count += 1
-            return _arith_op(mul, p, _operand(y))
-    else:
-        def times(fr, fl, a=a, b=b):
-            p = _operand(a(fr, fl))
-            y = b(fr, fl)
-            fl.count += 1
-            return _arith_op(mul, p, _operand(y))
-    return times
-
-
-def _prim(fn: PrimId, a):
-    def prim(fr, fl, f=fn.fn, arity=fn.arity, a=a):
-        args = _prim_args(a(fr, fl), arity)
-        fl.count += 1
-        return VBang(VNum(f(*args)))
-    return prim
-
-
 # ---- binder factories: ``bind(frame, value)`` checks the value's shape
 # and stores into slots
 
@@ -557,12 +493,12 @@ def _bind_steps(p: Pattern, rhs, sc: _Scope, steps: list):
         sc.alias(p.name, _result(steps, rhs, sc))
         return
     if t is PBang:
-        bind = sc.share(_bind_bang, sc.bind(p.name), p.name)
+        bind = _bind_bang(sc.bind(p.name), p.name)
     elif t is PUnit:
         bind = _bind_unit
     elif t is PTensor or t is PWith:
         i, j = sc.slot(), sc.slot()
-        bind = sc.share(_bind_pair, *_PAIRS[t], i, j)
+        bind = _bind_pair(*_PAIRS[t], i, j)
     else:
         raise AssertionError(p)
     steps.append((bind, None, rhs) if type(rhs) is int else (bind, rhs, 0))
@@ -575,7 +511,7 @@ def _compile_var(m: Var, sc: _Scope):
     """A bound variable is its slot; a free one is read by a code that
     checks the environment bound it."""
     slot, free = sc.lookup(m.name)
-    return sc.share(_free_var, slot, m.name) if free else slot
+    return _free_var(slot, m.name) if free else slot
 
 
 def _compile_abs(m: Abs, sc: _Scope):
@@ -605,31 +541,17 @@ def _result(steps: list, x, sc: _Scope) -> int:
 
 def _compile_app(m: App, sc: _Scope):
     """A let-spine ``let p1 = N1 in ... let pk = Nk in M`` binds into the
-    current frame, without a closure, and runs as a loop.  Saturated
-    arithmetic is one code."""
+    current frame, without a closure, and runs as a loop."""
     frames, body = spine(m)
     if frames:
         mark = len(sc.trail)
         steps = _let_steps(frames, sc)
         result = _result(steps, _compile(body, sc), sc)
         sc.unwind(mark)
-        return sc.share(_lets, tuple(steps), result) if steps else result
-    f, a = m.fn, m.arg
-    if type(f) is PlusDot and type(a) is WithPair:
-        return _arith(_plus, _compile(a.left, sc), _compile(a.right, sc), sc)
-    if type(f) is App and type(f.fn) is TimesDot:
-        return _arith(_times, _compile(f.arg, sc), _compile(a, sc), sc)
-    if type(f) is PrimFn:
-        return sc.share(_prim, f.fn, _code(_compile(a, sc), sc))
-    f = _compile(f, sc)
-    a = _compile(a, sc)
-    return sc.share(_app, f, a if type(f) is int else _code(a, sc))
-
-
-def _arith(make, l, r, sc: _Scope):
-    if type(l) is not int or type(r) is not int:
-        l, r = _code(l, sc), _code(r, sc)
-    return sc.share(make, l, r)
+        return _lets(tuple(steps), result) if steps else result
+    f = _compile(m.fn, sc)
+    a = _compile(m.arg, sc)
+    return _app(f, a if type(f) is int else _code(a))
 
 
 _SPLITS = {(PWith, WithPair), (PTensor, TensorPair)}
@@ -675,7 +597,7 @@ def _let_steps(frames, sc: _Scope) -> list:
 def _compile_pair(cls):
     def compile_pair(m, sc):
         l = _compile(m.left, sc)
-        return sc.share(_pair, cls, l, _compile(m.right, sc))
+        return _pair(cls, l, _compile(m.right, sc))
     return compile_pair
 
 
@@ -696,7 +618,7 @@ _COMPILERS = {
     App: _compile_app,
     TensorPair: _compile_pair(VPair),
     WithPair: _compile_pair(VWith),
-    BangVal: lambda m, sc: sc.share(_bang, _compile(m.inner, sc)),
+    BangVal: lambda m, sc: _bang(_compile(m.inner, sc)),
 }
 
 
@@ -723,7 +645,7 @@ class Compiled:
 
 def compile_term(m: Term) -> Compiled:
     sc = _Scope()
-    code = _code(_compile(m, sc), sc)
+    code = _code(_compile(m, sc))
     template, _ = sc.close()
     return Compiled(code, tuple(template), tuple(sc.free.items()))
 
@@ -749,7 +671,7 @@ def run(m: Term, env: dict | None = None) -> tuple[Value, int]:
 def apply_lanes(f: Value, vals: list[Value], flops: Flops) -> list[Value]:
     """``[apply_value(f, v, flops) for v in vals]`` in one run of `f` over
     the values packed as lanes (module docstring), with the flops of the
-    k runs.  The values share one shape of numbers, units, tops and pairs,
+    k runs.  The values have one shape of numbers, units, tops and pairs,
     and the results must be first-order."""
     k = len(vals)
     if not k:
@@ -774,7 +696,8 @@ def _pack(vs: list[Value]) -> Value:
 
 
 def _unpack(v: Value, k: int) -> list[Value]:
-    """The k values of the lanes of `v`; a part without lanes is shared."""
+    """The k values of the lanes of `v`; a part without lanes is the same
+    object in every lane."""
     t = type(v)
     if t is VLanes:
         return [VNum(x) for x in v.values]

@@ -385,13 +385,15 @@ def _steps(term: Term, contract, innermost: bool = False):
             r = next(_search(m, nodes, idx, contract, innermost), None)
 
 
-def _reduce(steps, term: Term, what: str) -> ReductionOutcome:
+def _reduce(steps, term: Term, what: str, budget: int) -> ReductionOutcome:
+    """The outcome of taking `steps` from `term` to their end; more than
+    `budget` of them raise `BudgetExhausted`."""
     numeric = total = 0
     for term, is_numeric in steps:
         total += 1
         numeric += is_numeric
-        if total > STEP_BUDGET:
-            raise BudgetExhausted(f"no {what} within {STEP_BUDGET} steps")
+        if total > budget:
+            raise BudgetExhausted(f"no {what} within {budget} steps")
     return ReductionOutcome(term, numeric, total)
 
 
@@ -411,7 +413,7 @@ def normalize(term: Term,
     if strategy not in ("leftmost-outermost", "rightmost-innermost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     return _reduce(_steps(term, _contract, strategy == "rightmost-innermost"),
-                   term, "normal form")
+                   term, "normal form", STEP_BUDGET)
 
 
 # ------------------------------------------------------------ safe steps
@@ -459,7 +461,8 @@ def safe_reduce(term: Term) -> ReductionOutcome:
     numeric step count is bounded by the term workload."""
     if free_vars(term):
         raise StuckOpenTerm(f"free variables {sorted(free_vars(term))}")
-    return _reduce(_steps(term, safe_contract), term, "safe normal form")
+    return _reduce(_steps(term, safe_contract), term, "safe normal form",
+                   STEP_BUDGET)
 
 
 # the steps a random safe reduction takes before it gives up
@@ -508,12 +511,9 @@ def _random_steps(term: Term, rng):
 
 def random_safe_reduce(term: Term, rng) -> tuple[Term, int]:
     """(normal form, numeric steps) of a random safe reduction."""
-    numeric = 0
-    for total, (term, is_numeric) in enumerate(_random_steps(term, rng), 1):
-        if total == RANDOM_STEP_BUDGET:
-            raise RuntimeError("random safe reduction did not terminate")
-        numeric += is_numeric
-    return term, numeric
+    out = _reduce(_random_steps(term, rng), term, "random safe normal form",
+                  RANDOM_STEP_BUDGET)
+    return out.result, out.numeric_steps
 
 
 # ------------------------------------------------------------ simplifier

@@ -5,7 +5,8 @@ top-level imports form no cycle: the modules depend on each other in the
 order lll -> linear_a -> frontend/translate -> autodiff -> oracle -> gen ->
 checks -> cli.  No module of the package or of the tests imports a
 `linlog` or `tests` name it never reads.  The modules that read let spines
-recognise let shapes only through `lll.lets`.  The scan reads the source
+recognise let shapes only through `lll.lets`.  Every error the package
+raises is a `LinlogError` or one of a few builtin ones.  The scan reads the source
 with `ast`, so it sees code that no test runs.
 """
 
@@ -213,4 +214,30 @@ def test_no_code_assigns_to_a_value_field():
                   and any(isinstance(a, ast.Constant)
                           and a.value in VALUE_FIELDS for a in node.args)):
                 found.append(f"{name}:{node.lineno} {class_name(node.func)}")
+    assert not found, found
+
+
+# The builtin exceptions the package may raise: a broken invariant, a bad
+# argument of a public function, a missing key and an exit status.
+BUILTIN_RAISES = {"AssertionError", "ValueError", "KeyError", "SystemExit"}
+
+
+def test_every_raise_names_a_linlog_error_or_an_allowed_builtin():
+    """A bare `raise` re-raises; any other names a class derived from
+    `LinlogError`, which a caller can tell from a fault in the program, or
+    one of `BUILTIN_RAISES`."""
+    mods = modules()
+    bases = {node.name: {class_name(b) for b in node.bases}
+             for tree in mods.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    ours = {"LinlogError"}
+    while grown := {c for c, bs in bases.items() if bs & ours} - ours:
+        ours |= grown
+    found = []
+    for name, tree in mods.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if class_name(exc) not in ours | BUILTIN_RAISES:
+                    found.append(f"{name}:{node.lineno} {class_name(exc)}")
     assert not found, found

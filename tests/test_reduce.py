@@ -12,7 +12,7 @@ from linlog.lll import (
     Real, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
     alpha_eq, bang_let, beta_step, is_progress_normal_form, is_strong_value,
     normalize, prim, prim_app, safe_reduce, simplify, substitute,
-    value_for_pattern, workload_term, StuckOpenTerm,
+    value_for_pattern, workload_term, BudgetExhausted, StuckOpenTerm,
 )
 from linlog.checks import (
     RANDOM_STRATEGY_FRACTION, CheckResult, _mixed_corpus, check_flop_bound,
@@ -343,6 +343,23 @@ def test_a_reduction_searches_each_node_about_once(monkeypatch):
     for c in safe_ground_cases(40, 11):
         _random_safe_reduce(c.term, rng)
     assert len(calls) <= 49_450 // 2
+
+
+@pytest.mark.parametrize("budget, run", [
+    ("STEP_BUDGET", normalize),
+    ("STEP_BUDGET", safe_reduce),
+    ("RANDOM_STEP_BUDGET", lambda t: _random_safe_reduce(t, random.Random(0))),
+])
+def test_a_reduction_takes_at_most_its_budget_of_steps(monkeypatch, budget,
+                                                        run):
+    """Each strategy may take as many steps as its budget, and one more
+    raises `BudgetExhausted`."""
+    t = plus(times(num(2), num(3)), num(1))  # two steps, both numeric
+    monkeypatch.setattr(lll_reduce, budget, 2)
+    run(t)
+    monkeypatch.setattr(lll_reduce, budget, 1)
+    with pytest.raises(BudgetExhausted, match="within 1 steps"):
+        run(t)
 
 
 def test_fig9a_evaluates_at_point():
