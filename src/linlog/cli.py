@@ -406,6 +406,9 @@ def main(argv=None) -> int:
     if args.cmd == "check" and not args.random and not args.file:
         print("check needs a file or --random N", file=sys.stderr)
         return 2
+    if args.cmd == "check" and args.random and args.file:
+        print("check takes a file or --random N, not both", file=sys.stderr)
+        return 2
 
     report = Report(args.cmd)
     handler = {

@@ -164,41 +164,45 @@ def _fwd_prim(phi, f, args: list[str], supply: NameSupply) -> Expr:
 # ---------------------------------------------------------------- unzipping
 
 def jax_unzip(e: Expr, supply: NameSupply) -> Expr:
-    stack, ep, et = _unzip(e, supply)
+    stack = []
+    ep, et = _unzip(e, stack, supply)
     return rebuild(stack, pair_pt(ep, et, supply), supply)
 
 
-def _unzip(e: Expr, supply):
+def _unzip(e: Expr, stack: list, supply):
+    """The primal and tangent halves of `e`; appends the primal frames that
+    commute to the front to `stack`, in order."""
     match e:
         case VarPair(x, t):
-            return [], p_var(x, supply), t_var(t, supply)
+            return p_var(x, supply), t_var(t, supply)
         case LetPair(x, t, e1, e2):
-            s1, p1, t1 = _unzip(e1, supply)
-            s2, p2, t2 = _unzip(e2, supply)
-            return (s1 + [("letp", x, p1)] + s2, p2, let_t(t, t1, t2, supply))
+            p1, t1 = _unzip(e1, stack, supply)
+            stack.append(("letp", x, p1))
+            p2, t2 = _unzip(e2, stack, supply)
+            return p2, let_t(t, t1, t2, supply)
         case PrimTupIntro0() | TanTupIntro0():
-            return [], PrimTupIntro0(), TanTupIntro0()
+            return PrimTupIntro0(), TanTupIntro0()
         case PrimTupIntro2(x1, x2):
-            return [], PrimTupIntro2(x1, x2), TanTupIntro0()
+            return PrimTupIntro2(x1, x2), TanTupIntro0()
         case TanTupIntro2(t1, t2):
-            return [], PrimTupIntro0(), TanTupIntro2(t1, t2)
+            return PrimTupIntro0(), TanTupIntro2(t1, t2)
         case PrimTupElim0() | PrimTupElim2():
             frame, body = open_frame(e)
-            s, p, t = _unzip(body, supply)
-            return [frame] + s, p, t
+            stack.append(frame)
+            return _unzip(body, stack, supply)
         case TanTupElim0(z, body):
-            s, p, t = _unzip(body, supply)
-            return s, p, TanTupElim0(z, t)
+            p, t = _unzip(body, stack, supply)
+            return p, TanTupElim0(z, t)
         case TanTupElim2(t1, t2, z, body):
-            s, p, t = _unzip(body, supply)
-            return s, p, TanTupElim2(t1, t2, z, t)
+            p, t = _unzip(body, stack, supply)
+            return p, TanTupElim2(t1, t2, z, t)
         case Lit(_) | PrimApp(_, _):
-            return [], e, TanTupIntro0()
+            return e, TanTupIntro0()
         case ZeroDot(_) | AddDot(_, _) | ScaleDot(_, _) | Dup(_):
-            return [], PrimTupIntro0(), e
+            return PrimTupIntro0(), e
         case Drop(body):
-            s, p, t = _unzip(body, supply)
-            return s, Drop(p), Drop(t)
+            p, t = _unzip(body, stack, supply)
+            return Drop(p), Drop(t)
     raise AssertionError(e)
 
 

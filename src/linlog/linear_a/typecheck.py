@@ -16,6 +16,7 @@ from linlog.linear_a.expr import (
     ScaleDot, TanTupElim0, TanTupElim2, TanTupIntro0, TanTupIntro2, VarPair,
     ZeroDot, jax_workload_type,
 )
+from linlog.lll.lets import bind, unbind
 
 
 class JaxTypeError(LinlogError):
@@ -38,7 +39,8 @@ def typecheck_jax(primal_env: dict[str, JaxType], tangent_env: dict[str, JaxType
 
 def infer_types(e: Expr, penv, tenv) -> tuple[JaxType, JaxType]:
     """The (tau; sigma) of `e`, not asking that every tangent variable of
-    `tenv` be consumed.  The walk only reads the environments."""
+    `tenv` be consumed.  The walk extends `penv` and `tenv` in place and
+    restores them before it returns; a typing error may leave them extended."""
     return _check(e, penv, tenv)[0]
 
 
@@ -73,17 +75,21 @@ def _lookup_t(env, t):
 
 
 def _disjoint(u1: set, u2: set):
-    dup = u1 & u2
-    if dup:
+    """The union of two unshared used-sets: the smaller merged into the larger."""
+    if not u1.isdisjoint(u2):
         raise TangentLinearityViolation(
-            f"tangent variables used twice: {sorted(dup)}")
-    return u1 | u2
+            f"tangent variables used twice: {sorted(u1 & u2)}")
+    if len(u1) < len(u2):
+        u1, u2 = u2, u1
+    u1 |= u2
+    return u1
 
 
 def _consume(used: set, t: str):
-    if t in used:
-        return used - {t}
-    raise TangentLinearityViolation(f"bound tangent variable {t} unused")
+    if t not in used:
+        raise TangentLinearityViolation(f"bound tangent variable {t} unused")
+    used.remove(t)
+    return used
 
 
 def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set, int]:
@@ -95,7 +101,10 @@ def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set, int]:
 
         case LetPair(x, t, bound, body):
             (t1, s1), u1, w1 = _check(bound, penv, tenv)
-            ty, u2, w2 = _check(body, penv | {x: t1}, tenv | {t: s1})
+            saved_p, saved_t = bind(penv, {x: t1}), bind(tenv, {t: s1})
+            ty, u2, w2 = _check(body, penv, tenv)
+            unbind(penv, saved_p)
+            unbind(tenv, saved_t)
             return ty, _disjoint(u1, _consume(u2, t)), w1 + w2
 
         case PrimTupIntro0() | TanTupIntro0():
@@ -113,7 +122,10 @@ def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set, int]:
             tz = _lookup_p(penv, z)
             if not isinstance(tz, JProd):
                 raise JaxTypeError(f"{z} is not a primal pair")
-            return _check(body, penv | {x1: tz.left, x2: tz.right}, tenv)
+            saved = bind(penv, {x1: tz.left, x2: tz.right})
+            out = _check(body, penv, tenv)
+            unbind(penv, saved)
+            return out
 
         case TanTupIntro2(t1, t2):
             if t1 == t2:
@@ -131,7 +143,9 @@ def _check(e: Expr, penv, tenv) -> tuple[tuple[JaxType, JaxType], set, int]:
             tz = _lookup_t(tenv, z)
             if not isinstance(tz, JProd):
                 raise JaxTypeError(f"{z} is not a tangent pair")
-            ty, u, w = _check(body, penv, tenv | {t1: tz.left, t2: tz.right})
+            saved = bind(tenv, {t1: tz.left, t2: tz.right})
+            ty, u, w = _check(body, penv, tenv)
+            unbind(tenv, saved)
             return ty, _disjoint(_consume(_consume(u, t1), t2), {z}), w
 
         case Lit(_):

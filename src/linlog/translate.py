@@ -27,7 +27,7 @@ from linlog.linear_a.expr import (
     match_t_var, open_frame, pair_tail, spine,
 )
 from linlog.linear_a.typecheck import frame_bindings, infer_types
-from linlog.lll.lets import rebuild
+from linlog.lll.lets import bind, rebuild, unbind
 from linlog.lll.terms import (
     Abs, App, BangVal, Numeral, Pattern, PBang, PlusDot, PTensor, PUnit, PVar,
     PWith, Term, TensorPair, TimesDot, TopVal, UnitVal, Var, WithPair, Zero,
@@ -213,17 +213,16 @@ def _split_lam(ctx: TangentCtx, zd: str, tz: JProd, rest, f: str,
     return ctx.lam_split(zd, halves, App(Var(f), arg))
 
 
-def _primal_let(frame, penv, supply: NameSupply) -> tuple[Pattern, Term]:
+def _primal_let(frame, penv, supply: NameSupply):
     """The let (pattern, right-hand side) that a primal frame of
-    `expr.spine` translates to; adds the frame's bindings to `penv`."""
+    `expr.spine` translates to, and the `bind` of its bindings in `penv`."""
     binds = frame_bindings(frame, penv)
     bangs = [PBang(x, primal_type(t)) for x, t in binds.items()]
     if frame[0] == "letp":
         let = bangs[0], delta_b_primal(penv, frame[2], supply)
     else:  # a tuple elimination binds 0 or 2 names
         let = (PTensor(*bangs) if bangs else PUnit()), Var(frame[-1])
-    penv.update(binds)
-    return let
+    return let, bind(penv, binds)
 
 
 def delta(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
@@ -238,7 +237,7 @@ def delta(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
 def _delta(penv, theta, e: Expr, supply: NameSupply):
     """The image of `e` and its (tau; sigma).  A let or an elimination takes
     the types of its parts from their images instead of typing the rest of
-    the program again."""
+    the program again, and extends `penv` in place for its body."""
     match e:
         case Lit(_) | PrimApp(_, _) | PrimTupIntro0() | PrimTupIntro2(_, _):
             ctx = TangentCtx(tangents(theta), supply)
@@ -247,8 +246,8 @@ def _delta(penv, theta, e: Expr, supply: NameSupply):
 
         case TanTupIntro0() | TanTupIntro2(_, _) | ZeroDot(_) | AddDot(_, _) | \
                 ScaleDot(_, _) | Dup(_):
-            return TensorPair(BangVal(UnitVal()), para(_delta_bt(
-                e, penv, theta, supply))), infer_types(e, penv, dict(theta))
+            dt, sg = _delta_bt(e, penv, theta, supply)
+            return TensorPair(BangVal(UnitVal()), para(dt)), (JOne, sg)
 
         case VarPair(x, _):
             ctx = TangentCtx(tangents(theta), supply)
@@ -260,7 +259,9 @@ def _delta(penv, theta, e: Expr, supply: NameSupply):
             d1, (ty1, sg1) = _delta(penv, th1, e1, supply)
             th2 = restrict(theta, fv_tangent(e2) - {yd})
             inner = [(yd, sg1)] + th2
-            d2, (ty2, sg2) = _delta(penv | {x: ty1}, inner, e2, supply)
+            saved = bind(penv, {x: ty1})
+            d2, (ty2, sg2) = _delta(penv, inner, e2, supply)
+            unbind(penv, saved)
             f, g, z = supply.fresh("f"), supply.fresh("g"), supply.fresh("z")
             ctx = TangentCtx(tangents(theta), supply)
             garg = App(Var(f), ctx.tuple_of(names(th1)))
@@ -275,9 +276,9 @@ def _delta(penv, theta, e: Expr, supply: NameSupply):
 
         case PrimTupElim0() | PrimTupElim2():
             frame, body = open_frame(e)
-            penv = dict(penv)
-            pat, rhs = _primal_let(frame, penv, supply)
+            (pat, rhs), saved = _primal_let(frame, penv, supply)
             d, tys = _delta(penv, theta, body, supply)
+            unbind(penv, saved)
             return let_(pat, rhs, d), tys
 
         case TanTupElim0(zd, body):
@@ -329,11 +330,12 @@ def delta_b(penv: dict[str, JaxType], theta: list[tuple[str, JaxType]],
     elif tail.__class__ is not VarPair:
         raise SortViolation(f"not in the Linear B fragment: {tail!r}")
     penv = dict(penv)
-    lets = [_primal_let(frame, penv, supply) for frame in frames]
+    lets = [_primal_let(frame, penv, supply)[0] for frame in frames]
     if pair is None:
         return rebuild(lets, _delta(penv, theta, tail, supply)[0])
     return rebuild(lets, TensorPair(delta_b_primal(penv, pair[0], supply),
-                                    para(_delta_bt(pair[1], penv, theta, supply))))
+                                    para(_delta_bt(pair[1], penv, theta,
+                                                   supply)[0])))
 
 
 def delta_b_primal(penv: dict[str, JaxType], ep: Expr, supply: NameSupply) -> Term:
@@ -341,7 +343,7 @@ def delta_b_primal(penv: dict[str, JaxType], ep: Expr, supply: NameSupply) -> Te
     frames, tail = spine(ep)
     if frames:
         penv = dict(penv)
-    lets = [_primal_let(frame, penv, supply) for frame in frames]
+    lets = [_primal_let(frame, penv, supply)[0] for frame in frames]
     x = match_p_var(tail)
     if x is not None:
         return rebuild(lets, BangVal(Var(x)))
@@ -368,83 +370,79 @@ def _section_let(f: str, fty: LType, rhs: Term, body: Term) -> Term:
     return let_(para_pattern(PVar(f, fty)), para(rhs), body)
 
 
-def _delta_bt(et: Expr, penv, theta, supply: NameSupply) -> Term:
+def _delta_bt(et: Expr, penv, theta, supply: NameSupply):
+    """The image of the purely tangent `et` and its sigma, which a construct
+    with a body takes from its body's image and the checker gives the rest."""
     xd = match_t_var(et)
     if xd is not None:
         if names(theta) != [xd]:
             raise EnumerationMismatch(f"{names(theta)} vs variable {xd}")
         ctx = TangentCtx(tangents(theta), supply)
-        return ctx.lam(ctx.var(xd))
+        return ctx.lam(ctx.var(xd)), theta[0][1]
 
     m = match_let_t(et)
     if m is not None:
         yd, e1, e2 = m
         th1 = restrict(theta, fv_tangent(e1))
-        _, sg1 = infer_types(e1, penv, dict(th1))
         th2 = restrict(theta, fv_tangent(e2) - {yd})
-        inner = [(yd, sg1)] + th2
-        _, sg2 = infer_types(e2, penv, dict(inner))
         f, g = supply.fresh("f"), supply.fresh("g")
         ctx = TangentCtx(tangents(theta), supply)
         garg = App(Var(f), ctx.tuple_of(names(th1)))
         if th2:
             garg = WithPair(garg, ctx.tuple_of(names(th2)))
-        body = ctx.lam(App(Var(g), garg))
+        d1, sg1 = _delta_bt(e1, penv, th1, supply)
+        inner = [(yd, sg1)] + th2
+        d2, sg2 = _delta_bt(e2, penv, inner, supply)
         return _section_let(
-            f, _map_type(th1, tangent_type(sg1)), _delta_bt(e1, penv, th1, supply),
-            _section_let(
-                g, _map_type(inner, tangent_type(sg2)),
-                _delta_bt(e2, penv, inner, supply), body))
+            f, _map_type(th1, tangent_type(sg1)), d1,
+            _section_let(g, _map_type(inner, tangent_type(sg2)), d2,
+                         ctx.lam(App(Var(g), garg)))), sg2
 
     match et:
-        case TanTupIntro0():
-            ctx = TangentCtx(tangents(theta), supply)
-            return ctx.lam(TopVal())
-        case TanTupIntro2(t1, t2):
-            ctx = TangentCtx(tangents(theta), supply)
-            return ctx.lam(ctx.tuple_of([t1, t2]))
         case TanTupElim0(zd, body):
             rest = [en for en in theta if en[0] != zd]
             f = supply.fresh("f")
-            _, sg = infer_types(body, penv, dict(rest))
             ctx = TangentCtx(tangents(theta), supply)
             arg = ctx.tuple_of(names(rest), empty=ctx.var(zd) if theta else None)
-            return _section_let(
-                f, _map_type(rest, tangent_type(sg)),
-                _delta_bt(body, penv, rest, supply),
-                ctx.lam(App(Var(f), arg)))
+            d, sg = _delta_bt(body, penv, rest, supply)
+            return _section_let(f, _map_type(rest, tangent_type(sg)), d,
+                                ctx.lam(App(Var(f), arg))), sg
         case TanTupElim2(t1, t2, zd, body):
             tz = dict(theta)[zd]
             rest = [en for en in theta if en[0] != zd]
             inner = [(t1, tz.left), (t2, tz.right)] + rest
-            _, sg = infer_types(body, penv, dict(inner))
             f = supply.fresh("f")
             ctx = TangentCtx(tangents(theta), supply)
             lam = _split_lam(ctx, zd, tz, rest, f, supply)
-            return _section_let(f, _map_type(inner, tangent_type(sg)),
-                                _delta_bt(body, penv, inner, supply), lam)
-        case Dup(t):
-            ctx = TangentCtx(tangents(theta), supply)
-            v = ctx.var(t)
-            return ctx.lam(WithPair(v, v))
-        case ZeroDot(sg):
-            ctx = TangentCtx(tangents(theta), supply)
-            return ctx.lam(mk_zero(tangent_type(sg)))
-        case AddDot(t1, t2):
-            h = tangent_type(dict(theta)[t1])
-            ctx = TangentCtx(tangents(theta), supply)
-            return ctx.lam(add_app(h, ctx.var(t1), ctx.var(t2), supply))
-        case ScaleDot(x, t):
-            h = tangent_type(dict(theta)[t])
-            ctx = TangentCtx(tangents(theta), supply)
-            return ctx.lam(scale_app(h, Var(x), ctx.var(t), supply))
+            d, sg = _delta_bt(body, penv, inner, supply)
+            return _section_let(f, _map_type(inner, tangent_type(sg)), d,
+                                lam), sg
         case Drop(body):
-            _, sg = infer_types(body, penv, dict(theta))
             f, z = supply.fresh("f"), supply.fresh("z")
             ctx = TangentCtx(tangents(theta), supply)
+            d, sg = _delta_bt(body, penv, theta, supply)
             inner = let_(PVar(z, tangent_type(sg)),
                          App(Var(f), ctx.tuple_of(names(theta))), TopVal())
-            return _section_let(f, _map_type(theta, tangent_type(sg)),
-                                _delta_bt(body, penv, theta, supply),
-                                ctx.lam(inner))
-    raise SortViolation(f"not a purely tangent expression: {et!r}")
+            return _section_let(f, _map_type(theta, tangent_type(sg)), d,
+                                ctx.lam(inner)), JOne
+    if et.__class__ not in (TanTupIntro0, TanTupIntro2, Dup, ZeroDot, AddDot,
+                            ScaleDot):
+        raise SortViolation(f"not a purely tangent expression: {et!r}")
+    _, sg = infer_types(et, penv, dict(theta))
+    h = tangent_type(sg)
+    ctx = TangentCtx(tangents(theta), supply)
+    match et:
+        case TanTupIntro0():
+            out = TopVal()
+        case TanTupIntro2(t1, t2):
+            out = ctx.tuple_of([t1, t2])
+        case Dup(t):
+            v = ctx.var(t)
+            out = WithPair(v, v)
+        case ZeroDot(_):
+            out = mk_zero(h)
+        case AddDot(t1, t2):
+            out = add_app(h, ctx.var(t1), ctx.var(t2), supply)
+        case ScaleDot(x, t):
+            out = scale_app(h, Var(x), ctx.var(t), supply)
+    return ctx.lam(out), sg

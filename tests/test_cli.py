@@ -211,6 +211,12 @@ def test_an_option_of_another_command_is_rejected():
     assert run_cli("check", G, "--seed", "3")[0] == 0
 
 
+def test_check_of_a_file_and_random_cases_is_a_usage_error(capsys):
+    code, out = run_cli("check", "programs/tangent_demo.lina", "--random", "4")
+    assert code == 2 and out == ""
+    assert "not both" in capsys.readouterr().err
+
+
 def test_check_random_machine_deterministic():
     _, out1 = run_cli("check", "--random", "8", "--seed", "4",
                       "--format", "machine")

@@ -1,16 +1,20 @@
 """Structural golden tests for the worked example, all four stages."""
 
 import hashlib
+from dataclasses import fields
 
 from linlog import NameSupply
 from linlog.autodiff import forward, transpose, transpose_f, unzip
-from linlog.frontend import parse
+from linlog.frontend import parse, print_lina_expr
 from linlog.gen import jax_cases, lll_f_cases, lll_p_cases
 from linlog.lll import (
     Bang, PBang, Real, TypingEnv, alpha_eq, simplify, typecheck, workload_term,
 )
-from linlog.linear_a.expr import JReal, VarPair, fv_primal
-from linlog.linear_a.typecheck import jax_workload
+from linlog.linear_a.expr import Expr, JReal, VarPair, fv_primal
+from linlog.linear_a.transform import jax_forward, jax_transpose, jax_unzip
+from linlog.linear_a.typecheck import (
+    JaxTypeError, infer_types, jax_workload, typecheck_jax,
+)
 from linlog.lll.sorts import Sort, classify_sort
 from linlog.lll.terms import term_str
 from linlog.lll.typecheck import free_var_types
@@ -193,3 +197,58 @@ def test_delta_text_is_pinned():
     ws = [jax_workload(c.penv, c.tenv, c.expr)
           for c in jax_cases(200, 84, "linear-a")]
     assert (sum(ws), digest(map(str, ws))) == (578, "5581fb4f725de4de")
+
+
+def test_linear_a_text_is_pinned():
+    """The printed `jax_forward`, `jax_unzip` and `jax_transpose` images of
+    generated cases, each with the next fresh name, called as the
+    commutation-square checks call them."""
+    def text(image, supply):
+        return "\n".join([print_lina_expr(image), supply.fresh()])
+
+    fwd = []
+    for c in jax_cases(60, 85, "primal"):
+        phi = {x: f"{x}'" for x in c.penv if x in fv_primal(c.expr)}
+        fwd.append(text(jax_forward(phi, c.expr, c.supply), c.supply))
+    unzipped = [text(jax_unzip(c.expr, c.supply), c.supply)
+                for c in jax_cases(60, 86, "linear-a")]
+    transposed = []
+    for c in jax_cases(60, 87, "linear-b"):
+        _, sg = infer_types(c.expr, c.penv, c.tenv)
+        transposed.append(text(jax_transpose(c.penv, c.theta, "u'", sg, c.expr,
+                                             c.supply), c.supply))
+    assert (digest(fwd), digest(unzipped), digest(transposed)) == (
+        "3521a3020c1aebcc", "7bfccadad42e658a", "0657a91042c728bc")
+
+
+def renamed(e, old: str, new: str):
+    """`e` with every name field equal to `old` renamed to `new`."""
+    if isinstance(e, str):
+        return new if e == old else e
+    if not isinstance(e, Expr):
+        return e
+    return type(e)(*(renamed(getattr(e, f.name), old, new)
+                     for f in fields(e) if f.init))
+
+
+def checker_answer(penv, tenv, e) -> str:
+    try:
+        return repr(typecheck_jax(penv, tenv, e))
+    except JaxTypeError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_linear_a_checker_answers_are_pinned():
+    """`typecheck_jax` on generated Linear-A cases and on mutants of them in
+    which one tangent of the header is renamed to another of its type, so
+    that one is consumed twice and the other never: each answer, a type or
+    an error with its message, is pinned."""
+    answers = []
+    for c in jax_cases(200, 88, "linear-a"):
+        answers.append(checker_answer(c.penv, c.tenv, c.expr))
+        pairs = [(a, b) for a, ta in c.theta for b, tb in c.theta
+                 if a < b and ta == tb]
+        if pairs:
+            a, b = pairs[0]
+            answers.append(checker_answer(c.penv, c.tenv, renamed(c.expr, a, b)))
+    assert (len(answers), digest(answers)) == (346, "dc2a5af29738a57b")

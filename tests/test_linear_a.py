@@ -230,3 +230,58 @@ def test_fv_functions():
     e = g_expr(s)
     assert fv_primal(e) == {"x", "y"}
     assert fv_tangent(e) == frozenset()
+
+
+def test_each_walk_has_one_environment_and_delta_b_stays_linear(monkeypatch):
+    """On the Linear-B form of a let chain, the checker, Delta and Delta_b
+    each extend and restore one primal environment, and Delta_b asks the
+    checker about each construct a bounded number of times."""
+    import sys
+    import threading
+
+    from linlog.linear_a import typecheck as checker
+    from linlog.translate import delta, delta_b
+    from tests.test_oracle import chain_expr
+
+    seen = []
+    check = checker._check
+
+    def recording(e, penv, tenv):
+        seen.append(penv)
+        return check(e, penv, tenv)
+
+    monkeypatch.setattr(checker, "_check", recording)
+
+    def walks(k):
+        s = NameSupply()
+        b = jax_unzip(jax_forward({"x0": "x0'", "x1": "x1'"},
+                                  chain_expr(k, s), s), s)
+        penv = {"x0": JReal, "x1": JReal}
+        theta = [(t, JReal) for t in ("x0'", "x1'") if t in fv_tangent(b)]
+        out = {}
+        for name, run in (
+                ("typecheck_jax", lambda: typecheck_jax(penv, dict(theta), b)),
+                ("delta", lambda: delta(penv, theta, b, s)),
+                ("delta_b", lambda: delta_b(penv, theta, b, s))):
+            seen.clear()
+            run()
+            out[name] = (len(seen), len({id(p) for p in seen}))
+        return out
+
+    got = {}
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    sys.setrecursionlimit(20_000)
+    threading.stack_size(128 << 20)
+    try:
+        worker = threading.Thread(
+            target=lambda: got.update({k: walks(k) for k in (25, 50)}))
+        worker.start()
+        worker.join(300)
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive() and len(got) == 2
+    for k in (25, 50):
+        assert {name: envs for name, (_, envs) in got[k].items()} == {
+            "typecheck_jax": 1, "delta": 1, "delta_b": 1}, k
+    assert got[50]["delta_b"][0] <= 2.2 * got[25]["delta_b"][0]
